@@ -317,6 +317,9 @@ def _execute(cfg: dict, out_dir: Path, threads: int) -> tuple[int, object]:
     keeps the rounds finished before the failure."""
     digest = config_hash(cfg)
     train, test, meta = build_dataset(cfg)
+    if cfg["clients"] > train.n:
+        raise ConfigError(f"clients is {cfg['clients']} but the training set has "
+                          f"only {train.n} examples")
     rc = build_run_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _now()
@@ -333,7 +336,7 @@ def _execute(cfg: dict, out_dir: Path, threads: int) -> tuple[int, object]:
     with rounds_path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER)
         try:
-            result = run(rc, train, test, threads=threads,
+            result = run(rc, train, test,
                          on_record=lambda rec: (fh.write(_csv_row(rec)), fh.flush()))
         except NumericError as exc:
             manifest.update(finished_at=_now(), status="numeric_abort",
@@ -469,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a resolved config key (dotted path, "
                             "repeatable)")
         p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="client worker threads (default: $FEDSIM_THREADS or 1)")
+                       help="accepted and recorded in manifest.json; clients "
+                            "always run serially (default: $FEDSIM_THREADS or 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
 

@@ -101,11 +101,16 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
                 if i == label_pos:
                     continue
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ConfigError(
                         f"non-numeric feature value {cell.strip()!r} in column "
                         f"{header[i]!r}", path=path, line=lineno) from None
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"non-finite feature value {cell.strip()!r} in column "
+                        f"{header[i]!r}", path=path, line=lineno, column=i + 1)
+                feats.append(value)
             rows.append(feats)
             raw_labels.append(row[label_pos].strip())
     if not rows:

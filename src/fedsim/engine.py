@@ -1,24 +1,22 @@
-"""Round orchestration: sample participants, run local updates (optionally
-on a thread pool), aggregate, meter communication, and log per-round
-metrics.
+"""Round orchestration: sample participants, run their local updates,
+aggregate, meter communication, and log per-round metrics.
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
-each client from (seed, 2, round, client id) — and client results are
-consumed in ascending id order, so outputs are byte-identical for a fixed
-config regardless of the worker-thread count.
+each client from (seed, 2, round, client id) — and the sampled clients run
+one after another in ascending id order, so outputs are byte-identical for
+a fixed config.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .client import ClientResult, LocalConfig, feddyn_updated_state, local_update
+from .client import LocalConfig, feddyn_updated_state, local_update
 from .data import Dataset, Partition, partition_dirichlet, partition_iid
 from .errors import NumericError, StructuralError
 from .metrics import EmaSeries, ema_update, global_loss
@@ -91,7 +89,7 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
 
 
 def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
-        threads: int = 1, on_record=None) -> RunResult:
+        on_record=None) -> RunResult:
     """Execute ``config.rounds`` federated rounds.
 
     A RoundRecord is appended (and passed to ``on_record``, if given) on
@@ -121,82 +119,73 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     records: list[RoundRecord] = []
     acc_down = acc_up = 0
     max_residual = 0.0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for t in range(config.rounds):
-            tic = time.perf_counter()
-            ids = sample_clients(config.n_clients, config.participation, t, config.seed)
-            model_out, extra_out = broadcast(state, algo)
-            eta = config.local.lr0 * config.local.lr_decay ** t
+    for t in range(config.rounds):
+        tic = time.perf_counter()
+        ids = sample_clients(config.n_clients, config.participation, t, config.seed)
+        model_out, extra_out = broadcast(state, algo)
+        eta = config.local.lr0 * config.local.lr_decay ** t
 
-            def client_task(cid: int) -> ClientResult:
-                if algo == "fedcm":
-                    aux = extra_out
-                elif algo == "feddyn":
-                    aux = dyn_state.get(cid)
-                    if aux is None:
-                        aux = np.zeros(d)
-                else:
-                    aux = None
-                rng = np.random.default_rng([config.seed, 2, t, cid])
-                try:
-                    return local_update(spec, model_out, shards[cid], config.local,
-                                        t, rng, algo, aux=aux)
-                except NumericError as exc:
-                    raise NumericError(exc.base_message, round=t, client=cid,
-                                       step=exc.step) from None
-
-            if pool is not None:
-                results = dict(zip(ids, pool.map(client_task, ids)))
+        results = {}
+        for cid in ids:
+            if algo == "fedcm":
+                aux = extra_out
+            elif algo == "feddyn":
+                aux = dyn_state.get(cid)
+                if aux is None:
+                    aux = np.zeros(d)
             else:
-                results = {cid: client_task(cid) for cid in ids}
-            returns = [results[cid].final_params for cid in ids]
+                aux = None
+            rng = np.random.default_rng([config.seed, 2, t, cid])
+            try:
+                results[cid] = local_update(spec, model_out, shards[cid], config.local,
+                                            t, rng, algo, aux=aux)
+            except NumericError as exc:
+                raise NumericError(exc.base_message, round=t, client=cid,
+                                   step=exc.step) from None
+        returns = [results[cid].final_params for cid in ids]
 
-            before = state
-            if algo == "fedagm":
-                state = aggregate_fedagm(before, returns)
-                residual = momentum_residual(before, returns, state)
-                if residual > momentum_residual_bound(state):
-                    raise NumericError(
-                        f"momentum identity violated: residual {residual:.3e}", round=t)
-                max_residual = max(max_residual, residual)
+        before = state
+        if algo == "fedagm":
+            state = aggregate_fedagm(before, returns)
+            residual = momentum_residual(before, returns, state)
+            if residual > momentum_residual_bound(state):
+                raise NumericError(
+                    f"momentum identity violated: residual {residual:.3e}", round=t)
+            max_residual = max(max_residual, residual)
+        else:
+            state = aggregate_baseline(
+                before, returns, algo, client_count=config.n_clients,
+                dyn_alpha=config.local.dyn_alpha,
+                cm_step_scale=config.local.k * eta)
+        if algo == "feddyn" and config.local.dyn_alpha != 0.0:
+            for cid in ids:
+                prev = dyn_state.get(cid)
+                if prev is None:
+                    prev = np.zeros(d)
+                dyn_state[cid] = feddyn_updated_state(
+                    prev, results[cid].final_params, model_out,
+                    config.local.dyn_alpha)
+
+        payloads = 2 if algo == "fedcm" else 1
+        acc_down += payloads * len(ids) * d * 8
+        acc_up += sum(results[cid].bytes_up for cid in ids)
+
+        if (t + 1) % config.eval_every == 0:
+            train_loss = global_loss(spec, state.theta, partition, dataset)
+            if classifier:
+                acc = accuracy(spec, state.theta, test_batch)
+                ema = ema_update(ema, acc)
+                ema_val = ema.last
             else:
-                state = aggregate_baseline(
-                    before, returns, algo, client_count=config.n_clients,
-                    dyn_alpha=config.local.dyn_alpha,
-                    cm_step_scale=config.local.k * eta)
-            if algo == "feddyn" and config.local.dyn_alpha != 0.0:
-                for cid in ids:
-                    prev = dyn_state.get(cid)
-                    if prev is None:
-                        prev = np.zeros(d)
-                    dyn_state[cid] = feddyn_updated_state(
-                        prev, results[cid].final_params, model_out,
-                        config.local.dyn_alpha)
-
-            payloads = 2 if algo == "fedcm" else 1
-            acc_down += payloads * len(ids) * d * 8
-            acc_up += sum(results[cid].bytes_up for cid in ids)
-
-            if (t + 1) % config.eval_every == 0:
-                train_loss = global_loss(spec, state.theta, partition, dataset)
-                if classifier:
-                    acc = accuracy(spec, state.theta, test_batch)
-                    ema = ema_update(ema, acc)
-                    ema_val = ema.last
-                else:
-                    acc = ema_val = math.nan
-                record = RoundRecord(
-                    round=t + 1, sampled_clients=tuple(ids), train_loss=train_loss,
-                    test_accuracy=acc, ema_accuracy=ema_val,
-                    bytes_down=acc_down, bytes_up=acc_up,
-                    wall_ms=int(1000 * (time.perf_counter() - tic)))
-                acc_down = acc_up = 0
-                records.append(record)
-                if on_record is not None:
-                    on_record(record)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+                acc = ema_val = math.nan
+            record = RoundRecord(
+                round=t + 1, sampled_clients=tuple(ids), train_loss=train_loss,
+                test_accuracy=acc, ema_accuracy=ema_val,
+                bytes_down=acc_down, bytes_up=acc_up,
+                wall_ms=int(1000 * (time.perf_counter() - tic)))
+            acc_down = acc_up = 0
+            records.append(record)
+            if on_record is not None:
+                on_record(record)
     return RunResult(records=records, final_state=state, partition=partition,
                      max_momentum_residual=max_residual)

@@ -125,22 +125,24 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return layers
 
 
-def _check_inputs(spec: ModelSpec, params: np.ndarray, batch: Batch) -> None:
+def check_inputs(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
+                 labels: np.ndarray) -> None:
+    """Structural checks against ``spec``: the parameter shape, the feature
+    column count and, for classifiers, integer labels in [0, output_dim)."""
     if params.shape != (param_dim(spec),):
         raise StructuralError(
             f"params have shape {params.shape}, spec needs ({param_dim(spec)},)")
-    if batch.features.shape[1] != spec.input_dim:
+    if features.shape[1] != spec.input_dim:
         raise StructuralError(
-            f"batch features have {batch.features.shape[1]} columns, spec needs {spec.input_dim}")
+            f"batch features have {features.shape[1]} columns, spec needs {spec.input_dim}")
     if spec.kind != "linear_regression":
-        y = batch.labels
-        if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= spec.output_dim:
+        if (labels.dtype.kind not in "iu" or labels.min() < 0
+                or labels.max() >= spec.output_dim):
             raise StructuralError("classifier labels must be integers in [0, output_dim)")
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray):
     """Return (hidden activations per layer, final logits)."""
-    layers = _unpack(spec, params)
     acts = [X]
     for W, b in layers[:-1]:
         acts.append(np.tanh(acts[-1] @ W + b))
@@ -153,38 +155,44 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    """Mean per-example loss plus the L2 decay term."""
-    _check_inputs(spec, params, batch)
+def decay_term(spec: ModelSpec, params: np.ndarray) -> float:
+    """The L2 penalty ``(l2_weight_decay/2)*||params||**2``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * spec.l2_weight_decay * float(np.dot(params, params))
+
+
+def example_losses(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
+    """Per-example loss, decay term excluded. Unchecked: the caller has
+    validated ``params`` and ``batch`` against ``spec``."""
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "linear_regression":
             r = batch.features @ params - np.asarray(batch.labels, dtype=np.float64)
-            value = 0.5 * float(np.mean(r * r))
-        else:
-            _, logits = _forward(spec, params, batch.features)
-            logp = _log_softmax(logits)
-            value = -float(np.mean(logp[np.arange(batch.n), batch.labels]))
+            return 0.5 * (r * r)
+        _, logits = _forward(_unpack(spec, params), batch.features)
+        return -_log_softmax(logits)[np.arange(batch.n), batch.labels]
+
+
+def loss_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
+    """:func:`loss` without its input and finiteness checks."""
+    value = float(np.mean(example_losses(spec, params, batch)))
     if spec.l2_weight_decay:
-        value += 0.5 * spec.l2_weight_decay * float(np.dot(params, params))
-    if not np.isfinite(value):
-        raise NumericError("loss is not finite")
+        value += decay_term(spec, params)
     return value
 
 
-def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Exact analytic gradient of :func:`loss`, decay term included."""
-    _check_inputs(spec, params, batch)
+def gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
+    """:func:`gradient` without its input and finiteness checks."""
     n = batch.n
     if spec.kind == "linear_regression":
         with np.errstate(over="ignore", invalid="ignore"):
             r = batch.features @ params - np.asarray(batch.labels, dtype=np.float64)
             g = batch.features.T @ r / n
     else:
-        acts, logits = _forward(spec, params, batch.features)
+        layers = _unpack(spec, params)
+        acts, logits = _forward(layers, batch.features)
         probs = np.exp(_log_softmax(logits))
         probs[np.arange(n), batch.labels] -= 1.0
         upstream = probs / n
-        layers = _unpack(spec, params)
         pieces = [None] * len(layers)
         for li in range(len(layers) - 1, -1, -1):
             W, _ = layers[li]
@@ -196,6 +204,22 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
         g = np.concatenate(pieces)
     if spec.l2_weight_decay:
         g = g + spec.l2_weight_decay * params
+    return g
+
+
+def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
+    """Mean per-example loss plus the L2 decay term."""
+    check_inputs(spec, params, batch.features, batch.labels)
+    value = loss_unchecked(spec, params, batch)
+    if not np.isfinite(value):
+        raise NumericError("loss is not finite")
+    return value
+
+
+def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
+    """Exact analytic gradient of :func:`loss`, decay term included."""
+    check_inputs(spec, params, batch.features, batch.labels)
+    g = gradient_unchecked(spec, params, batch)
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient is not finite")
     return g
@@ -225,7 +249,7 @@ def accuracy(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     index. Structural error on a regression spec."""
     if spec.kind == "linear_regression":
         raise StructuralError("accuracy is undefined for regression models")
-    _check_inputs(spec, params, batch)
-    _, logits = _forward(spec, params, batch.features)
+    check_inputs(spec, params, batch.features, batch.labels)
+    _, logits = _forward(_unpack(spec, params), batch.features)
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == batch.labels))

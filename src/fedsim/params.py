@@ -3,10 +3,10 @@
 A parameter vector is a 1-D float64 numpy array; every model, momentum
 buffer, and optimizer moment in the package is one of these. Operations
 are pure: inputs are never mutated and outputs are freshly allocated, so
-vectors can be shared freely across worker threads.
+one vector can be held by several clients and server buffers at once.
 
 All reductions use a fixed, data-independent evaluation order so that a
-seeded run produces bit-identical results regardless of parallelism.
+seeded run produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -53,17 +53,18 @@ def l2_norm_sq(x: np.ndarray) -> float:
     """Return the squared Euclidean norm of ``x``."""
     if not np.all(np.isfinite(x)):
         raise NumericError("l2_norm_sq of non-finite vector")
-    return float(np.dot(x, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(x, x))
 
 
 def mean(vectors: list[np.ndarray]) -> np.ndarray:
     """Elementwise arithmetic mean with a fixed reduction order.
 
     Deviations from the first vector are accumulated left to right and the
-    shifted result is folded back at the end. Besides being deterministic
-    under any thread count, this makes the mean of k identical vectors
-    exactly equal to that vector: all deviations are exactly zero, which a
-    plain sum-then-divide cannot guarantee in floating point.
+    shifted result is folded back at the end. Besides being deterministic,
+    this makes the mean of k identical vectors exactly equal to that
+    vector: all deviations are exactly zero, which a plain sum-then-divide
+    cannot guarantee in floating point.
     """
     if not vectors:
         raise StructuralError("mean of an empty list")

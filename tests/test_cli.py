@@ -196,6 +196,23 @@ def test_numeric_abort_exits_3_and_keeps_partial_csv(tmp_path, capsys):
     assert "round=" in manifest["error"]
 
 
+def test_numeric_abort_stderr_is_one_error_line(tmp_path, capsys):
+    assert main(["run", "--config", write_config(tmp_path),
+                 "--set", "local.lr0=1e200", "--set", "local.clip_norm=1e308",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_more_clients_than_examples_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, dict(SMALL, clients=100000)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "clients is 100000" in err and "60 examples" in err
+    assert not out.exists()
+
+
 def test_model_data_mismatch_exits_2(tmp_path, capsys):
     payload = dict(SMALL, model={"input_dim": 7, "output_dim": 3})
     assert main(["run", "--config", write_config(tmp_path, payload),
@@ -227,6 +244,23 @@ def test_csv_dataset_roundtrip(tmp_path):
     assert meta["label_names"] == ["x", "y", "z"]
     assert meta["normalized"] is True
     assert meta["train_examples"] == 9 and meta["test_examples"] == 3
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_non_finite_csv_cell_exits_2_naming_the_cell(tmp_path, capsys, normalize):
+    data_file = tmp_path / "tiny.csv"
+    rows = ["a,b,species"] + [f"{i},{i + 1},{'xyz'[i % 3]}" for i in range(11)]
+    rows.insert(5, "nan,1,x")
+    data_file.write_text("\n".join(rows) + "\n")
+    payload = {"rounds": 2, "clients": 2, "model": {"input_dim": 2, "output_dim": 3},
+               "data": {"kind": "csv", "path": str(data_file), "label_column": "species",
+                        "normalize": normalize}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "tiny.csv:6:1" in err[0] and "'nan'" in err[0]
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- compare

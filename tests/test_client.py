@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from fedsim.client import (ClientResult, LocalConfig, clip_by_norm, derive_batch_size,
-                           feddyn_updated_state, local_gradient_fedagm, local_update)
+from fedsim.client import (RULES, ClientResult, LocalConfig, clip_by_norm,
+                           derive_batch_size, feddyn_updated_state, local_gradient_fedagm,
+                           local_update)
 from fedsim.data import Dataset, generate_synthetic
 from fedsim.errors import NumericError, StructuralError
-from fedsim.models import ModelSpec, make_batch, param_dim
+from fedsim.models import ModelSpec, gradient, loss, make_batch, param_dim
+from fedsim.params import axpy
 
 QUAD = ModelSpec("linear_regression", input_dim=1)
 
@@ -73,6 +75,75 @@ def test_degenerations_are_bit_identical_to_fedavg(rule, cfg, aux):
     other = run(rule, cfg=cfg, aux=aux)
     assert base.final_params.tobytes() == other.final_params.tobytes()
     assert base.train_loss_last == other.train_loss_last
+
+
+MLP3 = ModelSpec("mlp", input_dim=3, output_dim=3, hidden_dims=(4,), l2_weight_decay=0.01)
+REG3 = ModelSpec("linear_regression", input_dim=3, l2_weight_decay=0.01)
+
+
+def reference_update(spec, init, shard, cfg, round, rng, rule, aux):
+    """local_update as a plain loop over the public, fully checked pieces."""
+    bs = min(cfg.batch_size or derive_batch_size(shard.n, cfg.epochs, cfg.k), shard.n)
+    eta = cfg.lr0 * cfg.lr_decay ** round
+    theta = init.copy()
+    order = rng.permutation(shard.n)
+    pos = 0
+    for step in range(cfg.k):
+        if pos >= shard.n:
+            order = rng.permutation(shard.n)
+            pos = 0
+        batch = shard.to_batch(order[pos:pos + bs])
+        pos += bs
+        if step == cfg.k - 1:
+            last_loss = loss(spec, theta, batch)
+        g = gradient(spec, theta, batch)
+        if rule == "fedagm":
+            g = cfg.alpha * g + cfg.beta * (theta - init)
+        elif rule == "fedprox":
+            g = g + cfg.prox_mu * (theta - init)
+        elif rule == "feddyn":
+            g = g - aux + cfg.dyn_alpha * (theta - init)
+        elif rule == "fedcm":
+            g = cfg.cm_alpha * g + (1.0 - cfg.cm_alpha) * aux
+        theta = axpy(-eta, clip_by_norm(g, cfg.clip_norm), theta)
+    return theta, last_loss
+
+
+@pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
+@pytest.mark.parametrize("rule", RULES)
+def test_local_update_matches_reference_loop(spec, rule):
+    rng = np.random.default_rng(6)
+    d = param_dim(spec)
+    if spec.kind == "linear_regression":
+        shard = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12), 1)
+    else:
+        shard = classif_shard(seed=6)
+    init = rng.normal(size=d)
+    aux = rng.normal(size=d) if rule in ("feddyn", "fedcm") else None
+    cfg = LocalConfig(k=7, lr0=0.2, lr_decay=0.9, clip_norm=1.5, alpha=0.9, beta=0.05,
+                      prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
+    out = local_update(spec, init, shard, cfg, 2, np.random.default_rng(3), rule, aux=aux)
+    theta, last_loss = reference_update(spec, init, shard, cfg, 2,
+                                        np.random.default_rng(3), rule, aux)
+    assert out.final_params.tobytes() == theta.tobytes()
+    assert out.train_loss_last == last_loss
+
+
+def test_local_update_rejects_bad_inputs_on_entry():
+    shard = classif_shard()
+    with pytest.raises(StructuralError, match="params have shape"):
+        local_update(SPEC3, np.zeros(5), shard, LocalConfig(k=2), 0,
+                     np.random.default_rng(0), "fedavg")
+    bad_labels = Dataset(shard.features, shard.labels + 3, 3)
+    with pytest.raises(StructuralError, match="labels"):
+        local_update(SPEC3, np.zeros(param_dim(SPEC3)), bad_labels, LocalConfig(k=2), 0,
+                     np.random.default_rng(0), "fedavg")
+    features = shard.features.copy()
+    features[7, 1] = np.nan
+    with pytest.raises(NumericError, match="features") as ei:
+        local_update(SPEC3, np.zeros(param_dim(SPEC3)), Dataset(features, shard.labels, 3),
+                     LocalConfig(k=2), 4, np.random.default_rng(0), "fedavg")
+    assert ei.value.round == 4
 
 
 def test_fedagm_gradient_at_init_equals_scaled_plain():

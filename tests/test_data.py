@@ -94,6 +94,17 @@ def test_load_csv_non_numeric_cell_cites_row(tmp_path):
     assert "oops" in str(ei.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_csv_non_finite_cell_cites_line_and_column(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"label,f,g\na,1,2\nb,3,{cell}\na,5,6\n")
+    for normalize in (True, False):
+        with pytest.raises(ConfigError) as ei:
+            load_csv(str(p), "label", normalize=normalize)
+        assert (ei.value.path, ei.value.line, ei.value.column) == (str(p), 3, 3)
+        assert "bad.csv:3:3" in str(ei.value) and "'g'" in str(ei.value)
+
+
 def test_load_csv_unknown_label_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("x,label\n1,a\n")

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fedsim.cli import main
 from fedsim.client import LocalConfig
 from fedsim.data import generate_synthetic, take_per_class
 from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
@@ -66,12 +68,26 @@ def test_runs_are_reproducible():
     assert a.final_state.theta.tobytes() == b.final_state.theta.tobytes()
 
 
-def test_thread_count_does_not_change_results():
-    train, test = small_task()
+def test_thread_count_does_not_change_results(tmp_path):
+    # the engine has no thread count of its own; the CLI accepts --threads,
+    # records it, and must produce the same files for any value
     for algo in ("fedagm", "feddyn"):
-        a = run(config(algo), train, test, threads=1)
-        b = run(config(algo), train, test, threads=8)
-        assert strip_wall(a.records) == strip_wall(b.records)
+        path = tmp_path / f"{algo}.json"
+        path.write_text(json.dumps({
+            "algorithm": algo, "rounds": 5, "clients": 9, "participation": 1 / 3,
+            "model": {"input_dim": 4, "output_dim": 3},
+            "data": {"classes": 3, "train_per_class": 30, "test_per_class": 10,
+                     "input_dim": 4},
+            "local": {"k": 6}}), encoding="utf-8")
+        outs = []
+        for threads in ("1", "8"):
+            out = tmp_path / f"{algo}_t{threads}"
+            assert main(["run", "--config", str(path), "--threads", threads,
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["threads"] == int(threads)
+            outs.append(out)
+        for name in ("rounds.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_fedagm_degenerates_to_fedavg_bitwise():

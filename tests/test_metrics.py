@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedsim.data import generate_synthetic, partition_iid
+from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid
 from fedsim.errors import StructuralError
-from fedsim.metrics import (EmaSeries, Saturated, ema_update, global_loss,
-                            rounds_to_target)
+from fedsim.metrics import (EVAL_BLOCK_ROWS, EmaSeries, Saturated, ema_update,
+                            global_loss, rounds_to_target)
 from fedsim.models import ModelSpec, loss, param_dim
 
 
@@ -127,6 +127,24 @@ def test_global_loss_equal_shards_matches_whole_set():
         part = partition_iid(ds, N, seed=1)
         whole = loss(spec, params, ds.to_batch())
         assert abs(global_loss(spec, params, part, ds) - whole) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("softmax_classifier", input_dim=5, output_dim=4, l2_weight_decay=0.01),
+    ModelSpec("mlp", input_dim=5, output_dim=4, hidden_dims=(6,), l2_weight_decay=0.01),
+    ModelSpec("linear_regression", input_dim=5, l2_weight_decay=0.01),
+], ids=lambda s: s.kind)
+def test_global_loss_matches_per_shard_loop_across_blocks(spec):
+    # more than two evaluation blocks, with block edges falling inside shards
+    ds = generate_synthetic(seed=2, clusters=4, per_class=EVAL_BLOCK_ROWS * 3 // 5,
+                            input_dim=5, spread=1.0)
+    assert ds.n > 2 * EVAL_BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    for N in (1, 37, 400):
+        part = partition_dirichlet(ds, N, 0.3, seed=N)
+        params = rng.normal(size=param_dim(spec))
+        ref = math.fsum(loss(spec, params, ds.to_batch(a)) for a in part.assignments) / N
+        assert abs(global_loss(spec, params, part, ds) - ref) <= 1e-12 * abs(ref)
 
 
 def test_global_loss_zero_softmax_is_log_k():
