@@ -19,6 +19,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -211,13 +212,18 @@ def build_model(cfg: dict) -> ModelSpec:
 
 
 def build_dataset(cfg: dict):
-    """Materialize (train, test, meta) from the data section."""
+    """Materialize (train, test, meta) from the data section and check it
+    against the model and the client count."""
     d = cfg["data"]
     seed = cfg["seed"]
     if d["kind"] == "synthetic":
         if d["train_per_class"] < 1 or d["test_per_class"] < 1:
             raise ConfigError("data.train_per_class and data.test_per_class "
                               "must be positive")
+        if d["classes"] < 1 or d["input_dim"] < 1:
+            raise ConfigError("data.classes and data.input_dim must be positive")
+        if not 0 <= d["spread"] < math.inf:
+            raise ConfigError("data.spread must be a finite nonnegative number")
         full = generate_synthetic(seed=seed, clusters=d["classes"],
                                   per_class=d["train_per_class"] + d["test_per_class"],
                                   input_dim=d["input_dim"], spread=d["spread"])
@@ -229,7 +235,11 @@ def build_dataset(cfg: dict):
         ds = load_csv(d["path"], d["label_column"], normalize=d["normalize"])
         if not 0 < d["test_fraction"] < 1:
             raise ConfigError("data.test_fraction must lie in (0, 1)")
-        train, test = split_stratified(ds, d["test_fraction"], seed)
+        try:
+            train, test = split_stratified(ds, d["test_fraction"], seed)
+        except StructuralError as exc:
+            raise ConfigError(f"data.test_fraction {d['test_fraction']!r}: {exc}",
+                              path=d["path"]) from None
         meta = {"kind": "csv", **_jsonable(ds.meta)}
     else:
         raise ConfigError(f"unknown data kind: {d['kind']!r}")
@@ -243,6 +253,9 @@ def build_dataset(cfg: dict):
     if m["kind"] != "linear_regression" and train.class_count != m["output_dim"]:
         raise ConfigError(f"model.output_dim is {m['output_dim']} but the data "
                           f"has {train.class_count} classes")
+    if cfg["clients"] > train.n:
+        raise ConfigError(f"clients is {cfg['clients']} but the training set has "
+                          f"only {train.n} examples")
     return train, test, meta
 
 
@@ -311,16 +324,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _execute(cfg: dict, out_dir: Path, threads: int) -> tuple[int, object]:
-    """Run one resolved config into ``out_dir``; returns (exit status,
-    RunResult or None). Writes rounds.csv incrementally so an aborted run
-    keeps the rounds finished before the failure."""
+def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
+             threads: int) -> tuple[int, object]:
+    """Run one resolved config, already built into ``rc`` and ``data`` (the
+    (train, test, meta) of :func:`build_dataset`), into ``out_dir``;
+    returns (exit status, RunResult or None). Writes rounds.csv
+    incrementally so an aborted run keeps the rounds finished before the
+    failure."""
     digest = config_hash(cfg)
-    train, test, meta = build_dataset(cfg)
-    if cfg["clients"] > train.n:
-        raise ConfigError(f"clients is {cfg['clients']} but the training set has "
-                          f"only {train.n} examples")
-    rc = build_run_config(cfg)
+    train, test, meta = data
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _now()
     manifest = {
@@ -372,8 +384,10 @@ def _execute(cfg: dict, out_dir: Path, threads: int) -> tuple[int, object]:
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args.config, args.overrides, args.seed)
+    data = build_dataset(cfg)
+    rc = build_run_config(cfg)
     out_dir = Path(args.out)
-    status, result = _execute(cfg, out_dir, args.threads)
+    status, result = _execute(cfg, rc, data, out_dir, args.threads)
     if status == 0:
         print(f"run complete: {len(result.records)} evaluated rounds "
               f"written to {out_dir}")
@@ -400,6 +414,10 @@ def cmd_compare(args) -> int:
             raise ConfigError("compare configs may differ only in algorithm and "
                               f"hyperparameters; {path} changes the data/model/"
                               f"schedule relative to {args.configs[0]}")
+    # the configs share the data section, the model, the seed and the
+    # client count, so one dataset serves them all
+    data = build_dataset(configs[0])
+    run_configs = [build_run_config(cfg) for cfg in configs]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -409,8 +427,8 @@ def cmd_compare(args) -> int:
     targets = [float(t) for t in configs[0]["targets"]]
 
     rows = []
-    for label, cfg in zip(labels, configs):
-        status, result = _execute(cfg, out_dir / label, args.threads)
+    for label, cfg, rc in zip(labels, configs, run_configs):
+        status, result = _execute(cfg, rc, data, out_dir / label, args.threads)
         if status != 0:
             return status
         records = result.records

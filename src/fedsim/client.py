@@ -1,4 +1,4 @@
-"""One client's local training pass.
+"""Local training: K steps of every sampled client, a group at a time.
 
 Every algorithm runs the same skeleton — exactly K mini-batch SGD steps
 from the received initialization, with per-round learning rate
@@ -29,9 +29,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericError, StructuralError
-from .models import (Batch, ModelSpec, check_inputs, gradient, gradient_unchecked,
-                     loss_unchecked)
-from .params import l2_norm_sq
+from .models import ModelSpec, check_inputs, gradient, gradient_unchecked, loss_unchecked
+from .params import l2_norm_sq, sq_norms
 # Not called here: they stay importable as ``fedsim.client.loss`` and
 # ``fedsim.client.axpy``, names the benchmark's traced run hooks.
 from .models import loss  # noqa: F401
@@ -75,10 +74,13 @@ class LocalConfig:
 
 @dataclass(frozen=True)
 class ClientResult:
-    final_params: np.ndarray
+    """What :func:`local_update` returns for a group of S clients: one row
+    per client, in the order of the shards it was given."""
+
+    final_params: np.ndarray      # (S, d)
     local_steps_taken: int
-    train_loss_last: float
-    bytes_up: int
+    train_loss_last: np.ndarray   # (S,)
+    bytes_up: int                 # uplink bytes of each client
 
 
 def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
@@ -87,15 +89,12 @@ def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
     return max(1, min(shard_size, -(-shard_size * epochs // k)))
 
 
-def _scale_onto_ball(g: np.ndarray, norm: float, clip_norm: float) -> np.ndarray:
+def clip_by_norm(g: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale ``g`` onto the clip ball; returned unchanged when inside."""
+    norm = math.sqrt(l2_norm_sq(g))
     if norm <= clip_norm:
         return g
     return (clip_norm / norm) * g
-
-
-def clip_by_norm(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale ``g`` onto the clip ball; returned unchanged when inside."""
-    return _scale_onto_ball(g, math.sqrt(l2_norm_sq(g)), clip_norm)
 
 
 def _rule_gradient(rule: str, grad: np.ndarray, theta: np.ndarray,
@@ -134,57 +133,85 @@ def local_gradient_fedagm(spec: ModelSpec, params: np.ndarray, batch,
     return g
 
 
-def local_update(spec: ModelSpec, init: np.ndarray, shard: Dataset,
-                 cfg: LocalConfig, round: int, rng: np.random.Generator,
-                 rule: str, aux: np.ndarray | None = None) -> ClientResult:
-    """Run K local steps and return the resulting model.
+def local_update(spec: ModelSpec, init: np.ndarray, shards: list[Dataset],
+                 cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
+                 rule: str, aux: np.ndarray | None = None,
+                 ids=None) -> ClientResult:
+    """Run K local steps for a group of clients with equal-size shards,
+    all from the same received model ``init``, and return their models.
 
-    Mini-batches come from reshuffling the shard with ``rng`` at every
-    local epoch, in fixed iteration order; a short final slice of an epoch
-    is used as a partial batch. The inputs are validated once, here; each
-    step then guards only the squared gradient norm that clipping needs,
-    and the returned model is checked once. Numeric failures abort with
-    the round and, where known, the offending step attached.
+    The clients step together as one (S, d) computation, but each row is
+    bit-identical to running that client alone: every client draws its
+    mini-batches from its own ``rngs`` entry, reshuffling its shard at
+    every local epoch in fixed iteration order (a short final slice of an
+    epoch is a partial batch). ``aux`` is the fedcm server momentum (d,)
+    or the feddyn drift correctors (S, d).
+
+    The inputs are validated once, here; each step then guards only the
+    squared gradient norm that clipping needs, and the returned models
+    are checked once. A client that fails keeps stepping with the others;
+    afterwards the failure of the first failing row is raised, with the
+    round, its id from ``ids`` (default: the row index) and the step. A
+    row's non-finite features rank before its step and model failures,
+    as they would stop that client before its first step.
     """
-    if shard.n < 1:
+    S = len(shards)
+    ids = list(range(S)) if ids is None else list(ids)
+    if S < 1 or len(rngs) != S or len(ids) != S:
+        raise StructuralError("a client group needs one rng and one id per shard")
+    n = shards[0].n
+    if n < 1:
         raise StructuralError("client shard is empty")
+    if any(shard.n != n for shard in shards):
+        raise StructuralError("a client group needs equal-size shards")
     if rule not in RULES:
         raise StructuralError(f"unknown update rule {rule!r}")
     if rule == "fedcm" and cfg.cm_alpha != 1.0 and aux is None:
         raise StructuralError("fedcm needs the server momentum as aux input")
-    X = np.asarray(shard.features, dtype=np.float64)
-    y = shard.labels
+    X = np.stack([np.asarray(shard.features, dtype=np.float64) for shard in shards])
+    y = np.stack([shard.labels for shard in shards])
     check_inputs(spec, init, X, y)
-    if not np.all(np.isfinite(X)):
-        raise NumericError("client features contain NaN/Inf", round=round)
-    bs = cfg.batch_size or derive_batch_size(shard.n, cfg.epochs, cfg.k)
-    bs = min(bs, shard.n)
+    finite_features = np.isfinite(X).all(axis=(1, 2))
+    bs = cfg.batch_size or derive_batch_size(n, cfg.epochs, cfg.k)
+    bs = min(bs, n)
     eta = cfg.lr0 * cfg.lr_decay ** round
 
-    theta = init.copy()
-    order = rng.permutation(shard.n)
-    pos = 0
-    last_loss = math.nan
+    theta = np.tile(init, (S, 1))
+    rows = np.arange(S)[:, None]
+    first_bad_step = np.full(S, -1)
+    pos = n  # the first step shuffles
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.k):
-            if pos >= shard.n:
-                order = rng.permutation(shard.n)
+            if pos >= n:
+                order = np.stack([rng.permutation(n) for rng in rngs])
                 pos = 0
-            idx = order[pos:pos + bs]
-            batch = Batch(X[idx], y[idx])
+            idx = order[:, pos:pos + bs]
+            Xb, yb = X[rows, idx], y[rows, idx]
             pos += bs
             if step == cfg.k - 1:
-                last_loss = loss_unchecked(spec, theta, batch)
-            g = _rule_gradient(rule, gradient_unchecked(spec, theta, batch),
+                last_loss = loss_unchecked(spec, theta, Xb, yb)
+            g = _rule_gradient(rule, gradient_unchecked(spec, theta, Xb, yb),
                                theta, init, cfg, aux)
-            norm_sq = float(np.dot(g, g))
-            if not math.isfinite(norm_sq):
-                raise NumericError("local gradient norm is not finite",
-                                   round=round, step=step)
-            g = _scale_onto_ball(g, math.sqrt(norm_sq), cfg.clip_norm)
+            norm = np.sqrt(sq_norms(g))
+            if not np.isfinite(norm).all():
+                first_bad_step[~np.isfinite(norm) & (first_bad_step < 0)] = step
+            # rows inside the ball (an infinite clip_norm included) keep g;
+            # the max keeps the unused quotients of those rows off zero
+            scale = np.where(norm <= cfg.clip_norm, 1.0,
+                             cfg.clip_norm / np.maximum(norm, cfg.clip_norm))
+            g = g * scale[:, None]
             theta = -eta * g + theta
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("local model is not finite", round=round)
+        finite_rows = np.isfinite(theta).all(axis=1)
+    for row in range(S):
+        if not finite_features[row]:
+            raise NumericError("client features contain NaN/Inf", round=round,
+                               client=ids[row])
+        if first_bad_step[row] >= 0:
+            raise NumericError("local gradient norm is not finite", round=round,
+                               client=ids[row], step=int(first_bad_step[row]))
+        if not finite_rows[row]:
+            raise NumericError("local model is not finite", round=round,
+                               client=ids[row])
     return ClientResult(final_params=theta, local_steps_taken=cfg.k,
                         train_loss_last=last_loss, bytes_up=8 * init.size)
 

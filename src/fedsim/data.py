@@ -123,8 +123,14 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     meta = {"label_names": label_names, "feature_names": feature_names,
             "normalized": bool(normalize)}
     if normalize:
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = features.mean(axis=0)
+            std = features.std(axis=0)
+        finite = np.isfinite(mean) & np.isfinite(std)
+        if not finite.all():
+            column = feature_names[int(np.argmin(finite))]
+            raise ConfigError(f"feature column {column!r} is too large to normalize: "
+                              "its mean or standard deviation overflows", path=path)
         std[std == 0.0] = 1.0
         features = (features - mean) / std
         meta["feature_mean"] = mean.tolist()

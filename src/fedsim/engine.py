@@ -3,9 +3,14 @@ aggregate, meter communication, and log per-round metrics.
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
-each client from (seed, 2, round, client id) — and the sampled clients run
-one after another in ascending id order, so outputs are byte-identical for
-a fixed config.
+each client from (seed, 2, round, client id). Sampled clients with equal
+shard sizes (the partitioners allow at most two sizes) step together in
+chunks capped at ``STACK_BYTES`` of parameters, bit-identical to running
+them one at a time, and are folded into the aggregate in ascending id
+order, so outputs are byte-identical for a fixed config. A numeric
+failure is raised after every chunk of its round has run, for the lowest
+failing client id at its first failing step, as one-at-a-time execution
+would report it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ from .metrics import EmaSeries, ema_update, global_loss
 from .models import ModelSpec, accuracy, init_params, param_dim
 from .server import (ServerHyper, ServerState, aggregate_baseline, aggregate_fedagm,
                      broadcast, momentum_residual, init_state, momentum_residual_bound)
+
+# Byte cap on the (S, d) parameter stack of one local_update call; it sets
+# how many clients step together. Larger chunks cut per-step dispatch but
+# grow every (S, d) and (S, bs, width) temporary of the step with them.
+STACK_BYTES = 128 * 1024
 
 ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "fedadam", "feddyn", "fedcm", "fedagm")
 
@@ -55,6 +65,9 @@ class RunConfig:
             raise StructuralError("eval_every must be positive")
         if self.partition_kind not in ("iid", "dirichlet"):
             raise StructuralError(f"unknown partition kind {self.partition_kind!r}")
+        if self.partition_kind == "dirichlet" and not 0 < self.concentration < math.inf:
+            raise StructuralError("partition.concentration must be a finite "
+                                  "positive number")
         if any(not 0 < t < 1 for t in self.targets):
             raise StructuralError("accuracy targets must lie in (0, 1)")
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -88,6 +101,17 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
     return sorted(int(i) for i in rng.permutation(N)[:size])
 
 
+def _client_chunks(ids: list[int], shards: list[Dataset], rows: int):
+    """Split the sampled ``ids`` into groups of equal shard size, each cut
+    into chunks of at most ``rows`` clients, ids ascending in each."""
+    groups: dict[int, list[int]] = {}
+    for cid in ids:
+        groups.setdefault(shards[cid].n, []).append(cid)
+    for members in groups.values():
+        for lo in range(0, len(members), rows):
+            yield members[lo:lo + rows]
+
+
 def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         on_record=None) -> RunResult:
     """Execute ``config.rounds`` federated rounds.
@@ -115,6 +139,8 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     state = init_state(init_params(spec, np.random.default_rng([config.seed, 0])),
                        config.server)
     dyn_state: dict[int, np.ndarray] = {}
+    zero = np.zeros(d)
+    rows_per_chunk = max(1, STACK_BYTES // (8 * d))
     ema = EmaSeries()
     records: list[RoundRecord] = []
     acc_down = acc_up = 0
@@ -125,24 +151,25 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         model_out, extra_out = broadcast(state, algo)
         eta = config.local.lr0 * config.local.lr_decay ** t
 
-        results = {}
-        for cid in ids:
-            if algo == "fedcm":
-                aux = extra_out
-            elif algo == "feddyn":
-                aux = dyn_state.get(cid)
-                if aux is None:
-                    aux = np.zeros(d)
+        finals, failure = {}, None
+        for chunk in _client_chunks(ids, shards, rows_per_chunk):
+            if algo == "feddyn":
+                aux = np.stack([dyn_state.get(cid, zero) for cid in chunk])
             else:
-                aux = None
-            rng = np.random.default_rng([config.seed, 2, t, cid])
+                aux = extra_out if algo == "fedcm" else None
+            rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
             try:
-                results[cid] = local_update(spec, model_out, shards[cid], config.local,
-                                            t, rng, algo, aux=aux)
+                res = local_update(spec, model_out, [shards[cid] for cid in chunk],
+                                   config.local, t, rngs, algo, aux=aux, ids=chunk)
             except NumericError as exc:
-                raise NumericError(exc.base_message, round=t, client=cid,
-                                   step=exc.step) from None
-        returns = [results[cid].final_params for cid in ids]
+                if failure is None or exc.client < failure.client:
+                    failure = exc
+                continue
+            finals.update(zip(chunk, res.final_params))
+            acc_up += len(chunk) * res.bytes_up
+        if failure is not None:
+            raise failure
+        returns = [finals[cid] for cid in ids]
 
         before = state
         if algo == "fedagm":
@@ -159,16 +186,12 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
                 cm_step_scale=config.local.k * eta)
         if algo == "feddyn" and config.local.dyn_alpha != 0.0:
             for cid in ids:
-                prev = dyn_state.get(cid)
-                if prev is None:
-                    prev = np.zeros(d)
                 dyn_state[cid] = feddyn_updated_state(
-                    prev, results[cid].final_params, model_out,
+                    dyn_state.get(cid, zero), finals[cid], model_out,
                     config.local.dyn_alpha)
 
         payloads = 2 if algo == "fedcm" else 1
         acc_down += payloads * len(ids) * d * 8
-        acc_up += sum(results[cid].bytes_up for cid in ids)
 
         if (t + 1) % config.eval_every == 0:
             train_loss = global_loss(spec, state.theta, partition, dataset)

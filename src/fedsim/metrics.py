@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, Partition
 from .errors import NumericError, StructuralError
-from .models import Batch, ModelSpec, check_inputs, decay_term, example_losses
+from .models import ModelSpec, check_inputs, decay_term, example_losses
 # Not called here: it stays importable as ``fedsim.metrics.loss``, the name
 # the benchmark's traced run hooks.
 from .models import loss  # noqa: F401
@@ -91,14 +91,14 @@ def global_loss(spec: ModelSpec, params: np.ndarray, partition: Partition,
     if not sizes.all():
         raise StructuralError("global loss over an empty client shard")
     per_example = np.concatenate([
-        example_losses(spec, params, Batch(X[lo:lo + EVAL_BLOCK_ROWS],
-                                           dataset.labels[lo:lo + EVAL_BLOCK_ROWS]))
+        example_losses(spec, params[None], X[None, lo:lo + EVAL_BLOCK_ROWS],
+                       dataset.labels[None, lo:lo + EVAL_BLOCK_ROWS])[0]
         for lo in range(0, dataset.n, EVAL_BLOCK_ROWS)])
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     client_means = np.add.reduceat(
         per_example[np.concatenate(partition.assignments)], starts) / sizes
     if spec.l2_weight_decay:
-        client_means = client_means + decay_term(spec, params)
+        client_means = client_means + decay_term(spec, params[None])[0]
     if not np.all(np.isfinite(client_means)):
         raise NumericError("loss is not finite")
     return math.fsum(client_means.tolist()) / len(client_means)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StructuralError
+from .params import sq_norms
 
 KINDS = ("linear_regression", "softmax_classifier", "mlp")
 
@@ -114,12 +115,15 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer views over an (S, d) parameter stack: W of shape
+    (S, fan_in, fan_out) and b of shape (S, 1, fan_out)."""
     dims = _layer_dims(spec)
+    S = params.shape[0]
     layers, pos = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        W = params[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        W = params[:, pos:pos + fan_in * fan_out].reshape(S, fan_in, fan_out)
         pos += fan_in * fan_out
-        b = params[pos:pos + fan_out]
+        b = params[:, None, pos:pos + fan_out]
         pos += fan_out
         layers.append((W, b))
     return layers
@@ -127,14 +131,15 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.nd
 
 def check_inputs(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
                  labels: np.ndarray) -> None:
-    """Structural checks against ``spec``: the parameter shape, the feature
-    column count and, for classifiers, integer labels in [0, output_dim)."""
+    """Structural checks against ``spec``: the shape of one parameter
+    vector, the feature column count (the last axis) and, for classifiers,
+    integer labels in [0, output_dim)."""
     if params.shape != (param_dim(spec),):
         raise StructuralError(
             f"params have shape {params.shape}, spec needs ({param_dim(spec)},)")
-    if features.shape[1] != spec.input_dim:
+    if features.shape[-1] != spec.input_dim:
         raise StructuralError(
-            f"batch features have {features.shape[1]} columns, spec needs {spec.input_dim}")
+            f"batch features have {features.shape[-1]} columns, spec needs {spec.input_dim}")
     if spec.kind != "linear_regression":
         if (labels.dtype.kind not in "iu" or labels.min() < 0
                 or labels.max() >= spec.output_dim):
@@ -142,7 +147,8 @@ def check_inputs(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray):
-    """Return (hidden activations per layer, final logits)."""
+    """Return (hidden activations per layer, final logits) for features
+    X of shape (S, n, input_dim)."""
     acts = [X]
     for W, b in layers[:-1]:
         acts.append(np.tanh(acts[-1] @ W + b))
@@ -151,57 +157,72 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def decay_term(spec: ModelSpec, params: np.ndarray) -> float:
-    """The L2 penalty ``(l2_weight_decay/2)*||params||**2``."""
+def _residuals(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Linear-regression residuals X.w - y, shape (S, n)."""
+    return (X @ params[:, :, None])[:, :, 0] - np.asarray(y, dtype=np.float64)
+
+
+def decay_term(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
+    """The L2 penalty ``(l2_weight_decay/2)*||params||**2`` of each row
+    of an (S, d) stack."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * spec.l2_weight_decay * float(np.dot(params, params))
+        return 0.5 * spec.l2_weight_decay * sq_norms(params)
 
 
-def example_losses(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Per-example loss, decay term excluded. Unchecked: the caller has
-    validated ``params`` and ``batch`` against ``spec``."""
+# The kernels below take a stack of S clients: params (S, d), features
+# (S, n, input_dim) and labels (S, n). Every operation acts on each client
+# alone through the same BLAS call a single client would make, so row s
+# of a result is bit-identical to a stack holding only client s. They are
+# unchecked: the caller has validated the inputs against ``spec``.
+
+def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """Per-example loss, decay term excluded, shape (S, n)."""
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "linear_regression":
-            r = batch.features @ params - np.asarray(batch.labels, dtype=np.float64)
+            r = _residuals(params, X, y)
             return 0.5 * (r * r)
-        _, logits = _forward(_unpack(spec, params), batch.features)
-        return -_log_softmax(logits)[np.arange(batch.n), batch.labels]
+        _, logits = _forward(_unpack(spec, params), X)
+        S, n = y.shape
+        return -_log_softmax(logits)[np.arange(S)[:, None], np.arange(n), y]
 
 
-def loss_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    """:func:`loss` without its input and finiteness checks."""
-    value = float(np.mean(example_losses(spec, params, batch)))
+def loss_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """:func:`loss` of each client of the stack, shape (S,)."""
+    value = np.mean(example_losses(spec, params, X, y), axis=1)
     if spec.l2_weight_decay:
-        value += decay_term(spec, params)
+        value = value + decay_term(spec, params)
     return value
 
 
-def gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """:func:`gradient` without its input and finiteness checks."""
-    n = batch.n
+def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """:func:`gradient` of each client of the stack, shape (S, d)."""
+    S, n = y.shape
     if spec.kind == "linear_regression":
         with np.errstate(over="ignore", invalid="ignore"):
-            r = batch.features @ params - np.asarray(batch.labels, dtype=np.float64)
-            g = batch.features.T @ r / n
+            r = _residuals(params, X, y)
+            g = (X.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / n
     else:
         layers = _unpack(spec, params)
-        acts, logits = _forward(layers, batch.features)
+        acts, logits = _forward(layers, X)
         probs = np.exp(_log_softmax(logits))
-        probs[np.arange(n), batch.labels] -= 1.0
+        probs[np.arange(S)[:, None], np.arange(n), y] -= 1.0
         upstream = probs / n
-        pieces = [None] * len(layers)
+        pieces = [None] * (2 * len(layers))
         for li in range(len(layers) - 1, -1, -1):
             W, _ = layers[li]
-            gW = acts[li].T @ upstream
-            gb = upstream.sum(axis=0)
-            pieces[li] = np.concatenate([gW.ravel(), gb])
+            gW = acts[li].transpose(0, 2, 1) @ upstream
+            pieces[2 * li] = gW.reshape(S, -1)
+            pieces[2 * li + 1] = upstream.sum(axis=1)
             if li > 0:
-                upstream = (upstream @ W.T) * (1.0 - acts[li] ** 2)
-        g = np.concatenate(pieces)
+                upstream = (upstream @ W.transpose(0, 2, 1)) * (1.0 - acts[li] ** 2)
+        g = np.concatenate(pieces, axis=1)
     if spec.l2_weight_decay:
         g = g + spec.l2_weight_decay * params
     return g
@@ -210,7 +231,8 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean per-example loss plus the L2 decay term."""
     check_inputs(spec, params, batch.features, batch.labels)
-    value = loss_unchecked(spec, params, batch)
+    value = float(loss_unchecked(spec, params[None], batch.features[None],
+                                 batch.labels[None])[0])
     if not np.isfinite(value):
         raise NumericError("loss is not finite")
     return value
@@ -219,7 +241,8 @@ def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Exact analytic gradient of :func:`loss`, decay term included."""
     check_inputs(spec, params, batch.features, batch.labels)
-    g = gradient_unchecked(spec, params, batch)
+    g = gradient_unchecked(spec, params[None], batch.features[None],
+                           batch.labels[None])[0]
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient is not finite")
     return g
@@ -250,6 +273,6 @@ def accuracy(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     if spec.kind == "linear_regression":
         raise StructuralError("accuracy is undefined for regression models")
     check_inputs(spec, params, batch.features, batch.labels)
-    _, logits = _forward(_unpack(spec, params), batch.features)
-    pred = np.argmax(logits, axis=1)
+    _, logits = _forward(_unpack(spec, params[None]), batch.features[None])
+    pred = np.argmax(logits[0], axis=1)
     return float(np.mean(pred == batch.labels))

@@ -57,6 +57,15 @@ def l2_norm_sq(x: np.ndarray) -> float:
         return float(np.dot(x, x))
 
 
+def sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of an (S, d) stack, unchecked.
+
+    Each row goes through the same BLAS ``ddot`` as ``np.dot(row, row)``,
+    so a row's value does not depend on the rows stacked with it.
+    """
+    return np.matmul(stack[:, None, :], stack[:, :, None])[:, 0, 0]
+
+
 def mean(vectors: list[np.ndarray]) -> np.ndarray:
     """Elementwise arithmetic mean with a fixed reduction order.
 

@@ -1,9 +1,10 @@
 """Fast invariant suite behind the ``fedsim selftest`` verb.
 
-Four checks, each deterministic (fixed seeds) and fast enough to run on
+Five checks, each deterministic (fixed seeds) and fast enough to run on
 every install: the server-momentum recurrence, analytic-vs-numeric
 gradients, hyperparameter degenerations that must reproduce plain
-averaging bit for bit, and partition structure. One PASS/FAIL line is
+averaging bit for bit, partition structure, and clients stepped together
+as a group matching each client stepped alone bit for bit. One PASS/FAIL line is
 printed per check so a broken build names its failure.
 
 ``perturb_lambda_sign`` flips the sign of the momentum term inside the
@@ -18,8 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .client import LocalConfig, local_update
-from .data import generate_synthetic, partition_dirichlet
+from .client import RULES, LocalConfig, local_update
+from .data import Dataset, generate_synthetic, partition_dirichlet
 from .engine import RunConfig, run
 from .models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from .server import ServerHyper, aggregate_fedagm, momentum_residual, init_state, momentum_residual_bound
@@ -105,11 +106,11 @@ def _degenerations() -> bool:
     init = np.random.default_rng(1).normal(size=param_dim(spec))
 
     def one(rule, cfg, aux=None):
-        return local_update(spec, init, shard, cfg, 0,
-                            np.random.default_rng(42), rule, aux=aux)
+        return local_update(spec, init, [shard], cfg, 0,
+                            [np.random.default_rng(42)], rule, aux=aux).final_params[0]
 
     base_cfg = LocalConfig(k=10)
-    ref = one("fedavg", base_cfg).final_params
+    ref = one("fedavg", base_cfg)
     pairs = [
         ("fedagm", LocalConfig(k=10, alpha=1.0, beta=0.0), None),
         ("fedprox", LocalConfig(k=10, prox_mu=0.0), None),
@@ -117,7 +118,7 @@ def _degenerations() -> bool:
         ("fedcm", LocalConfig(k=10, cm_alpha=1.0), np.zeros(param_dim(spec))),
     ]
     for rule, cfg, aux in pairs:
-        if one(rule, cfg, aux=aux).final_params.tobytes() != ref.tobytes():
+        if one(rule, cfg, aux=aux).tobytes() != ref.tobytes():
             return False
 
     common = dict(model=spec, n_clients=6, rounds=5, participation=0.5, seed=3,
@@ -146,6 +147,42 @@ def _degenerations() -> bool:
     return True
 
 
+def _group_equals_one_at_a_time() -> bool:
+    """A group of equal-size shards stepped together must give, row for
+    row, the bytes of each shard stepped as a group of one — for every
+    rule and model kind, with clipping engaged and a partial final batch."""
+    rng = np.random.default_rng(17)
+    specs = [ModelSpec("linear_regression", input_dim=3, l2_weight_decay=0.01),
+             ModelSpec("softmax_classifier", input_dim=3, output_dim=4),
+             ModelSpec("mlp", input_dim=3, output_dim=3, hidden_dims=(5,),
+                       l2_weight_decay=0.001)]
+    # 11 examples in batches of 4 end every epoch on a partial batch of 3
+    cfg = LocalConfig(k=9, batch_size=4, lr0=0.3, lr_decay=0.9, clip_norm=0.5,
+                      alpha=0.9, beta=0.05, prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
+    for spec in specs:
+        d = param_dim(spec)
+        shards = []
+        for _ in range(4):
+            X = 3.0 * rng.normal(size=(11, spec.input_dim))
+            y = (rng.normal(size=11) if spec.kind == "linear_regression"
+                 else rng.integers(0, spec.output_dim, size=11))
+            shards.append(Dataset(X, y, spec.output_dim))
+        init = rng.normal(size=d)
+        for rule in RULES:
+            aux = rng.normal(size=(4, d)) if rule == "feddyn" else rng.normal(size=d)
+            group = local_update(spec, init, shards, cfg, 1,
+                                 [np.random.default_rng(i) for i in range(4)], rule,
+                                 aux=aux)
+            for i, shard in enumerate(shards):
+                alone = local_update(spec, init, [shard], cfg, 1,
+                                     [np.random.default_rng(i)], rule,
+                                     aux=aux[i:i + 1] if rule == "feddyn" else aux)
+                if (group.final_params[i].tobytes() != alone.final_params[0].tobytes()
+                        or group.train_loss_last[i] != alone.train_loss_last[0]):
+                    return False
+    return True
+
+
 def _partition_invariants() -> bool:
     rng = np.random.default_rng(13)
     ds = generate_synthetic(seed=2, clusters=6, per_class=40, input_dim=3, spread=1.0)
@@ -167,6 +204,7 @@ CHECKS = (
     ("gradient-vs-finite-difference", lambda perturb: _gradients_match_fd()),
     ("degeneration-equivalence", lambda perturb: _degenerations()),
     ("partition-invariants", lambda perturb: _partition_invariants()),
+    ("group-equals-one-at-a-time", lambda perturb: _group_equals_one_at_a_time()),
 )
 
 

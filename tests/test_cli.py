@@ -263,6 +263,52 @@ def test_non_finite_csv_cell_exits_2_naming_the_cell(tmp_path, capsys, normalize
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override,key", [
+    ("data.spread=-1", "data.spread"),
+    ("data.classes=0", "data.classes"),
+    ("partition.concentration=0", "partition.concentration"),
+    ("partition.concentration=-0.5", "partition.concentration"),
+])
+def test_bad_data_or_partition_value_exits_2_before_writing(tmp_path, capsys,
+                                                            override, key):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", override,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
+def test_csv_with_no_test_examples_exits_2_before_writing(tmp_path, capsys):
+    # every label distinct: a 0.2 share of a one-example class rounds to 0
+    data_file = tmp_path / "distinct.csv"
+    data_file.write_text("a,label\n" + "".join(f"{i},c{i}\n" for i in range(6)))
+    payload = {"clients": 2, "model": {"input_dim": 1, "output_dim": 6},
+               "data": {"kind": "csv", "path": str(data_file), "label_column": "label"}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "distinct.csv" in err[0] and "empty" in err[0]
+    assert not out.exists()
+
+
+def test_csv_normalize_overflow_exits_2_naming_the_column(tmp_path, capsys):
+    data_file = tmp_path / "huge.csv"
+    rows = ["a,b,species"] + [f"{i},{(-1) ** i * 1e308},{'xyz'[i % 3]}"
+                              for i in range(20)]
+    data_file.write_text("\n".join(rows) + "\n")
+    payload = {"clients": 2, "model": {"input_dim": 2, "output_dim": 3},
+               "data": {"kind": "csv", "path": str(data_file), "label_column": "species"}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "huge.csv" in err[0] and "'b'" in err[0]
+    assert "RuntimeWarning" not in "\n".join(err)
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- compare
 
 
@@ -305,6 +351,20 @@ def test_compare_rejects_different_data_specs(tmp_path, capsys):
                  "--out", str(tmp_path / "ok")]) == 0
 
 
+@pytest.mark.parametrize("second", [
+    dict(SMALL, clients=100000),
+    dict(SMALL, local={"k": 0}),
+], ids=["too_many_clients", "bad_local_k"])
+def test_rejected_compare_leaves_no_directory(tmp_path, capsys, second):
+    a = write_config(tmp_path, dict(SMALL, clients=second["clients"]), "a.json")
+    b = write_config(tmp_path, second, "b.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config", b, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_compare_needs_two_configs(tmp_path, capsys):
     assert main(["compare", "--config", write_config(tmp_path),
                  "--out", str(tmp_path / "x")]) == 2
@@ -338,7 +398,7 @@ def test_selftest_passes_and_repeats_identically(capsys):
     first = capsys.readouterr().out
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out == first
-    assert first.count("PASS") == 4
+    assert first.count("PASS") == 5
 
 
 def test_selftest_fails_under_lambda_sign_mutation(capsys):

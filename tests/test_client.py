@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,41 +30,47 @@ def classif_shard(seed=0, n=12, dim=3, classes=3):
 SPEC3 = ModelSpec("softmax_classifier", input_dim=3, output_dim=3)
 
 
+def alone(spec, init, shard, cfg, round, rng, rule, aux=None):
+    """local_update on a group of one: (final params, last-step loss)."""
+    out = local_update(spec, init, [shard], cfg, round, [rng], rule, aux=aux)
+    assert out.final_params.shape == (1, init.size)
+    return out.final_params[0], out.train_loss_last[0]
+
+
 def run(rule, seed=5, cfg=None, aux=None, init=None, round=0, shard=None):
     shard = shard if shard is not None else classif_shard()
     cfg = cfg or LocalConfig(k=7, lr0=0.1)
     if init is None:
         init = np.random.default_rng(1).normal(size=param_dim(SPEC3))
-    return local_update(SPEC3, init, shard, cfg, round,
-                        np.random.default_rng(seed), rule, aux=aux)
+    return alone(SPEC3, init, shard, cfg, round, np.random.default_rng(seed), rule,
+                 aux=aux)
 
 
 def test_single_full_batch_step_hand_oracle():
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, beta=0.0)
-    out = local_update(QUAD, np.zeros(1), quad_shard(3.0), cfg, 0,
-                       np.random.default_rng(0), "fedavg")
-    assert out.final_params[0] == pytest.approx(0.3, abs=1e-15)
+    out = local_update(QUAD, np.zeros(1), [quad_shard(3.0)], cfg, 0,
+                       [np.random.default_rng(0)], "fedavg")
+    assert out.final_params[0, 0] == pytest.approx(0.3, abs=1e-15)
     assert out.local_steps_taken == 1
     assert out.bytes_up == 8
     # last-step training loss is evaluated at the pre-step parameters
-    assert out.train_loss_last == pytest.approx(0.5 * 9.0, abs=1e-12)
+    assert out.train_loss_last[0] == pytest.approx(0.5 * 9.0, abs=1e-12)
 
 
 def test_zero_learning_rate_keeps_init():
     init = np.random.default_rng(3).normal(size=param_dim(SPEC3))
     cfg = LocalConfig(k=9, lr0=0.0)
-    out = local_update(SPEC3, init, classif_shard(), cfg, 4,
-                       np.random.default_rng(0), "fedavg")
-    np.testing.assert_array_equal(out.final_params, init)
+    final, _ = alone(SPEC3, init, classif_shard(), cfg, 4, np.random.default_rng(0),
+                     "fedavg")
+    np.testing.assert_array_equal(final, init)
 
 
 def test_lr_decay_applies_per_round():
     shard = quad_shard(3.0)
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, lr_decay=0.5)
-    late = local_update(QUAD, np.zeros(1), shard, cfg, 2,
-                        np.random.default_rng(0), "fedavg")
+    late, _ = alone(QUAD, np.zeros(1), shard, cfg, 2, np.random.default_rng(0), "fedavg")
     # eta = 0.1 * 0.5**2 = 0.025; theta = 0.025*3
-    assert late.final_params[0] == pytest.approx(0.075, abs=1e-15)
+    assert late[0] == pytest.approx(0.075, abs=1e-15)
 
 
 @pytest.mark.parametrize("rule,cfg,aux", [
@@ -71,10 +80,10 @@ def test_lr_decay_applies_per_round():
     ("fedcm", LocalConfig(k=7, cm_alpha=1.0), np.random.default_rng(9).normal(size=param_dim(SPEC3))),
 ])
 def test_degenerations_are_bit_identical_to_fedavg(rule, cfg, aux):
-    base = run("fedavg", cfg=LocalConfig(k=7))
-    other = run(rule, cfg=cfg, aux=aux)
-    assert base.final_params.tobytes() == other.final_params.tobytes()
-    assert base.train_loss_last == other.train_loss_last
+    base, base_loss = run("fedavg", cfg=LocalConfig(k=7))
+    other, other_loss = run(rule, cfg=cfg, aux=aux)
+    assert base.tobytes() == other.tobytes()
+    assert base_loss == other_loss
 
 
 MLP3 = ModelSpec("mlp", input_dim=3, output_dim=3, hidden_dims=(4,), l2_weight_decay=0.01)
@@ -122,27 +131,127 @@ def test_local_update_matches_reference_loop(spec, rule):
     aux = rng.normal(size=d) if rule in ("feddyn", "fedcm") else None
     cfg = LocalConfig(k=7, lr0=0.2, lr_decay=0.9, clip_norm=1.5, alpha=0.9, beta=0.05,
                       prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
-    out = local_update(spec, init, shard, cfg, 2, np.random.default_rng(3), rule, aux=aux)
+    final, final_loss = alone(spec, init, shard, cfg, 2, np.random.default_rng(3), rule,
+                              aux=aux)
     theta, last_loss = reference_update(spec, init, shard, cfg, 2,
                                         np.random.default_rng(3), rule, aux)
-    assert out.final_params.tobytes() == theta.tobytes()
-    assert out.train_loss_last == last_loss
+    assert final.tobytes() == theta.tobytes()
+    assert final_loss == last_loss
+
+
+def group_case(spec, S=3, n=11):
+    rng = np.random.default_rng(21)
+    shards = []
+    for _ in range(S):
+        X = 3.0 * rng.normal(size=(n, spec.input_dim))
+        y = (rng.normal(size=n) if spec.kind == "linear_regression"
+             else rng.integers(0, spec.output_dim, size=n))
+        shards.append(Dataset(X, y, spec.output_dim))
+    return shards, rng.normal(size=param_dim(spec))
+
+
+@pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
+@pytest.mark.parametrize("rule", RULES)
+def test_group_rows_equal_groups_of_one(spec, rule):
+    S, d = 3, param_dim(spec)
+    shards, init = group_case(spec, S)
+    rng = np.random.default_rng(8)
+    aux = {"feddyn": rng.normal(size=(S, d)), "fedcm": rng.normal(size=d)}.get(rule)
+    # 11 examples in batches of 4: every epoch ends on a partial batch of 3
+    cfg = LocalConfig(k=9, batch_size=4, lr0=0.3, lr_decay=0.9, clip_norm=0.5,
+                      alpha=0.9, beta=0.05, prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
+    group = local_update(spec, init, shards, cfg, 1,
+                         [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
+    assert group.final_params.shape == (S, d)
+    for i, shard in enumerate(shards):
+        row_aux = aux[i:i + 1] if rule == "feddyn" else aux
+        final, last = alone(spec, init, shard, cfg, 1, np.random.default_rng(10 + i),
+                            rule, aux=row_aux)
+        assert group.final_params[i].tobytes() == final.tobytes()
+        assert group.train_loss_last[i] == last
+        # the case clips: without the ball the same row ends elsewhere
+        unclipped, _ = alone(spec, init, shard, replace(cfg, clip_norm=1e9), 1,
+                             np.random.default_rng(10 + i), rule, aux=row_aux)
+        assert unclipped.tobytes() != final.tobytes()
+
+
+def test_group_failure_names_the_lowest_failing_client():
+    # targets 1, 1e100, 1e200 with a huge step: client 3 survives both steps,
+    # client 5 overflows its gradient norm at step 1 and client 8 at step 0;
+    # one at a time in id order, client 5 is the first to fail
+    cfg = LocalConfig(k=2, batch_size=1, lr0=1e150, clip_norm=1e300)
+    shards = [quad_shard(1.0), quad_shard(1e100), quad_shard(1e200)]
+    with pytest.raises(NumericError, match="gradient norm") as ei:
+        local_update(QUAD, np.zeros(1), shards, cfg, 4,
+                     [np.random.default_rng(i) for i in range(3)], "fedavg", ids=(3, 5, 8))
+    assert (ei.value.round, ei.value.client, ei.value.step) == (4, 5, 1)
+    for shard, step in zip(shards[1:], (1, 0)):
+        with pytest.raises(NumericError) as alone_err:
+            alone(QUAD, np.zeros(1), shard, cfg, 4, np.random.default_rng(0), "fedavg")
+        assert alone_err.value.step == step
+    # a model that overflows on its last step ranks by id like a step failure
+    cfg = LocalConfig(k=1, batch_size=1, lr0=1e200, clip_norm=1e300)
+    with pytest.raises(NumericError, match="local model is not finite") as ei:
+        local_update(QUAD, np.zeros(1), [quad_shard(1e120), quad_shard(1e200)], cfg, 0,
+                     [np.random.default_rng(0), np.random.default_rng(1)], "fedavg",
+                     ids=(2, 4))
+    assert (ei.value.client, ei.value.step) == (2, None)
+    # non-finite features of a higher id do not outrank a lower id's step
+    # failure; alone, that client would fail before its first step
+    nan_shard = Dataset(np.full((1, 1), np.nan), np.ones(1), 1)
+    cfg = LocalConfig(k=2, batch_size=1, lr0=1e150, clip_norm=1e300)
+    with pytest.raises(NumericError, match="gradient norm") as ei:
+        local_update(QUAD, np.zeros(1), [quad_shard(1e100), nan_shard], cfg, 4,
+                     [np.random.default_rng(0), np.random.default_rng(1)], "fedavg",
+                     ids=(5, 8))
+    assert (ei.value.client, ei.value.step) == (5, 1)
+    with pytest.raises(NumericError, match="features") as ei:
+        local_update(QUAD, np.zeros(1), [nan_shard, quad_shard(1e100)], cfg, 4,
+                     [np.random.default_rng(0), np.random.default_rng(1)], "fedavg",
+                     ids=(5, 8))
+    assert (ei.value.client, ei.value.step) == (5, None)
+
+
+@pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
+@pytest.mark.parametrize("rule", ["fedavg", "feddyn"])
+def test_infinite_clip_norm_never_clips(spec, rule):
+    S, d = 3, param_dim(spec)
+    shards, init = group_case(spec, S)
+    aux = np.random.default_rng(8).normal(size=(S, d)) if rule == "feddyn" else None
+    cfg = LocalConfig(k=9, batch_size=4, lr0=0.3, dyn_alpha=0.05, clip_norm=math.inf)
+    runs = [local_update(spec, init, shards, c, 1,
+                         [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
+            for c in (cfg, replace(cfg, clip_norm=1e300))]
+    assert np.isfinite(runs[0].final_params).all()
+    assert runs[0].final_params.tobytes() == runs[1].final_params.tobytes()
+    assert runs[0].train_loss_last.tobytes() == runs[1].train_loss_last.tobytes()
+
+
+def test_group_needs_equal_shards_and_one_rng_each():
+    shards = [classif_shard(n=12), classif_shard(n=11)]
+    init = np.zeros(param_dim(SPEC3))
+    with pytest.raises(StructuralError, match="equal-size"):
+        local_update(SPEC3, init, shards, LocalConfig(k=2), 0,
+                     [np.random.default_rng(0)] * 2, "fedavg")
+    with pytest.raises(StructuralError, match="one rng"):
+        local_update(SPEC3, init, shards[:1], LocalConfig(k=2), 0,
+                     [np.random.default_rng(0)] * 2, "fedavg")
 
 
 def test_local_update_rejects_bad_inputs_on_entry():
     shard = classif_shard()
     with pytest.raises(StructuralError, match="params have shape"):
-        local_update(SPEC3, np.zeros(5), shard, LocalConfig(k=2), 0,
-                     np.random.default_rng(0), "fedavg")
+        alone(SPEC3, np.zeros(5), shard, LocalConfig(k=2), 0,
+              np.random.default_rng(0), "fedavg")
     bad_labels = Dataset(shard.features, shard.labels + 3, 3)
     with pytest.raises(StructuralError, match="labels"):
-        local_update(SPEC3, np.zeros(param_dim(SPEC3)), bad_labels, LocalConfig(k=2), 0,
-                     np.random.default_rng(0), "fedavg")
+        alone(SPEC3, np.zeros(param_dim(SPEC3)), bad_labels, LocalConfig(k=2), 0,
+              np.random.default_rng(0), "fedavg")
     features = shard.features.copy()
     features[7, 1] = np.nan
     with pytest.raises(NumericError, match="features") as ei:
-        local_update(SPEC3, np.zeros(param_dim(SPEC3)), Dataset(features, shard.labels, 3),
-                     LocalConfig(k=2), 4, np.random.default_rng(0), "fedavg")
+        alone(SPEC3, np.zeros(param_dim(SPEC3)), Dataset(features, shard.labels, 3),
+              LocalConfig(k=2), 4, np.random.default_rng(0), "fedavg")
     assert ei.value.round == 4
 
 
@@ -197,9 +306,9 @@ def test_clipping_engages_inside_local_update():
     # gradient at 0 is -1e6, far outside the ball; the step must use the
     # clipped direction: theta = 0 + 0.1*clip_norm
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, clip_norm=2.0)
-    out = local_update(QUAD, np.zeros(1), quad_shard(1e6), cfg, 0,
-                       np.random.default_rng(0), "fedavg")
-    assert out.final_params[0] == pytest.approx(0.2, abs=1e-15)
+    final, _ = alone(QUAD, np.zeros(1), quad_shard(1e6), cfg, 0, np.random.default_rng(0),
+                     "fedavg")
+    assert final[0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_derive_batch_size():
@@ -216,11 +325,12 @@ def test_epoch_reshuffling_covers_shard():
     # a separable task, but here we check determinism + step count).
     shard = classif_shard(n=12)
     cfg = LocalConfig(k=24, lr0=0.05)
-    a = run("fedavg", seed=7, cfg=cfg, shard=shard)
-    b = run("fedavg", seed=7, cfg=cfg, shard=shard)
-    assert a.final_params.tobytes() == b.final_params.tobytes()
-    c = run("fedavg", seed=8, cfg=cfg, shard=shard)
-    assert a.final_params.tobytes() != c.final_params.tobytes()
+    init = np.random.default_rng(1).normal(size=param_dim(SPEC3))
+    a = local_update(SPEC3, init, [shard], cfg, 0, [np.random.default_rng(7)], "fedavg")
+    b, _ = run("fedavg", seed=7, cfg=cfg, shard=shard)
+    assert a.final_params[0].tobytes() == b.tobytes()
+    c, _ = run("fedavg", seed=8, cfg=cfg, shard=shard)
+    assert b.tobytes() != c.tobytes()
     assert a.local_steps_taken == 24
 
 
@@ -236,8 +346,8 @@ def test_feddyn_state_refresh():
 
 def test_numeric_abort_carries_context():
     with pytest.raises(NumericError) as ei:
-        local_update(QUAD, np.zeros(1), quad_shard(1e200), LocalConfig(k=3, batch_size=1),
-                     5, np.random.default_rng(0), "fedavg")
+        alone(QUAD, np.zeros(1), quad_shard(1e200), LocalConfig(k=3, batch_size=1),
+              5, np.random.default_rng(0), "fedavg")
     assert ei.value.round == 5
     assert ei.value.step is not None
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fedsim import engine
 from fedsim.cli import main
-from fedsim.client import LocalConfig
-from fedsim.data import generate_synthetic, take_per_class
+from fedsim.client import LocalConfig, local_update
+from fedsim.data import Dataset, generate_synthetic, take_per_class
 from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec
@@ -176,6 +177,52 @@ def test_numeric_abort_carries_round_and_client():
     assert ei.value.client is not None
     # every record completed before the abort was already streamed out
     assert all(isinstance(r, RoundRecord) for r in delivered)
+
+
+def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
+    # 90 examples over 7 clients: shards of 13 and 12, two size groups
+    train, test = small_task()
+    calls = []
+
+    def spy(spec, init, shards, *args, **kwargs):
+        calls.append([shard.n for shard in shards])
+        return local_update(spec, init, shards, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "local_update", spy)
+    default = engine.STACK_BYTES
+    for algo in ("fedagm", "feddyn", "fedcm"):
+        cfg = config(algo, n_clients=7, participation=1.0, partition_kind="dirichlet",
+                     local=LocalConfig(k=6, lr0=0.1, dyn_alpha=0.1))
+        monkeypatch.setattr(engine, "STACK_BYTES", default)
+        calls.clear()
+        stacked = run(cfg, train, test)
+        assert sorted(map(len, calls[:2])) == [1, 6]  # one call per size group
+        assert all(len(set(sizes)) == 1 for sizes in calls)
+        monkeypatch.setattr(engine, "STACK_BYTES", 1)
+        calls.clear()
+        serial = run(cfg, train, test)
+        assert all(len(sizes) == 1 for sizes in calls)
+        assert strip_wall(stacked.records) == strip_wall(serial.records)
+        assert stacked.final_state.theta.tobytes() == serial.final_state.theta.tobytes()
+
+
+def test_numeric_abort_names_the_same_client_as_one_at_a_time(monkeypatch):
+    # Diverging regression on 7 Dirichlet shards of 4 and 5 examples. The
+    # size-4 chunk [0, 2, 4, 5, 6] runs first and loses clients 4 and 6 (at
+    # steps 33 and 28); one at a time, client 3 of the other chunk fails
+    # first, at step 37.
+    rng = np.random.default_rng(75)
+    ds = Dataset(10 ** rng.uniform(-4, 1, size=(30, 1)), np.repeat(np.arange(3), 10), 3)
+    cfg = RunConfig(algorithm="fedavg", model=ModelSpec("linear_regression", input_dim=1),
+                    n_clients=7, rounds=1, seed=75, partition_kind="dirichlet",
+                    local=LocalConfig(k=40, lr0=1e4, clip_norm=1e300, batch_size=2))
+    with pytest.raises(NumericError) as stacked:
+        run(cfg, ds, ds)
+    assert (stacked.value.round, stacked.value.client, stacked.value.step) == (0, 3, 37)
+    monkeypatch.setattr(engine, "STACK_BYTES", 1)
+    with pytest.raises(NumericError) as serial:
+        run(cfg, ds, ds)
+    assert str(stacked.value) == str(serial.value)
 
 
 def test_config_validation():
