@@ -7,5 +7,3 @@ communication accounting, and EMA-smoothed evaluation metrics.
 """
 
 __version__ = "0.1.0"
-
-ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "fedadam", "feddyn", "fedcm", "fedagm")

@@ -28,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .algorithms import REGISTRY
 from .client import LocalConfig
 from .data import generate_synthetic, load_csv, split_stratified, take_per_class
-from .engine import ALGORITHMS, RunConfig, run
+from .engine import RunConfig, run
 from .errors import ConfigError, NumericError, StructuralError
 from .metrics import Saturated, rounds_to_target
 from .models import ModelSpec
@@ -178,10 +179,12 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> None:
 
 
 def finalize_config(cfg: dict) -> None:
-    """Fill algorithm-dependent defaults (FedAdam wants a small server
-    step; every other rule applies the mean at full strength)."""
+    """Fill algorithm-dependent defaults: the rule's own ``global_lr``."""
+    algo = REGISTRY.get(cfg["algorithm"])
+    if algo is None:
+        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     if cfg["server"]["global_lr"] is None:
-        cfg["server"]["global_lr"] = 0.01 if cfg["algorithm"] == "fedadam" else 1.0
+        cfg["server"]["global_lr"] = algo.global_lr
 
 
 def config_hash(cfg: dict) -> str:
@@ -261,8 +264,12 @@ def build_dataset(cfg: dict):
 
 def build_run_config(cfg: dict) -> RunConfig:
     try:
-        local = LocalConfig(**cfg["local"])
-        server = ServerHyper(**cfg["server"])
+        sections = {}
+        for key, cls in (("local", LocalConfig), ("server", ServerHyper)):
+            try:
+                sections[key] = cls(**cfg[key])
+            except StructuralError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         return RunConfig(algorithm=cfg["algorithm"], model=build_model(cfg),
                          n_clients=cfg["clients"], rounds=cfg["rounds"],
                          participation=cfg["participation"], seed=cfg["seed"],
@@ -270,7 +277,7 @@ def build_run_config(cfg: dict) -> RunConfig:
                          targets=tuple(float(t) for t in cfg["targets"]),
                          partition_kind=cfg["partition"]["kind"],
                          concentration=cfg["partition"]["concentration"],
-                         local=local, server=server)
+                         **sections)
     except StructuralError as exc:
         raise ConfigError(str(exc)) from None
     except TypeError as exc:
@@ -374,7 +381,7 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
         },
         "rounds_to_target": _targets_report(records, rc.targets, cfg["rounds"]),
     }
-    if cfg["algorithm"] == "fedagm":
+    if result.max_momentum_residual is not None:
         summary["max_momentum_residual"] = result.max_momentum_residual
     _write_json(out_dir / "summary.json", summary)
     manifest.update(finished_at=_now(), status="ok")

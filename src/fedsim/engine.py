@@ -1,6 +1,9 @@
 """Round orchestration: sample participants, run their local updates,
 aggregate, meter communication, and log per-round metrics.
 
+One loop serves every rule; what differs comes from the rule's entry in
+:data:`fedsim.algorithms.REGISTRY`. The downlink is the payload's size.
+
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
 each client from (seed, 2, round, client id). Sampled clients with equal
@@ -16,25 +19,27 @@ would report it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .client import LocalConfig, feddyn_updated_state, local_update
-from .data import Dataset, Partition, partition_dirichlet, partition_iid
+from .algorithms import REGISTRY
+from .client import LocalConfig, local_update
+from .data import Dataset, partition_dirichlet, partition_iid
 from .errors import NumericError, StructuralError
 from .metrics import EmaSeries, ema_update, global_loss
-from .models import ModelSpec, accuracy, init_params, param_dim
-from .server import (ServerHyper, ServerState, aggregate_baseline, aggregate_fedagm,
-                     broadcast, momentum_residual, init_state, momentum_residual_bound)
+from .models import ModelSpec, accuracy, init_params
+from .server import ServerHyper, ServerState, aggregate, init_state
+# Not called here: names the benchmark's traced run hooks (engine.broadcast,
+# .aggregate_fedagm, .aggregate_baseline, .momentum_residual, .feddyn_updated_state).
+from .algorithms import (aggregate_fedagm, feddyn_updated_state,  # noqa: F401
+                         lookahead as broadcast, momentum_residual)
+from .server import aggregate as aggregate_baseline  # noqa: F401
 
 # Byte cap on the (S, d) parameter stack of one local_update call; it sets
 # how many clients step together. Larger chunks cut per-step dispatch but
 # grow every (S, d) and (S, bs, width) temporary of the step with them.
 STACK_BYTES = 128 * 1024
-
-ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "fedadam", "feddyn", "fedcm", "fedagm")
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ class RunConfig:
     server: ServerHyper = field(default_factory=ServerHyper)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in REGISTRY:
             raise StructuralError(f"unknown algorithm {self.algorithm!r}")
         if self.n_clients < 1:
             raise StructuralError("n_clients must be positive")
@@ -82,15 +87,13 @@ class RoundRecord:
     ema_accuracy: float
     bytes_down: int
     bytes_up: int
-    wall_ms: int
 
 
 @dataclass
 class RunResult:
     records: list
     final_state: ServerState
-    partition: Partition
-    max_momentum_residual: float
+    max_momentum_residual: float | None   # None: the rule has no check
 
 
 def sample_clients(N: int, participation: float, round: int, seed: int) -> list[int]:
@@ -124,9 +127,8 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     Numeric failures abort with (round, client) context after every
     previously completed record has been delivered to ``on_record``.
     """
-    spec = config.model
-    algo = config.algorithm
-    d = param_dim(spec)
+    spec, cfg = config.model, config.local
+    algo = REGISTRY[config.algorithm]
     if config.partition_kind == "dirichlet":
         partition = partition_dirichlet(dataset, config.n_clients,
                                         config.concentration, config.seed)
@@ -136,31 +138,23 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     classifier = spec.kind != "linear_regression"
     test_batch = test_set.to_batch() if classifier else None
 
-    state = init_state(init_params(spec, np.random.default_rng([config.seed, 0])),
-                       config.server)
-    dyn_state: dict[int, np.ndarray] = {}
-    zero = np.zeros(d)
-    rows_per_chunk = max(1, STACK_BYTES // (8 * d))
+    theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
+    state = init_state(theta0, config.server, **algo.buffers(theta0, config.n_clients))
+    rows_per_chunk = max(1, STACK_BYTES // (8 * theta0.size))
     ema = EmaSeries()
     records: list[RoundRecord] = []
     acc_down = acc_up = 0
-    max_residual = 0.0
+    max_residual = None if algo.check is None else 0.0
     for t in range(config.rounds):
-        tic = time.perf_counter()
         ids = sample_clients(config.n_clients, config.participation, t, config.seed)
-        model_out, extra_out = broadcast(state, algo)
-        eta = config.local.lr0 * config.local.lr_decay ** t
+        payload = algo.payload(state)
 
         finals, failure = {}, None
         for chunk in _client_chunks(ids, shards, rows_per_chunk):
-            if algo == "feddyn":
-                aux = np.stack([dyn_state.get(cid, zero) for cid in chunk])
-            else:
-                aux = extra_out if algo == "fedcm" else None
             rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
             try:
-                res = local_update(spec, model_out, [shards[cid] for cid in chunk],
-                                   config.local, t, rngs, algo, aux=aux, ids=chunk)
+                res = local_update(spec, payload[0], [shards[cid] for cid in chunk],
+                                   cfg, t, rngs, ids=chunk, **algo.terms(state, cfg, chunk))
             except NumericError as exc:
                 if failure is None or exc.client < failure.client:
                     failure = exc
@@ -171,30 +165,16 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
             raise failure
         returns = [finals[cid] for cid in ids]
 
-        before = state
-        if algo == "fedagm":
-            state = aggregate_fedagm(before, returns)
-            residual = momentum_residual(before, returns, state)
-            if residual > momentum_residual_bound(state):
-                raise NumericError(
-                    f"momentum identity violated: residual {residual:.3e}", round=t)
-            max_residual = max(max_residual, residual)
-        else:
-            state = aggregate_baseline(
-                before, returns, algo, client_count=config.n_clients,
-                dyn_alpha=config.local.dyn_alpha,
-                cm_step_scale=config.local.k * eta)
-        if algo == "feddyn" and config.local.dyn_alpha != 0.0:
-            for cid in ids:
-                dyn_state[cid] = feddyn_updated_state(
-                    dyn_state.get(cid, zero), finals[cid], model_out,
-                    config.local.dyn_alpha)
-
-        payloads = 2 if algo == "fedcm" else 1
-        acc_down += payloads * len(ids) * d * 8
+        before, state = state, aggregate(state, algo.step, returns, ids, payload[0], cfg)
+        if algo.check is not None:
+            max_residual = max(max_residual, algo.check(before, returns, state))
+        acc_down += len(ids) * 8 * sum(p.size for p in payload)
 
         if (t + 1) % config.eval_every == 0:
-            train_loss = global_loss(spec, state.theta, partition, dataset)
+            try:
+                train_loss = global_loss(spec, state.theta, partition, dataset)
+            except NumericError as exc:
+                raise NumericError(exc.base_message, round=t) from None
             if classifier:
                 acc = accuracy(spec, state.theta, test_batch)
                 ema = ema_update(ema, acc)
@@ -204,11 +184,9 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
             record = RoundRecord(
                 round=t + 1, sampled_clients=tuple(ids), train_loss=train_loss,
                 test_accuracy=acc, ema_accuracy=ema_val,
-                bytes_down=acc_down, bytes_up=acc_up,
-                wall_ms=int(1000 * (time.perf_counter() - tic)))
+                bytes_down=acc_down, bytes_up=acc_up)
             acc_down = acc_up = 0
             records.append(record)
             if on_record is not None:
                 on_record(record)
-    return RunResult(records=records, final_state=state, partition=partition,
-                     max_momentum_residual=max_residual)
+    return RunResult(records=records, final_state=state, max_momentum_residual=max_residual)

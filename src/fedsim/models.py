@@ -20,6 +20,7 @@ vector (biases included) is added inside both loss and gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class ModelSpec:
             raise StructuralError(f"hidden_dims only apply to mlp, not {self.kind}")
         if any(h < 1 for h in self.hidden_dims):
             raise StructuralError("hidden dims must be positive")
-        if self.l2_weight_decay < 0:
-            raise StructuralError("l2_weight_decay must be nonnegative")
+        if not 0 <= self.l2_weight_decay < math.inf:
+            raise StructuralError("l2_weight_decay must be a finite nonnegative number")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
@@ -191,15 +192,6 @@ def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
         return -_log_softmax(logits)[np.arange(S)[:, None], np.arange(n), y]
 
 
-def loss_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """:func:`loss` of each client of the stack, shape (S,)."""
-    value = np.mean(example_losses(spec, params, X, y), axis=1)
-    if spec.l2_weight_decay:
-        value = value + decay_term(spec, params)
-    return value
-
-
 def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                        y: np.ndarray) -> np.ndarray:
     """:func:`gradient` of each client of the stack, shape (S, d)."""
@@ -231,8 +223,11 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean per-example loss plus the L2 decay term."""
     check_inputs(spec, params, batch.features, batch.labels)
-    value = float(loss_unchecked(spec, params[None], batch.features[None],
-                                 batch.labels[None])[0])
+    value = np.mean(example_losses(spec, params[None], batch.features[None],
+                                   batch.labels[None]), axis=1)
+    if spec.l2_weight_decay:
+        value = value + decay_term(spec, params[None])
+    value = float(value[0])
     if not np.isfinite(value):
         raise NumericError("loss is not finite")
     return value

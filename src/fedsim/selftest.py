@@ -19,11 +19,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .client import RULES, LocalConfig, local_update
+from .algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
+                         momentum_residual_bound)
+from .client import LocalConfig, local_update
 from .data import Dataset, generate_synthetic, partition_dirichlet
 from .engine import RunConfig, run
 from .models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
-from .server import ServerHyper, aggregate_fedagm, momentum_residual, init_state, momentum_residual_bound
+from .server import ServerHyper, init_state
 
 
 def _momentum_recurrence(perturb_lambda_sign: bool) -> bool:
@@ -36,18 +38,18 @@ def _momentum_recurrence(perturb_lambda_sign: bool) -> bool:
         d = int(rng.integers(1, 64))
         hyper = ServerHyper(tau=float(rng.uniform(0.05, 1.0)),
                             lam=float(rng.uniform(0.05, 0.95)))
-        state = replace(init_state(rng.standard_normal(d), hyper),
-                        delta=rng.standard_normal(d))
+        theta, delta = rng.standard_normal(d), rng.standard_normal(d)
+        state = init_state(theta, hyper, delta=delta)
         returns = [state.theta + 0.1 * rng.standard_normal(d)
                    for _ in range(int(rng.integers(1, 9)))]
         after = aggregate_fedagm(state, returns)
         bound = momentum_residual_bound(after)
         if momentum_residual(state, returns, after) > bound:
             return False
-        bc = state.theta - hyper.lam * state.delta
+        bc = state.theta - hyper.lam * delta
         gbar = -(np.mean(np.stack(returns), axis=0) - bc)
-        predicted = hyper.tau * gbar + sign * hyper.lam * state.delta
-        if float(np.max(np.abs(after.delta - predicted))) > bound:
+        predicted = hyper.tau * gbar + sign * hyper.lam * delta
+        if float(np.max(np.abs(after.buffers["delta"] - predicted))) > bound:
             return False
     return True
 
@@ -76,7 +78,8 @@ def _gradients_match_fd() -> bool:
     return True
 
 
-def _records_identical(a, b, skip_bytes_down: bool = False) -> bool:
+def _records_identical(a, b, down: int) -> bool:
+    """Same records, except that ``b`` sends ``down`` times the downlink."""
     if len(a) != len(b):
         return False
     for ra, rb in zip(a, b):
@@ -86,7 +89,7 @@ def _records_identical(a, b, skip_bytes_down: bool = False) -> bool:
                 and _bits(ra.test_accuracy) == _bits(rb.test_accuracy)
                 and _bits(ra.ema_accuracy) == _bits(rb.ema_accuracy)
                 and ra.bytes_up == rb.bytes_up
-                and (skip_bytes_down or ra.bytes_down == rb.bytes_down))
+                and down * ra.bytes_down == rb.bytes_down)
         if not same:
             return False
     return True
@@ -102,45 +105,26 @@ def _degenerations() -> bool:
     spec = ModelSpec("softmax_classifier", input_dim=4, output_dim=3,
                      l2_weight_decay=0.001)
     ds = generate_synthetic(seed=5, clusters=3, per_class=30, input_dim=4, spread=1.0)
-    shard = ds.subset(range(20))
+    shard, train, test = ds.subset(range(20)), ds.subset(range(60)), ds.subset(range(60, 90))
     init = np.random.default_rng(1).normal(size=param_dim(spec))
-
-    def one(rule, cfg, aux=None):
-        return local_update(spec, init, [shard], cfg, 0,
-                            [np.random.default_rng(42)], rule, aux=aux).final_params[0]
-
-    base_cfg = LocalConfig(k=10)
-    ref = one("fedavg", base_cfg)
-    pairs = [
-        ("fedagm", LocalConfig(k=10, alpha=1.0, beta=0.0), None),
-        ("fedprox", LocalConfig(k=10, prox_mu=0.0), None),
-        ("feddyn", LocalConfig(k=10, dyn_alpha=0.0), None),
-        ("fedcm", LocalConfig(k=10, cm_alpha=1.0), np.zeros(param_dim(spec))),
-    ]
-    for rule, cfg, aux in pairs:
-        if one(rule, cfg, aux=aux).tobytes() != ref.tobytes():
-            return False
-
     common = dict(model=spec, n_clients=6, rounds=5, participation=0.5, seed=3,
                   partition_kind="dirichlet", concentration=0.5)
-    local = LocalConfig(k=10, alpha=1.0, beta=0.0, prox_mu=0.0,
-                        cm_alpha=1.0, dyn_alpha=0.0)
-    test = ds.subset(range(60, 90))
-    train = ds.subset(range(60))
-    base = run(RunConfig(algorithm="fedavg", local=local, **common), train, test)
-    variants = [
-        RunConfig(algorithm="fedagm", local=local,
-                  server=ServerHyper(tau=1.0, lam=0.0), **common),
-        RunConfig(algorithm="fedavgm", local=local,
-                  server=ServerHyper(avgm_beta=0.0, global_lr=1.0), **common),
-        RunConfig(algorithm="fedprox", local=local, **common),
-        RunConfig(algorithm="feddyn", local=local, **common),
-        RunConfig(algorithm="fedcm", local=local, **common),
-    ]
-    for rc in variants:
-        res = run(rc, train, test)
-        if not _records_identical(base.records, res.records,
-                                  skip_bytes_down=rc.algorithm == "fedcm"):
+    base_local = LocalConfig(k=10)
+    ref = local_update(spec, init, [shard], base_local, 0, [np.random.default_rng(42)])
+    base = run(RunConfig(algorithm="fedavg", local=base_local, **common), train, test)
+    for name, algo in REGISTRY.items():
+        if algo.trivial is None:
+            continue
+        local = replace(base_local, **algo.trivial.get("local", {}))
+        server = replace(ServerHyper(), **algo.trivial.get("server", {}))
+        state = init_state(init, server, **algo.buffers(init, 1))
+        one = local_update(spec, init, [shard], local, 0, [np.random.default_rng(42)],
+                           **algo.terms(state, local, [0]))
+        if one.final_params.tobytes() != ref.final_params.tobytes():
+            return False
+        res = run(RunConfig(algorithm=name, local=local, server=server, **common),
+                  train, test)
+        if not _records_identical(base.records, res.records, len(algo.payload(state))):
             return False
         if res.final_state.theta.tobytes() != base.final_state.theta.tobytes():
             return False
@@ -168,17 +152,18 @@ def _group_equals_one_at_a_time() -> bool:
                  else rng.integers(0, spec.output_dim, size=11))
             shards.append(Dataset(X, y, spec.output_dim))
         init = rng.normal(size=d)
-        for rule in RULES:
-            aux = rng.normal(size=(4, d)) if rule == "feddyn" else rng.normal(size=d)
+        for algo in REGISTRY.values():
+            # random buffers give every rule a nonzero drift term v
+            state = init_state(init, ServerHyper(), **{
+                k: rng.normal(size=b.shape) for k, b in algo.buffers(init, 4).items()})
             group = local_update(spec, init, shards, cfg, 1,
-                                 [np.random.default_rng(i) for i in range(4)], rule,
-                                 aux=aux)
+                                 [np.random.default_rng(i) for i in range(4)],
+                                 **algo.terms(state, cfg, list(range(4))))
             for i, shard in enumerate(shards):
                 alone = local_update(spec, init, [shard], cfg, 1,
-                                     [np.random.default_rng(i)], rule,
-                                     aux=aux[i:i + 1] if rule == "feddyn" else aux)
-                if (group.final_params[i].tobytes() != alone.final_params[0].tobytes()
-                        or group.train_loss_last[i] != alone.train_loss_last[0]):
+                                     [np.random.default_rng(i)], ids=[i],
+                                     **algo.terms(state, cfg, [i]))
+                if group.final_params[i].tobytes() != alone.final_params[0].tobytes():
                     return False
     return True
 

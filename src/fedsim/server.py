@@ -1,30 +1,23 @@
-"""Server-side state and aggregation rules.
+"""Server-side state and the server half of every round.
 
-The accelerated-momentum path (fedagm) follows the two-line displayed
-rule: theta' = (tau/|S|)*sum(returns) + (1-tau)*(theta - lam*delta) with
-delta' = -(theta' - theta). For tau < 1 the update is evaluated as
-broadcast + tau*(mean - broadcast), which is the same algebra but makes
-"every client returned the broadcast unchanged" an exact fixed point in
-floating point; tau == 1 short-circuits to the plain mean so the lam=0
-degeneration reproduces plain averaging bit for bit.
-
-Baseline server rules (momentum, adaptive moments, drift correction,
-client momentum) follow the canonical forms of the methods they mirror;
-see each branch. The Adam moments use decays 0.9/0.99 with no bias
-correction and ``adam_tau`` as the denominator offset.
+A state holds the global model, the round counter, the server
+hyperparameters and only the buffers its rule declares (see
+:mod:`fedsim.algorithms`). :func:`aggregate` is the server round all
+rules share: the fixed-order client mean, then the rule's post-step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import StructuralError
-from .params import axpy, mean
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.99
+from .errors import NumericError, StructuralError
+from .params import mean
+# Not called here: it stays importable as ``fedsim.server.axpy``, a name
+# the benchmark's traced run hooks.
+from .params import axpy  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,143 +33,45 @@ class ServerHyper:
             raise StructuralError("tau must lie in (0, 1]")
         if not 0 <= self.lam < 1:
             raise StructuralError("lam must lie in [0, 1)")
-        if self.global_lr <= 0:
-            raise StructuralError("global_lr must be positive")
+        if not 0 < self.global_lr < math.inf:
+            raise StructuralError("global_lr must be a finite positive number")
         if not 0 <= self.avgm_beta < 1:
             raise StructuralError("avgm_beta must lie in [0, 1)")
-        if self.adam_tau <= 0:
-            raise StructuralError("adam_tau must be positive")
+        if not 0 < self.adam_tau < math.inf:
+            raise StructuralError("adam_tau must be a finite positive number")
 
 
 @dataclass(frozen=True)
 class ServerState:
     theta: np.ndarray
-    delta: np.ndarray
-    avgm_buf: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
-    dyn_h: np.ndarray
-    cm_momentum: np.ndarray
     round: int
     hyper: ServerHyper
+    buffers: dict
 
 
-def init_state(theta0: np.ndarray, hyper: ServerHyper) -> ServerState:
-    zeros = np.zeros_like(theta0)
-    return ServerState(theta=theta0, delta=zeros.copy(), avgm_buf=zeros.copy(),
-                       adam_m=zeros.copy(), adam_v=zeros.copy(),
-                       dyn_h=zeros.copy(), cm_momentum=zeros.copy(),
-                       round=0, hyper=hyper)
+def init_state(theta0: np.ndarray, hyper: ServerHyper, **buffers) -> ServerState:
+    return ServerState(theta=theta0, round=0, hyper=hyper, buffers=buffers)
 
 
-def _accelerated_point(state: ServerState) -> np.ndarray:
-    if state.hyper.lam == 0.0:
-        return state.theta
-    return axpy(-state.hyper.lam, state.delta, state.theta)
-
-
-def broadcast(state: ServerState, algorithm: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Model sent downlink, plus the extra momentum payload for fedcm."""
-    if algorithm == "fedagm":
-        return _accelerated_point(state), None
-    if algorithm == "fedcm":
-        return state.theta, state.cm_momentum
-    return state.theta, None
-
-
-def _check_returns(state: ServerState, returns: list[np.ndarray]) -> None:
+def aggregate(state: ServerState, step, returns: list, ids=(), sent=None,
+              local=None) -> ServerState:
+    """One server round over the client models ``returns`` (ids ascending).
+    ``step(state, mean, returns, ids, sent, local)`` gives the new model
+    and the buffers it changed; ``sent`` is the model the clients started
+    from. A model that is not finite, or whose squared norm overflows,
+    ends the run with its round."""
     if not returns:
         raise StructuralError("aggregate called with zero client returns")
     for r in returns:
         if r.shape != state.theta.shape:
             raise StructuralError(
                 f"client return shape {r.shape} does not match model {state.theta.shape}")
-
-
-def aggregate_fedagm(state: ServerState, returns: list[np.ndarray]) -> ServerState:
-    _check_returns(state, returns)
-    hy = state.hyper
-    m = mean(returns)
-    if hy.tau == 1.0:
-        theta_new = m
-    else:
-        bc = _accelerated_point(state)
-        theta_new = axpy(hy.tau, m - bc, bc)
-    delta_new = state.theta - theta_new
-    return replace(state, theta=theta_new, delta=delta_new, round=state.round + 1)
-
-
-def momentum_residual(state_before: ServerState, returns: list[np.ndarray],
-                 state_after: ServerState) -> float:
-    """Max-norm residual of the momentum identity
-    delta' = tau*gradbar + lam*delta, where gradbar is the negated mean
-    client displacement from the broadcast point. Only meaningful for
-    fedagm transitions; the runtime contract is
-    residual <= 1e-12 * (1 + max|delta'|).
-    """
-    hy = state_before.hyper
-    bc = _accelerated_point(state_before)
-    gradbar = -mean([r - bc for r in returns])
-    predicted = axpy(hy.lam, state_before.delta, hy.tau * gradbar)
-    return float(np.max(np.abs(state_after.delta - predicted)))
-
-
-def momentum_residual_bound(state_after: ServerState, rel: float = 1e-12) -> float:
-    return rel * (1.0 + float(np.max(np.abs(state_after.delta))))
-
-
-def aggregate_baseline(state: ServerState, returns: list[np.ndarray], algorithm: str,
-                       *, client_count: int | None = None, dyn_alpha: float = 0.0,
-                       cm_step_scale: float | None = None) -> ServerState:
-    """One server update for the non-accelerated algorithms.
-
-    ``client_count`` is the total population N (feddyn's server corrector
-    averages over all clients, not just participants); ``cm_step_scale``
-    is K*eta for the round, the factor that turns the round's model
-    displacement back into a per-step gradient estimate for fedcm.
-    """
-    _check_returns(state, returns)
-    hy = state.hyper
-    m = mean(returns)
-    nxt = state.round + 1
-
-    if algorithm in ("fedavg", "fedprox"):
-        return replace(state, theta=m, round=nxt)
-
-    if algorithm == "fedavgm":
-        pseudo = state.theta - m
-        if hy.avgm_beta == 0.0 and hy.global_lr == 1.0:
-            return replace(state, theta=m, avgm_buf=pseudo, round=nxt)
-        buf = pseudo if hy.avgm_beta == 0.0 else axpy(hy.avgm_beta, state.avgm_buf, pseudo)
-        theta_new = axpy(-hy.global_lr, buf, state.theta)
-        return replace(state, theta=theta_new, avgm_buf=buf, round=nxt)
-
-    if algorithm == "fedadam":
-        pseudo = state.theta - m
-        m1 = axpy(ADAM_BETA1, state.adam_m, (1.0 - ADAM_BETA1) * pseudo)
-        v1 = axpy(ADAM_BETA2, state.adam_v, (1.0 - ADAM_BETA2) * pseudo * pseudo)
-        theta_new = state.theta - hy.global_lr * m1 / (np.sqrt(v1) + hy.adam_tau)
-        return replace(state, theta=theta_new, adam_m=m1, adam_v=v1, round=nxt)
-
-    if algorithm == "feddyn":
-        if dyn_alpha == 0.0:
-            return replace(state, theta=m, round=nxt)
-        if not client_count:
-            raise StructuralError("feddyn aggregation needs the client population size")
-        disp = np.zeros_like(state.theta)
-        for r in returns:
-            disp = disp + (r - state.theta)
-        h_new = state.dyn_h - dyn_alpha * disp / client_count
-        theta_new = m - h_new / dyn_alpha
-        return replace(state, theta=theta_new, dyn_h=h_new, round=nxt)
-
-    if algorithm == "fedcm":
-        if cm_step_scale is None:
-            raise StructuralError("fedcm aggregation needs cm_step_scale = K*eta")
-        if cm_step_scale == 0.0:
-            cm_new = state.cm_momentum
-        else:
-            cm_new = (state.theta - m) / cm_step_scale
-        return replace(state, theta=m, cm_momentum=cm_new, round=nxt)
-
-    raise StructuralError(f"unknown baseline algorithm {algorithm!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            theta, changed = step(state, mean(returns), returns, ids, sent, local)
+        except NumericError as exc:
+            raise NumericError(exc.base_message, round=state.round) from None
+        if not np.isfinite(np.dot(theta, theta)):
+            raise NumericError("server model is not finite", round=state.round)
+    return replace(state, theta=theta, round=state.round + 1,
+                   buffers={**state.buffers, **changed})

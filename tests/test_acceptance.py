@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from fedsim.cli import main
-from fedsim.client import LocalConfig, local_gradient_fedagm
+from fedsim.algorithms import (aggregate_fedagm, local_gradient_fedagm, momentum_residual,
+                               momentum_residual_bound)
+from fedsim.client import LocalConfig
 from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, take_per_class
 from fedsim.engine import RunConfig, run
 from fedsim.metrics import EmaSeries, Saturated, ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
-from fedsim.server import (ServerHyper, ServerState, aggregate_fedagm, momentum_residual,
-                           init_state, momentum_residual_bound)
+from fedsim.server import ServerHyper, ServerState, init_state
 
 
 def _write(tmp_path, name, payload):
@@ -96,14 +97,13 @@ def test_c1_momentum_identity_over_randomized_runs():
 
     # server level: same identity checked directly against the bound on
     # random states up to the full d=200, independent of engine plumbing
-    from dataclasses import replace
     for _ in range(500):
         d = int(rng.integers(1, 201))
         hyper = ServerHyper(tau=float(rng.uniform(0.05, 1.0)),
                             lam=float(rng.uniform(0.0, 0.95)))
         scale = float(rng.choice([1e-3, 1.0, 1e3]))
-        state = replace(init_state(scale * rng.standard_normal(d), hyper),
-                        delta=scale * rng.standard_normal(d))
+        state = init_state(scale * rng.standard_normal(d), hyper,
+                           delta=scale * rng.standard_normal(d))
         returns = [state.theta + scale * 0.1 * rng.standard_normal(d)
                    for _ in range(int(rng.integers(1, 101)))]
         after = aggregate_fedagm(state, returns)

@@ -92,6 +92,8 @@ def test_global_lr_default_depends_on_algorithm(tmp_path):
     assert resolve_config(path, [], None)["server"]["global_lr"] == 0.01
     assert resolve_config(path, ["algorithm=fedavgm"], None)["server"]["global_lr"] == 1.0
     assert resolve_config(path, ["server.global_lr=0.5"], None)["server"]["global_lr"] == 0.5
+    with pytest.raises(ConfigError, match="unknown algorithm 'sgd'"):
+        resolve_config(path, ["algorithm=sgd"], None)
 
 
 # ------------------------------------------------------------------- run
@@ -277,6 +279,71 @@ def test_bad_data_or_partition_value_exits_2_before_writing(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert not out.exists()
+
+
+FLOAT_HYPERPARAMETERS = (
+    [f"local.{k}" for k in ("lr0", "lr_decay", "clip_norm", "alpha", "beta", "prox_mu",
+                            "cm_alpha", "dyn_alpha")]
+    + [f"server.{k}" for k in ("tau", "lam", "global_lr", "avgm_beta", "adam_tau")]
+    + ["model.l2_weight_decay"])
+
+
+@pytest.mark.parametrize("key,literal", [
+    (key, literal) for key in FLOAT_HYPERPARAMETERS
+    for literal in ("NaN", "Infinity", "-Infinity")
+    if (key, literal) != ("local.clip_norm", "Infinity")])  # +inf: no clipping
+def test_non_finite_hyperparameter_exits_2_naming_the_key(tmp_path, capsys, key, literal):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", "algorithm=fedadam",
+                 "--set", f"{key}={literal}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    section, name = key.split(".")
+    assert len(err) == 1 and err[0].startswith(f"error: {section}: {name} ")
+    assert not out.exists()
+
+
+def test_non_finite_literal_in_a_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"local": {"alpha": NaN}, "server": {"global_lr": Infinity}}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: local: alpha ")
+    assert not out.exists()
+
+
+def test_evaluation_overflow_exits_3_naming_its_round(tmp_path, capsys):
+    # one huge step leaves a regression model whose squared norm is still
+    # finite but whose residuals overflow when squared
+    payload = {"rounds": 3, "clients": 4,
+               "model": {"kind": "linear_regression", "input_dim": 4, "output_dim": 1,
+                         "l2_weight_decay": 0.0},
+               "data": {"classes": 3, "train_per_class": 20, "test_per_class": 5,
+                        "input_dim": 4, "spread": 5.0},
+               "local": {"k": 1, "lr0": 3e153, "clip_norm": 1e300}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: loss is not finite (round=0)"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["algorithm=fedadam", "server.global_lr=1e300"],
+    ["algorithm=fedavgm", "server.global_lr=1e308"],
+    ["algorithm=fedadam", "server.global_lr=1e300", "eval_every=2"],
+])
+def test_server_model_overflow_exits_3_naming_its_round(tmp_path, capsys, overrides):
+    # the first server step leaves a model whose squared norm overflows;
+    # the run ends there, not in the next evaluation or client step
+    out = tmp_path / "out"
+    argv = ["run", "--config", write_config(tmp_path), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: server model is not finite (round=0)"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numeric_abort"
+    assert read_rows(out) == []
 
 
 def test_csv_with_no_test_examples_exits_2_before_writing(tmp_path, capsys):

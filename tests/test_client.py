@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.client import (RULES, ClientResult, LocalConfig, clip_by_norm,
-                           derive_batch_size, feddyn_updated_state, local_gradient_fedagm,
+from fedsim.algorithms import (NAMES, REGISTRY, feddyn_updated_state,
+                               local_gradient_fedagm)
+from fedsim.client import (ClientResult, LocalConfig, clip_by_norm, derive_batch_size,
                            local_update)
 from fedsim.data import Dataset, generate_synthetic
 from fedsim.errors import NumericError, StructuralError
-from fedsim.models import ModelSpec, gradient, loss, make_batch, param_dim
+from fedsim.models import ModelSpec, gradient, make_batch, param_dim
 from fedsim.params import axpy
+from fedsim.server import ServerHyper, init_state
 
 QUAD = ModelSpec("linear_regression", input_dim=1)
 
@@ -30,11 +32,30 @@ def classif_shard(seed=0, n=12, dim=3, classes=3):
 SPEC3 = ModelSpec("softmax_classifier", input_dim=3, output_dim=3)
 
 
+def terms(rule, cfg, init, aux=None, S=1):
+    """The registry's client terms (a, v, c) of ``rule`` for S clients,
+    with ``aux`` as fedcm's server momentum or feddyn's correctors h_i
+    (one row per client)."""
+    algo = REGISTRY[rule]
+    buffers = algo.buffers(init, S)
+    if aux is not None and rule == "fedcm":
+        buffers["cm_momentum"] = aux
+    if aux is not None and rule == "feddyn":
+        buffers["h"] = aux.reshape(S, -1)
+    return algo.terms(init_state(init, ServerHyper(), **buffers), cfg, list(range(S)))
+
+
+def group(spec, init, shards, cfg, round, rngs, rule, aux=None, **kw):
+    """local_update with the terms the registry gives ``rule``."""
+    return local_update(spec, init, shards, cfg, round, rngs,
+                        **terms(rule, cfg, init, aux, len(shards)), **kw)
+
+
 def alone(spec, init, shard, cfg, round, rng, rule, aux=None):
-    """local_update on a group of one: (final params, last-step loss)."""
-    out = local_update(spec, init, [shard], cfg, round, [rng], rule, aux=aux)
+    """local_update on a group of one: the final params."""
+    out = group(spec, init, [shard], cfg, round, [rng], rule, aux=aux)
     assert out.final_params.shape == (1, init.size)
-    return out.final_params[0], out.train_loss_last[0]
+    return out.final_params[0]
 
 
 def run(rule, seed=5, cfg=None, aux=None, init=None, round=0, shard=None):
@@ -49,26 +70,23 @@ def run(rule, seed=5, cfg=None, aux=None, init=None, round=0, shard=None):
 def test_single_full_batch_step_hand_oracle():
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, beta=0.0)
     out = local_update(QUAD, np.zeros(1), [quad_shard(3.0)], cfg, 0,
-                       [np.random.default_rng(0)], "fedavg")
+                       [np.random.default_rng(0)])
     assert out.final_params[0, 0] == pytest.approx(0.3, abs=1e-15)
-    assert out.local_steps_taken == 1
     assert out.bytes_up == 8
-    # last-step training loss is evaluated at the pre-step parameters
-    assert out.train_loss_last[0] == pytest.approx(0.5 * 9.0, abs=1e-12)
 
 
 def test_zero_learning_rate_keeps_init():
     init = np.random.default_rng(3).normal(size=param_dim(SPEC3))
     cfg = LocalConfig(k=9, lr0=0.0)
-    final, _ = alone(SPEC3, init, classif_shard(), cfg, 4, np.random.default_rng(0),
-                     "fedavg")
+    final = alone(SPEC3, init, classif_shard(), cfg, 4, np.random.default_rng(0),
+                  "fedavg")
     np.testing.assert_array_equal(final, init)
 
 
 def test_lr_decay_applies_per_round():
     shard = quad_shard(3.0)
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, lr_decay=0.5)
-    late, _ = alone(QUAD, np.zeros(1), shard, cfg, 2, np.random.default_rng(0), "fedavg")
+    late = alone(QUAD, np.zeros(1), shard, cfg, 2, np.random.default_rng(0), "fedavg")
     # eta = 0.1 * 0.5**2 = 0.025; theta = 0.025*3
     assert late[0] == pytest.approx(0.075, abs=1e-15)
 
@@ -80,10 +98,9 @@ def test_lr_decay_applies_per_round():
     ("fedcm", LocalConfig(k=7, cm_alpha=1.0), np.random.default_rng(9).normal(size=param_dim(SPEC3))),
 ])
 def test_degenerations_are_bit_identical_to_fedavg(rule, cfg, aux):
-    base, base_loss = run("fedavg", cfg=LocalConfig(k=7))
-    other, other_loss = run(rule, cfg=cfg, aux=aux)
+    base = run("fedavg", cfg=LocalConfig(k=7))
+    other = run(rule, cfg=cfg, aux=aux)
     assert base.tobytes() == other.tobytes()
-    assert base_loss == other_loss
 
 
 MLP3 = ModelSpec("mlp", input_dim=3, output_dim=3, hidden_dims=(4,), l2_weight_decay=0.01)
@@ -91,7 +108,8 @@ REG3 = ModelSpec("linear_regression", input_dim=3, l2_weight_decay=0.01)
 
 
 def reference_update(spec, init, shard, cfg, round, rng, rule, aux):
-    """local_update as a plain loop over the public, fully checked pieces."""
+    """local_update as a plain loop over the public, fully checked pieces,
+    with each rule's terms written out as the paper states them."""
     bs = min(cfg.batch_size or derive_batch_size(shard.n, cfg.epochs, cfg.k), shard.n)
     eta = cfg.lr0 * cfg.lr_decay ** round
     theta = init.copy()
@@ -103,8 +121,6 @@ def reference_update(spec, init, shard, cfg, round, rng, rule, aux):
             pos = 0
         batch = shard.to_batch(order[pos:pos + bs])
         pos += bs
-        if step == cfg.k - 1:
-            last_loss = loss(spec, theta, batch)
         g = gradient(spec, theta, batch)
         if rule == "fedagm":
             g = cfg.alpha * g + cfg.beta * (theta - init)
@@ -115,11 +131,11 @@ def reference_update(spec, init, shard, cfg, round, rng, rule, aux):
         elif rule == "fedcm":
             g = cfg.cm_alpha * g + (1.0 - cfg.cm_alpha) * aux
         theta = axpy(-eta, clip_by_norm(g, cfg.clip_norm), theta)
-    return theta, last_loss
+    return theta
 
 
 @pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
-@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("rule", NAMES)
 def test_local_update_matches_reference_loop(spec, rule):
     rng = np.random.default_rng(6)
     d = param_dim(spec)
@@ -131,12 +147,9 @@ def test_local_update_matches_reference_loop(spec, rule):
     aux = rng.normal(size=d) if rule in ("feddyn", "fedcm") else None
     cfg = LocalConfig(k=7, lr0=0.2, lr_decay=0.9, clip_norm=1.5, alpha=0.9, beta=0.05,
                       prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
-    final, final_loss = alone(spec, init, shard, cfg, 2, np.random.default_rng(3), rule,
-                              aux=aux)
-    theta, last_loss = reference_update(spec, init, shard, cfg, 2,
-                                        np.random.default_rng(3), rule, aux)
+    final = alone(spec, init, shard, cfg, 2, np.random.default_rng(3), rule, aux=aux)
+    theta = reference_update(spec, init, shard, cfg, 2, np.random.default_rng(3), rule, aux)
     assert final.tobytes() == theta.tobytes()
-    assert final_loss == last_loss
 
 
 def group_case(spec, S=3, n=11):
@@ -151,7 +164,7 @@ def group_case(spec, S=3, n=11):
 
 
 @pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
-@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("rule", NAMES)
 def test_group_rows_equal_groups_of_one(spec, rule):
     S, d = 3, param_dim(spec)
     shards, init = group_case(spec, S)
@@ -160,18 +173,17 @@ def test_group_rows_equal_groups_of_one(spec, rule):
     # 11 examples in batches of 4: every epoch ends on a partial batch of 3
     cfg = LocalConfig(k=9, batch_size=4, lr0=0.3, lr_decay=0.9, clip_norm=0.5,
                       alpha=0.9, beta=0.05, prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
-    group = local_update(spec, init, shards, cfg, 1,
-                         [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
-    assert group.final_params.shape == (S, d)
+    together = group(spec, init, shards, cfg, 1,
+                     [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
+    assert together.final_params.shape == (S, d)
     for i, shard in enumerate(shards):
         row_aux = aux[i:i + 1] if rule == "feddyn" else aux
-        final, last = alone(spec, init, shard, cfg, 1, np.random.default_rng(10 + i),
-                            rule, aux=row_aux)
-        assert group.final_params[i].tobytes() == final.tobytes()
-        assert group.train_loss_last[i] == last
+        final = alone(spec, init, shard, cfg, 1, np.random.default_rng(10 + i),
+                      rule, aux=row_aux)
+        assert together.final_params[i].tobytes() == final.tobytes()
         # the case clips: without the ball the same row ends elsewhere
-        unclipped, _ = alone(spec, init, shard, replace(cfg, clip_norm=1e9), 1,
-                             np.random.default_rng(10 + i), rule, aux=row_aux)
+        unclipped = alone(spec, init, shard, replace(cfg, clip_norm=1e9), 1,
+                          np.random.default_rng(10 + i), rule, aux=row_aux)
         assert unclipped.tobytes() != final.tobytes()
 
 
@@ -183,7 +195,7 @@ def test_group_failure_names_the_lowest_failing_client():
     shards = [quad_shard(1.0), quad_shard(1e100), quad_shard(1e200)]
     with pytest.raises(NumericError, match="gradient norm") as ei:
         local_update(QUAD, np.zeros(1), shards, cfg, 4,
-                     [np.random.default_rng(i) for i in range(3)], "fedavg", ids=(3, 5, 8))
+                     [np.random.default_rng(i) for i in range(3)], ids=(3, 5, 8))
     assert (ei.value.round, ei.value.client, ei.value.step) == (4, 5, 1)
     for shard, step in zip(shards[1:], (1, 0)):
         with pytest.raises(NumericError) as alone_err:
@@ -193,8 +205,7 @@ def test_group_failure_names_the_lowest_failing_client():
     cfg = LocalConfig(k=1, batch_size=1, lr0=1e200, clip_norm=1e300)
     with pytest.raises(NumericError, match="local model is not finite") as ei:
         local_update(QUAD, np.zeros(1), [quad_shard(1e120), quad_shard(1e200)], cfg, 0,
-                     [np.random.default_rng(0), np.random.default_rng(1)], "fedavg",
-                     ids=(2, 4))
+                     [np.random.default_rng(0), np.random.default_rng(1)], ids=(2, 4))
     assert (ei.value.client, ei.value.step) == (2, None)
     # non-finite features of a higher id do not outrank a lower id's step
     # failure; alone, that client would fail before its first step
@@ -202,13 +213,11 @@ def test_group_failure_names_the_lowest_failing_client():
     cfg = LocalConfig(k=2, batch_size=1, lr0=1e150, clip_norm=1e300)
     with pytest.raises(NumericError, match="gradient norm") as ei:
         local_update(QUAD, np.zeros(1), [quad_shard(1e100), nan_shard], cfg, 4,
-                     [np.random.default_rng(0), np.random.default_rng(1)], "fedavg",
-                     ids=(5, 8))
+                     [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
     assert (ei.value.client, ei.value.step) == (5, 1)
     with pytest.raises(NumericError, match="features") as ei:
         local_update(QUAD, np.zeros(1), [nan_shard, quad_shard(1e100)], cfg, 4,
-                     [np.random.default_rng(0), np.random.default_rng(1)], "fedavg",
-                     ids=(5, 8))
+                     [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
     assert (ei.value.client, ei.value.step) == (5, None)
 
 
@@ -219,12 +228,11 @@ def test_infinite_clip_norm_never_clips(spec, rule):
     shards, init = group_case(spec, S)
     aux = np.random.default_rng(8).normal(size=(S, d)) if rule == "feddyn" else None
     cfg = LocalConfig(k=9, batch_size=4, lr0=0.3, dyn_alpha=0.05, clip_norm=math.inf)
-    runs = [local_update(spec, init, shards, c, 1,
-                         [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
+    runs = [group(spec, init, shards, c, 1,
+                  [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
             for c in (cfg, replace(cfg, clip_norm=1e300))]
     assert np.isfinite(runs[0].final_params).all()
     assert runs[0].final_params.tobytes() == runs[1].final_params.tobytes()
-    assert runs[0].train_loss_last.tobytes() == runs[1].train_loss_last.tobytes()
 
 
 def test_group_needs_equal_shards_and_one_rng_each():
@@ -232,10 +240,10 @@ def test_group_needs_equal_shards_and_one_rng_each():
     init = np.zeros(param_dim(SPEC3))
     with pytest.raises(StructuralError, match="equal-size"):
         local_update(SPEC3, init, shards, LocalConfig(k=2), 0,
-                     [np.random.default_rng(0)] * 2, "fedavg")
+                     [np.random.default_rng(0)] * 2)
     with pytest.raises(StructuralError, match="one rng"):
         local_update(SPEC3, init, shards[:1], LocalConfig(k=2), 0,
-                     [np.random.default_rng(0)] * 2, "fedavg")
+                     [np.random.default_rng(0)] * 2)
 
 
 def test_local_update_rejects_bad_inputs_on_entry():
@@ -306,8 +314,8 @@ def test_clipping_engages_inside_local_update():
     # gradient at 0 is -1e6, far outside the ball; the step must use the
     # clipped direction: theta = 0 + 0.1*clip_norm
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, clip_norm=2.0)
-    final, _ = alone(QUAD, np.zeros(1), quad_shard(1e6), cfg, 0, np.random.default_rng(0),
-                     "fedavg")
+    final = alone(QUAD, np.zeros(1), quad_shard(1e6), cfg, 0, np.random.default_rng(0),
+                  "fedavg")
     assert final[0] == pytest.approx(0.2, abs=1e-15)
 
 
@@ -326,12 +334,11 @@ def test_epoch_reshuffling_covers_shard():
     shard = classif_shard(n=12)
     cfg = LocalConfig(k=24, lr0=0.05)
     init = np.random.default_rng(1).normal(size=param_dim(SPEC3))
-    a = local_update(SPEC3, init, [shard], cfg, 0, [np.random.default_rng(7)], "fedavg")
-    b, _ = run("fedavg", seed=7, cfg=cfg, shard=shard)
+    a = local_update(SPEC3, init, [shard], cfg, 0, [np.random.default_rng(7)])
+    b = run("fedavg", seed=7, cfg=cfg, shard=shard)
     assert a.final_params[0].tobytes() == b.tobytes()
-    c, _ = run("fedavg", seed=8, cfg=cfg, shard=shard)
+    c = run("fedavg", seed=8, cfg=cfg, shard=shard)
     assert b.tobytes() != c.tobytes()
-    assert a.local_steps_taken == 24
 
 
 def test_feddyn_state_refresh():
@@ -352,11 +359,6 @@ def test_numeric_abort_carries_context():
     assert ei.value.step is not None
 
 
-def test_fedcm_requires_momentum_aux():
-    with pytest.raises(StructuralError):
-        run("fedcm", cfg=LocalConfig(k=2, cm_alpha=0.5), aux=None)
-
-
 def test_bad_configs_rejected():
     with pytest.raises(StructuralError):
         LocalConfig(k=0)
@@ -364,5 +366,9 @@ def test_bad_configs_rejected():
         LocalConfig(lr_decay=0.0)
     with pytest.raises(StructuralError):
         LocalConfig(cm_alpha=1.5)
-    with pytest.raises(StructuralError):
-        run("sgd")
+    for key in ("lr0", "lr_decay", "clip_norm", "alpha", "beta", "prox_mu",
+                "cm_alpha", "dyn_alpha"):
+        for bad in (math.nan, -math.inf) + ((math.inf,) if key != "clip_norm" else ()):
+            with pytest.raises(StructuralError, match=key):
+                LocalConfig(**{key: bad})
+    assert LocalConfig(clip_norm=math.inf).clip_norm == math.inf

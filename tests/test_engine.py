@@ -1,17 +1,18 @@
-import dataclasses
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedsim import engine
+from fedsim.algorithms import NAMES, REGISTRY, Algorithm
 from fedsim.cli import main
 from fedsim.client import LocalConfig, local_update
 from fedsim.data import Dataset, generate_synthetic, take_per_class
 from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
-from fedsim.models import ModelSpec
+from fedsim.models import ModelSpec, init_params
 from fedsim.server import ServerHyper
 
 
@@ -30,10 +31,6 @@ def config(algorithm, rounds=5, **kw):
                     server=ServerHyper(lam=0.85, tau=1.0))
     defaults.update(kw)
     return RunConfig(**defaults)
-
-
-def strip_wall(records):
-    return [dataclasses.replace(r, wall_ms=0) for r in records]
 
 
 def test_sample_clients_full_participation():
@@ -65,7 +62,7 @@ def test_runs_are_reproducible():
     train, test = small_task()
     a = run(config("fedagm"), train, test)
     b = run(config("fedagm"), train, test)
-    assert strip_wall(a.records) == strip_wall(b.records)
+    assert a.records == b.records
     assert a.final_state.theta.tobytes() == b.final_state.theta.tobytes()
 
 
@@ -97,8 +94,7 @@ def test_fedagm_degenerates_to_fedavg_bitwise():
                  local=LocalConfig(k=6, lr0=0.1, alpha=1.0, beta=0.0),
                  server=ServerHyper(lam=0.0, tau=1.0))
     avg = config("fedavg", rounds=8, local=LocalConfig(k=6, lr0=0.1))
-    assert strip_wall(run(agm, train, test).records) == \
-        strip_wall(run(avg, train, test).records)
+    assert run(agm, train, test).records == run(avg, train, test).records
 
 
 def test_byte_accounting_telescopes():
@@ -141,7 +137,7 @@ def test_momentum_residual_tracked_and_small():
     out = run(config("fedagm", rounds=10,
                      server=ServerHyper(lam=0.9, tau=0.2)), train, test)
     assert 0.0 <= out.max_momentum_residual <= 1e-12 * (
-        1 + float(np.max(np.abs(out.final_state.delta))))
+        1 + float(np.max(np.abs(out.final_state.buffers["delta"]))))
 
 
 def test_feddyn_state_changes_trajectory():
@@ -202,7 +198,7 @@ def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
         calls.clear()
         serial = run(cfg, train, test)
         assert all(len(sizes) == 1 for sizes in calls)
-        assert strip_wall(stacked.records) == strip_wall(serial.records)
+        assert stacked.records == serial.records
         assert stacked.final_state.theta.tobytes() == serial.final_state.theta.tobytes()
 
 
@@ -234,3 +230,39 @@ def test_config_validation():
         config("fedavg", targets=(1.5,))
     with pytest.raises(StructuralError):
         config("fedavg", partition_kind="power_law")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_trivial_setting_runs_like_fedavg(name):
+    # every rule in the registry declares the setting that reduces it to
+    # fedavg; a whole run must then match it bit for bit, except that a
+    # payload of several arrays multiplies the downlink
+    trivial = REGISTRY[name].trivial
+    if trivial is None:
+        pytest.skip(f"{name} declares no setting that reduces it to fedavg")
+    train, test = small_task()
+    local = replace(LocalConfig(k=6, lr0=0.1), **trivial.get("local", {}))
+    server = replace(ServerHyper(lam=0.85, tau=0.5), **trivial.get("server", {}))
+    base = run(config("fedavg", rounds=6, local=local), train, test)
+    out = run(config(name, rounds=6, local=local, server=server), train, test)
+    arrays = len(REGISTRY[name].payload(out.final_state))
+    assert out.records == [replace(r, bytes_down=arrays * r.bytes_down) for r in base.records]
+    assert out.final_state.theta.tobytes() == base.final_state.theta.tobytes()
+
+
+def test_a_new_rule_touches_only_the_registry(monkeypatch):
+    # a throwaway rule: fedavg's client terms, and a server that moves only
+    # halfway to the client mean
+    halfway = Algorithm(step=lambda st, m, *_: (st.theta + 0.5 * (m - st.theta), {}))
+    monkeypatch.setitem(REGISTRY, "halfway", halfway)
+    train, test = small_task()
+    one = run(config("halfway", rounds=1), train, test)
+    avg = run(config("fedavg", rounds=1), train, test)
+    theta0 = init_params(SPEC, np.random.default_rng([0, 0]))
+    expected = theta0 + 0.5 * (avg.final_state.theta - theta0)
+    assert one.final_state.theta.tobytes() == expected.tobytes()
+    two = run(config("halfway", rounds=2), train, test)
+    assert [r.round for r in two.records] == [1, 2]
+    assert two.records[0] == one.records[0]
+    assert two.final_state.round == 2 and two.max_momentum_residual is None
+    assert np.isfinite(two.final_state.theta).all()

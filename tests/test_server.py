@@ -1,21 +1,37 @@
+import math
+
 import numpy as np
 import pytest
 
-from fedsim.errors import StructuralError
-from fedsim.server import (ServerHyper, aggregate_baseline, aggregate_fedagm,
-                           broadcast, momentum_residual, init_state, momentum_residual_bound)
+from fedsim.algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
+                               momentum_residual_bound)
+from fedsim.client import LocalConfig
+from fedsim.errors import NumericError, StructuralError
+from fedsim.server import ServerHyper, aggregate, init_state
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
 
 
-def state_with(theta, hyper=None, **fields):
-    st = init_state(np.asarray(theta, dtype=np.float64), hyper or ServerHyper())
-    if fields:
-        from dataclasses import replace
-        st = replace(st, **fields)
-    return st
+def state_with(theta, hyper=None, algorithm="fedagm", n_clients=4, **buffers):
+    """A fresh state of ``algorithm``, with ``buffers`` overriding its own."""
+    theta = np.asarray(theta, dtype=np.float64)
+    own = REGISTRY[algorithm].buffers(theta, n_clients)
+    return init_state(theta, hyper or ServerHyper(), **{**own, **buffers})
+
+
+def server_round(st, returns, algorithm, local=None, ids=None):
+    """One server round of ``algorithm`` from ``st``, as the engine runs it."""
+    ids = list(range(len(returns))) if ids is None else ids
+    return aggregate(st, REGISTRY[algorithm].step, returns, ids, st.theta,
+                     local or LocalConfig())
+
+
+def broadcast(st, algorithm):
+    """The payload, split as (model, extra array or None)."""
+    model, *extra = REGISTRY[algorithm].payload(st)
+    return model, (extra[0] if extra else None)
 
 
 def test_broadcast_zero_momentum_is_theta():
@@ -32,13 +48,13 @@ def test_broadcast_hand_oracle():
 
 
 def test_broadcast_plain_for_baselines():
-    st = state_with(vec(3.0), delta=vec(0.5))
+    st = state_with(vec(3.0), algorithm="fedavg")
     out, aux = broadcast(st, "fedavg")
     assert out is st.theta and aux is None
 
 
 def test_broadcast_fedcm_carries_momentum():
-    st = state_with(vec(3.0), cm_momentum=vec(0.125))
+    st = state_with(vec(3.0), algorithm="fedcm", cm_momentum=vec(0.125))
     out, aux = broadcast(st, "fedcm")
     assert out is st.theta
     np.testing.assert_array_equal(aux, vec(0.125))
@@ -52,7 +68,7 @@ def test_aggregate_fedagm_zero_movement_fixed_point():
     assert bc[0] == 0.875
     nxt = aggregate_fedagm(st, [bc.copy(), bc.copy(), bc.copy()])
     assert nxt.theta[0] == 0.875
-    assert nxt.delta[0] == 0.125  # lam*delta
+    assert nxt.buffers["delta"][0] == 0.125  # lam*delta
     assert momentum_residual(st, [bc, bc, bc], nxt) == 0.0
     assert nxt.round == 1
 
@@ -62,7 +78,7 @@ def test_aggregate_fedagm_worked_example():
     returns = [vec(0.9), vec(0.7)]
     nxt = aggregate_fedagm(st, returns)
     assert nxt.theta[0] == 0.8
-    assert nxt.delta[0] == pytest.approx(0.2, abs=1e-15)
+    assert nxt.buffers["delta"][0] == pytest.approx(0.2, abs=1e-15)
     assert momentum_residual(st, returns, nxt) <= 1e-15
 
 
@@ -79,7 +95,7 @@ def test_aggregate_fedagm_partial_tau_blends_toward_mean():
     st = state_with(vec(0.0), hyper=ServerHyper(lam=0.0, tau=0.5))
     nxt = aggregate_fedagm(st, [vec(1.0)])
     assert nxt.theta[0] == 0.5
-    assert nxt.delta[0] == -0.5
+    assert nxt.buffers["delta"][0] == -0.5
 
 
 def test_momentum_residual_random_rounds():
@@ -96,41 +112,45 @@ def test_momentum_residual_random_rounds():
         assert res <= momentum_residual_bound(nxt)
         worst = max(worst, res)
         st = nxt
-    assert worst <= 1e-12 * (1 + np.max(np.abs(st.delta)))
+    assert worst <= 1e-12 * (1 + np.max(np.abs(st.buffers["delta"])))
 
 
 def test_unused_buffers_stay_zero():
+    # a rule's state holds its own buffers and no other rule's
     st = state_with(np.zeros(3), hyper=ServerHyper(lam=0.8, tau=1.0))
     nxt = aggregate_fedagm(st, [vec(0.1, 0.2, 0.3)])
-    for buf in (nxt.avgm_buf, nxt.adam_m, nxt.adam_v, nxt.dyn_h, nxt.cm_momentum):
-        assert np.all(buf == 0.0)
-    st2 = aggregate_baseline(st, [vec(0.1, 0.2, 0.3)], "fedavg")
-    assert np.all(st2.delta == 0.0)
+    assert set(nxt.buffers) == {"delta"}
+    st2 = server_round(state_with(np.zeros(3), algorithm="fedavg"),
+                       [vec(0.1, 0.2, 0.3)], "fedavg")
+    assert st2.buffers == {}
+    for name, algo in REGISTRY.items():
+        st = state_with(np.zeros(3), algorithm=name, hyper=ServerHyper(global_lr=0.5))
+        nxt = server_round(st, [vec(0.1, 0.2, 0.3)], name)
+        assert set(nxt.buffers) == set(algo.buffers(np.zeros(3), 4)) == set(st.buffers)
 
 
 def test_aggregate_rejects_empty_and_mismatched():
-    st = state_with(vec(1.0))
+    st = state_with(vec(1.0), algorithm="fedavg")
     with pytest.raises(StructuralError):
         aggregate_fedagm(st, [])
     with pytest.raises(StructuralError):
-        aggregate_baseline(st, [], "fedavg")
+        server_round(st, [], "fedavg")
     with pytest.raises(StructuralError):
-        aggregate_baseline(st, [vec(1.0, 2.0)], "fedavg")
-    with pytest.raises(StructuralError):
-        aggregate_baseline(st, [vec(1.0)], "sgd")
+        server_round(st, [vec(1.0, 2.0)], "fedavg")
 
 
 def test_fedavg_mean_oracle():
-    st = state_with(vec(1.0))
-    nxt = aggregate_baseline(st, [vec(0.9), vec(0.7)], "fedavg")
+    st = state_with(vec(1.0), algorithm="fedavg")
+    nxt = server_round(st, [vec(0.9), vec(0.7)], "fedavg")
     assert nxt.theta[0] == 0.8
     assert nxt.round == 1
 
 
 def test_fedavgm_zero_beta_unit_lr_degenerates_to_mean():
-    st = state_with(vec(1.0), hyper=ServerHyper(avgm_beta=0.0, global_lr=1.0))
+    st = state_with(vec(1.0), hyper=ServerHyper(avgm_beta=0.0, global_lr=1.0),
+                    algorithm="fedavgm")
     returns = [vec(0.9), vec(0.7)]
-    nxt = aggregate_baseline(st, returns, "fedavgm")
+    nxt = server_round(st, returns, "fedavgm")
     from fedsim.params import mean
     assert nxt.theta.tobytes() == mean(returns).tobytes()
 
@@ -139,68 +159,85 @@ def test_fedavgm_momentum_accumulates():
     # dyadic hand oracle: theta=1, returns mean 0.75 -> pseudo 0.25,
     # buf 0.25, theta 0.75; again returns mean 0.75 -> pseudo 0, buf
     # 0.5*0.25=0.125, theta 0.625
-    st = state_with(vec(1.0), hyper=ServerHyper(avgm_beta=0.5, global_lr=1.0))
-    st = aggregate_baseline(st, [vec(0.75)], "fedavgm")
-    assert st.theta[0] == 0.75 and st.avgm_buf[0] == 0.25
-    st = aggregate_baseline(st, [vec(0.75)], "fedavgm")
-    assert st.avgm_buf[0] == 0.125
+    st = state_with(vec(1.0), hyper=ServerHyper(avgm_beta=0.5, global_lr=1.0),
+                    algorithm="fedavgm")
+    st = server_round(st, [vec(0.75)], "fedavgm")
+    assert st.theta[0] == 0.75 and st.buffers["avgm_buf"][0] == 0.25
+    st = server_round(st, [vec(0.75)], "fedavgm")
+    assert st.buffers["avgm_buf"][0] == 0.125
     assert st.theta[0] == 0.625
 
 
 def test_fedadam_zero_pseudo_gradient_is_fixed_point():
-    st = state_with(vec(0.5, -0.25), hyper=ServerHyper(global_lr=0.01))
+    st = state_with(vec(0.5, -0.25), hyper=ServerHyper(global_lr=0.01),
+                    algorithm="fedadam")
     theta0 = st.theta.copy()
     for _ in range(3):
-        st = aggregate_baseline(st, [st.theta.copy(), st.theta.copy()], "fedadam")
+        st = server_round(st, [st.theta.copy(), st.theta.copy()], "fedadam")
     assert st.theta.tobytes() == theta0.tobytes()
-    assert np.all(st.adam_m == 0.0) and np.all(st.adam_v == 0.0)
+    assert np.all(st.buffers["adam_m"] == 0.0) and np.all(st.buffers["adam_v"] == 0.0)
 
 
 def test_fedadam_scalar_hand_oracle():
     # pseudo = 0.25; m = 0.1*0.25 = 0.025; v = 0.01*0.0625 = 0.000625;
     # theta' = 1 - 0.01*m/(sqrt(v)+0.001)
-    st = state_with(vec(1.0), hyper=ServerHyper(global_lr=0.01, adam_tau=0.001))
-    nxt = aggregate_baseline(st, [vec(0.75)], "fedadam")
-    assert nxt.adam_m[0] == pytest.approx(0.025, abs=1e-15)
-    assert nxt.adam_v[0] == pytest.approx(0.000625, abs=1e-15)
+    st = state_with(vec(1.0), hyper=ServerHyper(global_lr=0.01, adam_tau=0.001),
+                    algorithm="fedadam")
+    nxt = server_round(st, [vec(0.75)], "fedadam")
+    assert nxt.buffers["adam_m"][0] == pytest.approx(0.025, abs=1e-15)
+    assert nxt.buffers["adam_v"][0] == pytest.approx(0.000625, abs=1e-15)
     expected = 1.0 - 0.01 * 0.025 / (np.sqrt(0.000625) + 0.001)
     assert nxt.theta[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_feddyn_zero_alpha_degenerates_to_mean():
-    st = state_with(vec(1.0))
+    st = state_with(vec(1.0), algorithm="feddyn")
     returns = [vec(0.9), vec(0.7)]
-    nxt = aggregate_baseline(st, returns, "feddyn", dyn_alpha=0.0, client_count=4)
+    nxt = server_round(st, returns, "feddyn", local=LocalConfig(dyn_alpha=0.0))
     from fedsim.params import mean
     assert nxt.theta.tobytes() == mean(returns).tobytes()
-    assert np.all(nxt.dyn_h == 0.0)
+    assert np.all(nxt.buffers["dyn_h"] == 0.0) and np.all(nxt.buffers["h"] == 0.0)
 
 
 def test_feddyn_scalar_hand_oracle():
     # theta=1, returns {0.8, 0.6}: displacements sum -0.6;
     # h' = 0 - 0.1*(-0.6)/4 = 0.015; theta' = 0.7 - 0.015/0.1 = 0.55
-    st = state_with(vec(1.0))
-    nxt = aggregate_baseline(st, [vec(0.8), vec(0.6)], "feddyn",
-                             dyn_alpha=0.1, client_count=4)
-    assert nxt.dyn_h[0] == pytest.approx(0.015, abs=1e-15)
+    st = state_with(vec(1.0), algorithm="feddyn", n_clients=4)
+    nxt = server_round(st, [vec(0.8), vec(0.6)], "feddyn",
+                       local=LocalConfig(dyn_alpha=0.1))
+    assert nxt.buffers["dyn_h"][0] == pytest.approx(0.015, abs=1e-15)
     assert nxt.theta[0] == pytest.approx(0.55, abs=1e-14)
 
 
 def test_feddyn_needs_population():
-    st = state_with(vec(1.0))
-    with pytest.raises(StructuralError):
-        aggregate_baseline(st, [vec(0.8)], "feddyn", dyn_alpha=0.1)
+    # the server corrector averages over the whole population, which the
+    # state holds one client corrector row for, not over the sampled clients
+    for n, h in ((4, 0.015), (2, 0.03)):
+        st = state_with(vec(1.0), algorithm="feddyn", n_clients=n)
+        nxt = server_round(st, [vec(0.8), vec(0.6)], "feddyn",
+                           local=LocalConfig(dyn_alpha=0.1))
+        assert nxt.buffers["h"].shape == (n, 1)
+        assert nxt.buffers["dyn_h"][0] == pytest.approx(h, abs=1e-15)
+
+
+def test_feddyn_refreshes_the_sampled_correctors():
+    # h_i <- h_i - dyn_alpha*(theta_i - init) for the sampled ids only
+    st = state_with(vec(1.0), algorithm="feddyn", n_clients=4)
+    nxt = server_round(st, [vec(0.5), vec(3.0)], "feddyn", ids=[1, 3],
+                       local=LocalConfig(dyn_alpha=0.5))
+    np.testing.assert_array_equal(nxt.buffers["h"][:, 0], [0.0, 0.25, 0.0, -1.0])
+    v = REGISTRY["feddyn"].v(nxt, LocalConfig(), [3, 1])
+    np.testing.assert_array_equal(v[:, 0], [1.0, -0.25])
 
 
 def test_fedcm_refreshes_momentum():
-    st = state_with(vec(1.0))
-    nxt = aggregate_baseline(st, [vec(0.8), vec(0.6)], "fedcm", cm_step_scale=5.0)
+    # the step scale is K*eta = 5*1.0; with lr0 = 0 the momentum is kept
+    st = state_with(vec(1.0), algorithm="fedcm")
+    nxt = server_round(st, [vec(0.8), vec(0.6)], "fedcm", local=LocalConfig(k=5, lr0=1.0))
     assert nxt.theta[0] == pytest.approx(0.7, abs=1e-15)
-    assert nxt.cm_momentum[0] == pytest.approx(0.3 / 5.0, abs=1e-15)
-    frozen = aggregate_baseline(st, [vec(0.8)], "fedcm", cm_step_scale=0.0)
-    assert frozen.cm_momentum is st.cm_momentum
-    with pytest.raises(StructuralError):
-        aggregate_baseline(st, [vec(0.8)], "fedcm")
+    assert nxt.buffers["cm_momentum"][0] == pytest.approx(0.3 / 5.0, abs=1e-15)
+    frozen = server_round(st, [vec(0.8)], "fedcm", local=LocalConfig(k=5, lr0=0.0))
+    assert frozen.buffers["cm_momentum"] is st.buffers["cm_momentum"]
 
 
 def test_hyper_validation():
@@ -210,3 +247,20 @@ def test_hyper_validation():
         ServerHyper(lam=1.0)
     with pytest.raises(StructuralError):
         ServerHyper(adam_tau=0.0)
+    for key in ("tau", "lam", "global_lr", "avgm_beta", "adam_tau"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(StructuralError, match=key):
+                ServerHyper(**{key: bad})
+
+
+@pytest.mark.parametrize("algorithm,hyper", [
+    ("fedadam", ServerHyper(global_lr=1e300)),
+    ("fedavgm", ServerHyper(global_lr=1e308)),
+])
+def test_server_model_overflow_names_its_round(algorithm, hyper):
+    # the new model is finite entry by entry, but its squared norm is not
+    st = state_with(vec(0.5, -0.25), hyper=hyper, algorithm=algorithm)
+    st = server_round(st, [vec(0.5, -0.25)], algorithm)
+    with pytest.raises(NumericError, match="server model is not finite") as ei:
+        server_round(st, [vec(0.25, 0.0), vec(0.5, -0.5)], algorithm)
+    assert ei.value.round == 1
