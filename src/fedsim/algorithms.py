@@ -5,10 +5,11 @@ first array is the model ``init`` the clients start from; each sampled
 client takes K clipped SGD steps along ``g = a·∇f(θ) + v + c·(θ − init)``,
 evaluated in that order, with ``a`` and ``c`` taken from the local
 hyperparameters and ``v`` fixed for the round; the server then applies
-the rule's ``step`` to the mean of the returned models. A zero term is
-skipped, not multiplied by zero (``0.0*x`` can be ``-0.0``), and a = 1
-multiplies nothing, so each rule at its ``trivial`` setting reproduces
-fedavg bit for bit. A new rule is one more entry in ``REGISTRY``.
+the rule's ``step`` to the mean of the returned models, the rows of one
+(S, d) matrix in ascending client id order. A zero term is skipped, not
+multiplied by zero (``0.0*x`` can be ``-0.0``), and a = 1 multiplies
+nothing, so each rule at its ``trivial`` setting reproduces fedavg bit
+for bit. A new rule is one more entry in ``REGISTRY``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def momentum_residual(before, returns, after) -> float:
     client displacement from the broadcast point."""
     hy = before.hyper
     bc = lookahead(before)
-    gradbar = -mean([r - bc for r in returns])
+    gradbar = -mean(returns - bc)
     predicted = axpy(hy.lam, before.buffers["delta"], hy.tau * gradbar)
     return float(np.max(np.abs(after.buffers["delta"] - predicted)))
 

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,27 +69,16 @@ DEFAULT_CONFIG = {
         "normalize": True,
     },
     "partition": {"kind": "iid", "concentration": 0.3},
-    "local": {
-        "k": 50,
-        "batch_size": None,
-        "epochs": 5,
-        "lr0": 0.1,
-        "lr_decay": 1.0,
-        "clip_norm": 10.0,
-        "alpha": 1.0,
-        "beta": 0.01,
-        "prox_mu": 0.0,
-        "cm_alpha": 0.1,
-        "dyn_alpha": 0.01,
-    },
-    "server": {
-        "tau": 1.0,
-        "lam": 0.85,
-        "global_lr": None,
-        "avgm_beta": 0.6,
-        "adam_tau": 0.001,
-    },
+    "local": {f.name: f.default for f in fields(LocalConfig)},
+    # global_lr None: finalize_config fills in the rule's own default
+    "server": {**{f.name: f.default for f in fields(ServerHyper)}, "global_lr": None},
 }
+
+# The value type of each leaf whose default is None, and of each item of
+# each list leaf, as a default of that type for _coerce.
+_OPTIONAL = {"local.batch_size": 1, "server.global_lr": 1.0,
+             "data.path": "", "data.label_column": ""}
+_ITEMS = {"targets": 0.5, "model.hidden_dims": 1}
 
 # keys that cmd_compare requires to be identical across its configs: the
 # runs must see the same data, model, sampling schedule, and metrics so
@@ -98,10 +88,13 @@ _COMPARE_FREE_KEYS = ("algorithm", "local", "server")
 
 def _coerce(default, value, keypath: str, path: str | None):
     """Align a config value's type with the default's (ints promote to
-    floats, bools stay bools); None-default leaves pass through and are
-    validated at build time."""
-    if default is None or value is None:
-        return value
+    floats, bools stay bools), item by item in a list. Only a leaf whose
+    default is None may be null; any other value it takes must have its
+    ``_OPTIONAL`` type."""
+    if default is None:
+        if value is None:
+            return value
+        default = _OPTIONAL[keypath]
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{keypath} must be true or false", path=path)
@@ -116,8 +109,11 @@ def _coerce(default, value, keypath: str, path: str | None):
         return value
     if isinstance(default, str) and not isinstance(value, str):
         raise ConfigError(f"{keypath} must be a string", path=path)
-    if isinstance(default, list) and not isinstance(value, list):
-        raise ConfigError(f"{keypath} must be a list", path=path)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{keypath} must be a list", path=path)
+        return [_coerce(_ITEMS[keypath], v, f"{keypath}[{i}]", path)
+                for i, v in enumerate(value)]
     return value
 
 
@@ -274,7 +270,7 @@ def build_run_config(cfg: dict) -> RunConfig:
                          n_clients=cfg["clients"], rounds=cfg["rounds"],
                          participation=cfg["participation"], seed=cfg["seed"],
                          eval_every=cfg["eval_every"],
-                         targets=tuple(float(t) for t in cfg["targets"]),
+                         targets=tuple(cfg["targets"]),
                          partition_kind=cfg["partition"]["kind"],
                          concentration=cfg["partition"]["concentration"],
                          **sections)
@@ -431,7 +427,7 @@ def cmd_compare(args) -> int:
     labels = _unique_labels(args.configs)
     total_rounds = configs[0]["rounds"]
     mid_round = max(1, total_rounds // 2)
-    targets = [float(t) for t in configs[0]["targets"]]
+    targets = configs[0]["targets"]
 
     rows = []
     for label, cfg, rc in zip(labels, configs, run_configs):

@@ -64,13 +64,11 @@ class LocalConfig:
         return self.lr0 * self.lr_decay ** round
 
 
-@dataclass(frozen=True)
-class ClientResult:
-    """What :func:`local_update` returns for a group of S clients: one row
-    per client, in the order of the shards it was given."""
-
-    final_params: np.ndarray      # (S, d)
-    bytes_up: int                 # uplink bytes of each client
+class Rows(np.ndarray):
+    """The (S, d) array :func:`local_update` returns: a plain ndarray,
+    subclassed only so that a profiler can re-class the result to see
+    which of its attributes are read (perfbench's ``LossUse`` does), which
+    a bare ndarray does not allow."""
 
 
 def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
@@ -102,9 +100,10 @@ def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
 def local_update(spec: ModelSpec, init: np.ndarray, shards: list[Dataset],
                  cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
                  a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0,
-                 ids=None) -> ClientResult:
+                 ids=None) -> Rows:
     """Run K local steps for a group of clients with equal-size shards,
-    all from the same received model ``init``, and return their models.
+    all from the same received model ``init``, and return their models as
+    an (S, d) array, one row per shard in the order given.
 
     The clients step together as one (S, d) computation, but each row is
     bit-identical to running that client alone: every client draws its
@@ -171,5 +170,5 @@ def local_update(spec: ModelSpec, init: np.ndarray, shards: list[Dataset],
         if not finite_rows[row]:
             raise NumericError("local model is not finite", round=round,
                                client=ids[row])
-    return ClientResult(final_params=theta, bytes_up=8 * init.size)
+    return theta.view(Rows)
 

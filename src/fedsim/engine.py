@@ -2,18 +2,21 @@
 aggregate, meter communication, and log per-round metrics.
 
 One loop serves every rule; what differs comes from the rule's entry in
-:data:`fedsim.algorithms.REGISTRY`. The downlink is the payload's size.
+:data:`fedsim.algorithms.REGISTRY`. A round's returns are one (S, d)
+matrix, a row per sampled client in ascending id order, released before
+the next round starts. The downlink is metered from the payload, the
+uplink from that matrix.
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
 each client from (seed, 2, round, client id). Sampled clients with equal
 shard sizes (the partitioners allow at most two sizes) step together in
 chunks capped at ``STACK_BYTES`` of parameters, bit-identical to running
-them one at a time, and are folded into the aggregate in ascending id
-order, so outputs are byte-identical for a fixed config. A numeric
-failure is raised after every chunk of its round has run, for the lowest
-failing client id at its first failing step, as one-at-a-time execution
-would report it.
+them one at a time, and each chunk is written to its clients' rows, so
+the aggregate folds them in ascending id order and outputs are
+byte-identical for a fixed config. A numeric failure is raised after
+every chunk of its round has run, for the lowest failing client id at
+its first failing step, as one-at-a-time execution would report it.
 """
 
 from __future__ import annotations
@@ -105,11 +108,12 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
 
 
 def _client_chunks(ids: list[int], shards: list[Dataset], rows: int):
-    """Split the sampled ``ids`` into groups of equal shard size, each cut
-    into chunks of at most ``rows`` clients, ids ascending in each."""
+    """Split the positions into the sampled ``ids`` into groups of equal
+    shard size, each cut into chunks of at most ``rows`` clients,
+    positions ascending in each."""
     groups: dict[int, list[int]] = {}
-    for cid in ids:
-        groups.setdefault(shards[cid].n, []).append(cid)
+    for pos, cid in enumerate(ids):
+        groups.setdefault(shards[cid].n, []).append(pos)
     for members in groups.values():
         for lo in range(0, len(members), rows):
             yield members[lo:lo + rows]
@@ -149,26 +153,26 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         ids = sample_clients(config.n_clients, config.participation, t, config.seed)
         payload = algo.payload(state)
 
-        finals, failure = {}, None
-        for chunk in _client_chunks(ids, shards, rows_per_chunk):
+        returns, failure = np.empty((len(ids), theta0.size)), None
+        for pos in _client_chunks(ids, shards, rows_per_chunk):
+            chunk = [ids[p] for p in pos]
             rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
             try:
-                res = local_update(spec, payload[0], [shards[cid] for cid in chunk],
-                                   cfg, t, rngs, ids=chunk, **algo.terms(state, cfg, chunk))
+                returns[pos] = local_update(spec, payload[0], [shards[cid] for cid in chunk],
+                                            cfg, t, rngs, ids=chunk,
+                                            **algo.terms(state, cfg, chunk))
             except NumericError as exc:
                 if failure is None or exc.client < failure.client:
                     failure = exc
-                continue
-            finals.update(zip(chunk, res.final_params))
-            acc_up += len(chunk) * res.bytes_up
         if failure is not None:
             raise failure
-        returns = [finals[cid] for cid in ids]
 
         before, state = state, aggregate(state, algo.step, returns, ids, payload[0], cfg)
         if algo.check is not None:
             max_residual = max(max_residual, algo.check(before, returns, state))
         acc_down += len(ids) * 8 * sum(p.size for p in payload)
+        acc_up += returns.nbytes
+        del returns, before  # no client model of round t lives into round t+1
 
         if (t + 1) % config.eval_every == 0:
             try:

@@ -16,18 +16,6 @@ import numpy as np
 from .errors import NumericError, StructuralError
 
 
-def as_params(values) -> np.ndarray:
-    """Coerce ``values`` to a 1-D float64 array, validating finiteness."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise StructuralError(f"parameter vector must be 1-D, got shape {x.shape}")
-    if x.size == 0:
-        raise StructuralError("parameter vector must be non-empty")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("parameter vector contains NaN/Inf")
-    return x
-
-
 def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape:
         raise StructuralError(f"dimension mismatch: {x.shape} vs {y.shape}")
@@ -66,23 +54,22 @@ def sq_norms(stack: np.ndarray) -> np.ndarray:
     return np.matmul(stack[:, None, :], stack[:, :, None])[:, 0, 0]
 
 
-def mean(vectors: list[np.ndarray]) -> np.ndarray:
-    """Elementwise arithmetic mean with a fixed reduction order.
+def mean(stack: np.ndarray) -> np.ndarray:
+    """Row mean of a non-empty (S, d) stack with a fixed reduction order.
 
-    Deviations from the first vector are accumulated left to right and the
-    shifted result is folded back at the end. Besides being deterministic,
-    this makes the mean of k identical vectors exactly equal to that
-    vector: all deviations are exactly zero, which a plain sum-then-divide
-    cannot guarantee in floating point.
+    Deviations from the first row are accumulated row by row, top to
+    bottom, and the shifted result is folded back at the end. Besides
+    being deterministic, this makes the mean of k identical rows exactly
+    equal to that row: all deviations are exactly zero, which a plain
+    sum-then-divide cannot guarantee in floating point.
     """
-    if not vectors:
-        raise StructuralError("mean of an empty list")
-    base = vectors[0]
+    if stack.ndim != 2 or not len(stack):
+        raise StructuralError(f"mean needs a non-empty (S, d) stack, got shape {stack.shape}")
+    base = stack[0]
     acc = np.zeros_like(base)
-    for v in vectors[1:]:
-        _check_pair(base, v)
-        acc = acc + (v - base)
-    out = base + acc / len(vectors)
+    for row in stack[1:]:
+        acc = acc + (row - base)
+    out = base + acc / len(stack)
     if not np.all(np.isfinite(out)):
         raise NumericError("mean produced non-finite entries")
     return out

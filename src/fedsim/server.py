@@ -3,7 +3,8 @@
 A state holds the global model, the round counter, the server
 hyperparameters and only the buffers its rule declares (see
 :mod:`fedsim.algorithms`). :func:`aggregate` is the server round all
-rules share: the fixed-order client mean, then the rule's post-step.
+rules share: the fixed-order mean of the round's (S, d) returns matrix,
+then the rule's post-step.
 """
 
 from __future__ import annotations
@@ -53,19 +54,17 @@ def init_state(theta0: np.ndarray, hyper: ServerHyper, **buffers) -> ServerState
     return ServerState(theta=theta0, round=0, hyper=hyper, buffers=buffers)
 
 
-def aggregate(state: ServerState, step, returns: list, ids=(), sent=None,
+def aggregate(state: ServerState, step, returns: np.ndarray, ids=(), sent=None,
               local=None) -> ServerState:
-    """One server round over the client models ``returns`` (ids ascending).
+    """One server round over the client models ``returns``, an (S, d)
+    matrix with a row per client, ids ascending.
     ``step(state, mean, returns, ids, sent, local)`` gives the new model
     and the buffers it changed; ``sent`` is the model the clients started
     from. A model that is not finite, or whose squared norm overflows,
     ends the run with its round."""
-    if not returns:
-        raise StructuralError("aggregate called with zero client returns")
-    for r in returns:
-        if r.shape != state.theta.shape:
-            raise StructuralError(
-                f"client return shape {r.shape} does not match model {state.theta.shape}")
+    if returns.shape[1:] != state.theta.shape:  # mean rejects an empty stack
+        raise StructuralError(f"client returns of shape {returns.shape} are not "
+                              f"a stack of models of shape {state.theta.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             theta, changed = step(state, mean(returns), returns, ids, sent, local)

@@ -104,8 +104,8 @@ def test_c1_momentum_identity_over_randomized_runs():
         scale = float(rng.choice([1e-3, 1.0, 1e3]))
         state = init_state(scale * rng.standard_normal(d), hyper,
                            delta=scale * rng.standard_normal(d))
-        returns = [state.theta + scale * 0.1 * rng.standard_normal(d)
-                   for _ in range(int(rng.integers(1, 101)))]
+        returns = np.array([state.theta + scale * 0.1 * rng.standard_normal(d)
+                            for _ in range(int(rng.integers(1, 101)))])
         after = aggregate_fedagm(state, returns)
         residual = momentum_residual(state, returns, after)
         assert residual <= momentum_residual_bound(after)

@@ -7,17 +7,41 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from fedsim.client import LocalConfig, local_update
+from fedsim.data import Dataset
+from fedsim.models import ModelSpec
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_benchmark_hook_resolves_to_a_callable(monkeypatch):
+def load_child(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # child.py imports spans.py
     spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_every_benchmark_hook_resolves_to_a_callable(monkeypatch):
+    child = load_child(monkeypatch)
     assert child.HOOKS
     for module_name, attr, _ in child.HOOKS:
         owner = importlib.import_module(f"fedsim.{module_name}")
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{attr} does not resolve"
+
+
+def test_local_update_result_can_be_watched(monkeypatch):
+    """The traced run re-classes each ``local_update`` result to see which
+    of its attributes are read; a result that refuses nulls
+    ``client.discarded_loss_ratio``."""
+    use = load_child(monkeypatch).LossUse()
+    shards = [Dataset(np.ones((2, 1)), np.full(2, float(t)), 1) for t in (1.0, 2.0)]
+    out = use.wrap_local_update(local_update)(
+        ModelSpec("linear_regression", input_dim=1), np.zeros(1), shards,
+        LocalConfig(k=2), 0, [np.random.default_rng(s) for s in (0, 1)])
+    assert out.shape == (2, 1)
+    assert use.report() is not None

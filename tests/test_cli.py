@@ -87,6 +87,26 @@ def test_config_hash_is_canonical(tmp_path):
     assert config_hash(c) != config_hash(a)
 
 
+# config_hash of an empty config file per rule, as computed before the
+# "local" and "server" defaults were derived from LocalConfig and
+# ServerHyper; a moved default or a changed canonical form changes them
+PINNED_HASHES = {
+    "fedavg": "89de2508b6745578d19a14be812c54ef76dfc3da53eb324b8c563ec143cc4245",
+    "fedprox": "fc63d1860e41872360daa8b8f86164581edfd8ea68b15b453a1220bfb05802db",
+    "fedavgm": "d79189e1b40f8646c9500d10a17a27c3a8ecadeef8b98f59b2e965de005268d1",
+    "fedadam": "92b501639b5cf836a31ebdb5925b7a784ffd638aba891967dd47596c67f53b16",
+    "feddyn": "bfde08440385b80c1eb7a651abd11b5f691a537436e231ff76d7ba8ab5bff028",
+    "fedcm": "e585f383d604c7d0000d0b85bdf0cbf75858f40831aea2391f9af3b6cb894a28",
+    "fedagm": "e75b97d0d7184ab4de56709b7a01c2bfb34aa62fa4b20fc9f1c7ba5a342952ca",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PINNED_HASHES))
+def test_default_config_hash_is_pinned(tmp_path, rule):
+    cfg = resolve_config(write_config(tmp_path, {}), [f"algorithm={rule}"], None)
+    assert config_hash(cfg) == PINNED_HASHES[rule]
+
+
 def test_global_lr_default_depends_on_algorithm(tmp_path):
     path = write_config(tmp_path, {"algorithm": "fedadam"})
     assert resolve_config(path, [], None)["server"]["global_lr"] == 0.01
@@ -278,6 +298,26 @@ def test_bad_data_or_partition_value_exits_2_before_writing(tmp_path, capsys,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,key", [
+    (['targets=["a"]'], "targets[0]"),
+    (["model.kind=mlp", "model.hidden_dims=[1.5]"], "model.hidden_dims[0]"),
+    (["model.kind=mlp", "model.hidden_dims=[true]"], "model.hidden_dims[0]"),
+    (['local.batch_size="x"'], "local.batch_size"),
+    (['server.global_lr="x"'], "server.global_lr"),
+    (["data.spread=null"], "data.spread"),
+    (["partition.kind=iid", "partition.concentration=null"], "partition.concentration"),
+])
+def test_wrong_type_exits_2_naming_the_key(tmp_path, capsys, overrides, key):
+    out = tmp_path / "out"
+    args = ["run", "--config", write_config(tmp_path), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
     assert not out.exists()
 
 

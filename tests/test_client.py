@@ -6,8 +6,7 @@ import pytest
 
 from fedsim.algorithms import (NAMES, REGISTRY, feddyn_updated_state,
                                local_gradient_fedagm)
-from fedsim.client import (ClientResult, LocalConfig, clip_by_norm, derive_batch_size,
-                           local_update)
+from fedsim.client import LocalConfig, clip_by_norm, derive_batch_size, local_update
 from fedsim.data import Dataset, generate_synthetic
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, gradient, make_batch, param_dim
@@ -54,8 +53,8 @@ def group(spec, init, shards, cfg, round, rngs, rule, aux=None, **kw):
 def alone(spec, init, shard, cfg, round, rng, rule, aux=None):
     """local_update on a group of one: the final params."""
     out = group(spec, init, [shard], cfg, round, [rng], rule, aux=aux)
-    assert out.final_params.shape == (1, init.size)
-    return out.final_params[0]
+    assert out.shape == (1, init.size)
+    return out[0]
 
 
 def run(rule, seed=5, cfg=None, aux=None, init=None, round=0, shard=None):
@@ -71,8 +70,8 @@ def test_single_full_batch_step_hand_oracle():
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, beta=0.0)
     out = local_update(QUAD, np.zeros(1), [quad_shard(3.0)], cfg, 0,
                        [np.random.default_rng(0)])
-    assert out.final_params[0, 0] == pytest.approx(0.3, abs=1e-15)
-    assert out.bytes_up == 8
+    assert out[0, 0] == pytest.approx(0.3, abs=1e-15)
+    assert out.nbytes == 8  # the uplink of one client of a d = 1 model
 
 
 def test_zero_learning_rate_keeps_init():
@@ -175,12 +174,12 @@ def test_group_rows_equal_groups_of_one(spec, rule):
                       alpha=0.9, beta=0.05, prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
     together = group(spec, init, shards, cfg, 1,
                      [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
-    assert together.final_params.shape == (S, d)
+    assert together.shape == (S, d)
     for i, shard in enumerate(shards):
         row_aux = aux[i:i + 1] if rule == "feddyn" else aux
         final = alone(spec, init, shard, cfg, 1, np.random.default_rng(10 + i),
                       rule, aux=row_aux)
-        assert together.final_params[i].tobytes() == final.tobytes()
+        assert together[i].tobytes() == final.tobytes()
         # the case clips: without the ball the same row ends elsewhere
         unclipped = alone(spec, init, shard, replace(cfg, clip_norm=1e9), 1,
                           np.random.default_rng(10 + i), rule, aux=row_aux)
@@ -231,8 +230,8 @@ def test_infinite_clip_norm_never_clips(spec, rule):
     runs = [group(spec, init, shards, c, 1,
                   [np.random.default_rng(10 + i) for i in range(S)], rule, aux=aux)
             for c in (cfg, replace(cfg, clip_norm=1e300))]
-    assert np.isfinite(runs[0].final_params).all()
-    assert runs[0].final_params.tobytes() == runs[1].final_params.tobytes()
+    assert np.isfinite(runs[0]).all()
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_group_needs_equal_shards_and_one_rng_each():
@@ -336,7 +335,7 @@ def test_epoch_reshuffling_covers_shard():
     init = np.random.default_rng(1).normal(size=param_dim(SPEC3))
     a = local_update(SPEC3, init, [shard], cfg, 0, [np.random.default_rng(7)])
     b = run("fedavg", seed=7, cfg=cfg, shard=shard)
-    assert a.final_params[0].tobytes() == b.tobytes()
+    assert a[0].tobytes() == b.tobytes()
     c = run("fedavg", seed=8, cfg=cfg, shard=shard)
     assert b.tobytes() != c.tobytes()
 

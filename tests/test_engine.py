@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from fedsim.data import Dataset, generate_synthetic, take_per_class
 from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params
-from fedsim.server import ServerHyper
+from fedsim.server import ServerHyper, aggregate
 
 
 def small_task(seed=0):
@@ -200,6 +201,37 @@ def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
         assert all(len(sizes) == 1 for sizes in calls)
         assert stacked.records == serial.records
         assert stacked.final_state.theta.tobytes() == serial.final_state.theta.tobytes()
+
+
+def test_round_returns_die_before_the_next_round(monkeypatch):
+    # neither the client models of round t nor the state they were folded
+    # into is still referenced when round t+1 runs its first local update,
+    # for any rule's step and check; both are released before the round
+    # evaluates its new model
+    train, test = small_task()
+    refs, alive = [], []
+
+    def spy_aggregate(state, step, returns, *args):
+        refs.extend((weakref.ref(state), weakref.ref(returns)))
+        return aggregate(state, step, returns, *args)
+
+    def count_alive(fn):
+        def spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(engine, "aggregate", spy_aggregate)
+    monkeypatch.setattr(engine, "local_update", count_alive(local_update))
+    monkeypatch.setattr(engine, "global_loss", count_alive(engine.global_loss))
+    for name in NAMES:
+        refs.clear()
+        alive.clear()
+        run(config(name, rounds=3, n_clients=7, participation=1.0,
+                   partition_kind="dirichlet"), train, test)
+        # two shard-size groups and one evaluation a round
+        assert len(refs) == 6 and len(alive) == 9
+        assert not any(alive), name
 
 
 def test_numeric_abort_names_the_same_client_as_one_at_a_time(monkeypatch):

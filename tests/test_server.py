@@ -66,16 +66,16 @@ def test_aggregate_fedagm_zero_movement_fixed_point():
     st = state_with(vec(1.0), hyper=ServerHyper(lam=0.5, tau=0.25), delta=vec(0.25))
     bc, _ = broadcast(st, "fedagm")
     assert bc[0] == 0.875
-    nxt = aggregate_fedagm(st, [bc.copy(), bc.copy(), bc.copy()])
+    nxt = aggregate_fedagm(st, np.array([bc.copy(), bc.copy(), bc.copy()]))
     assert nxt.theta[0] == 0.875
     assert nxt.buffers["delta"][0] == 0.125  # lam*delta
-    assert momentum_residual(st, [bc, bc, bc], nxt) == 0.0
+    assert momentum_residual(st, np.array([bc, bc, bc]), nxt) == 0.0
     assert nxt.round == 1
 
 
 def test_aggregate_fedagm_worked_example():
     st = state_with(vec(1.0), hyper=ServerHyper(lam=0.85, tau=1.0), delta=vec(0.2))
-    returns = [vec(0.9), vec(0.7)]
+    returns = np.array([vec(0.9), vec(0.7)])
     nxt = aggregate_fedagm(st, returns)
     assert nxt.theta[0] == 0.8
     assert nxt.buffers["delta"][0] == pytest.approx(0.2, abs=1e-15)
@@ -85,7 +85,7 @@ def test_aggregate_fedagm_worked_example():
 def test_aggregate_fedagm_lam_zero_tau_one_is_plain_mean():
     st = state_with(vec(1.0, 1.0), hyper=ServerHyper(lam=0.0, tau=1.0),
                     delta=vec(0.3, 0.3))
-    returns = [vec(0.9, 0.1), vec(0.7, 0.3)]
+    returns = np.array([vec(0.9, 0.1), vec(0.7, 0.3)])
     nxt = aggregate_fedagm(st, returns)
     from fedsim.params import mean
     assert nxt.theta.tobytes() == mean(returns).tobytes()
@@ -93,7 +93,7 @@ def test_aggregate_fedagm_lam_zero_tau_one_is_plain_mean():
 
 def test_aggregate_fedagm_partial_tau_blends_toward_mean():
     st = state_with(vec(0.0), hyper=ServerHyper(lam=0.0, tau=0.5))
-    nxt = aggregate_fedagm(st, [vec(1.0)])
+    nxt = aggregate_fedagm(st, np.array([vec(1.0)]))
     assert nxt.theta[0] == 0.5
     assert nxt.buffers["delta"][0] == -0.5
 
@@ -106,7 +106,8 @@ def test_momentum_residual_random_rounds():
     worst = 0.0
     for _ in range(200):
         bc, _ = broadcast(st, "fedagm")
-        returns = [bc + 0.1 * rng.normal(size=d) for _ in range(int(rng.integers(1, 8)))]
+        returns = np.array([bc + 0.1 * rng.normal(size=d)
+                            for _ in range(int(rng.integers(1, 8)))])
         nxt = aggregate_fedagm(st, returns)
         res = momentum_residual(st, returns, nxt)
         assert res <= momentum_residual_bound(nxt)
@@ -118,30 +119,36 @@ def test_momentum_residual_random_rounds():
 def test_unused_buffers_stay_zero():
     # a rule's state holds its own buffers and no other rule's
     st = state_with(np.zeros(3), hyper=ServerHyper(lam=0.8, tau=1.0))
-    nxt = aggregate_fedagm(st, [vec(0.1, 0.2, 0.3)])
+    nxt = aggregate_fedagm(st, np.array([vec(0.1, 0.2, 0.3)]))
     assert set(nxt.buffers) == {"delta"}
     st2 = server_round(state_with(np.zeros(3), algorithm="fedavg"),
-                       [vec(0.1, 0.2, 0.3)], "fedavg")
+                       np.array([vec(0.1, 0.2, 0.3)]), "fedavg")
     assert st2.buffers == {}
     for name, algo in REGISTRY.items():
         st = state_with(np.zeros(3), algorithm=name, hyper=ServerHyper(global_lr=0.5))
-        nxt = server_round(st, [vec(0.1, 0.2, 0.3)], name)
+        nxt = server_round(st, np.array([vec(0.1, 0.2, 0.3)]), name)
         assert set(nxt.buffers) == set(algo.buffers(np.zeros(3), 4)) == set(st.buffers)
 
 
 def test_aggregate_rejects_empty_and_mismatched():
     st = state_with(vec(1.0), algorithm="fedavg")
     with pytest.raises(StructuralError):
-        aggregate_fedagm(st, [])
+        aggregate_fedagm(st, np.empty((0, 1)))
     with pytest.raises(StructuralError):
-        server_round(st, [], "fedavg")
+        server_round(st, np.empty((0, 1)), "fedavg")
     with pytest.raises(StructuralError):
-        server_round(st, [vec(1.0, 2.0)], "fedavg")
+        server_round(st, np.array([vec(1.0, 2.0)]), "fedavg")
+    # one model not stacked as a row, and a stack of the wrong width
+    with pytest.raises(StructuralError):
+        server_round(st, vec(1.0), "fedavg")
+    with pytest.raises(StructuralError):
+        server_round(state_with(vec(1.0, 2.0, 3.0), algorithm="fedavg"),
+                     np.zeros((2, 2)), "fedavg")
 
 
 def test_fedavg_mean_oracle():
     st = state_with(vec(1.0), algorithm="fedavg")
-    nxt = server_round(st, [vec(0.9), vec(0.7)], "fedavg")
+    nxt = server_round(st, np.array([vec(0.9), vec(0.7)]), "fedavg")
     assert nxt.theta[0] == 0.8
     assert nxt.round == 1
 
@@ -149,7 +156,7 @@ def test_fedavg_mean_oracle():
 def test_fedavgm_zero_beta_unit_lr_degenerates_to_mean():
     st = state_with(vec(1.0), hyper=ServerHyper(avgm_beta=0.0, global_lr=1.0),
                     algorithm="fedavgm")
-    returns = [vec(0.9), vec(0.7)]
+    returns = np.array([vec(0.9), vec(0.7)])
     nxt = server_round(st, returns, "fedavgm")
     from fedsim.params import mean
     assert nxt.theta.tobytes() == mean(returns).tobytes()
@@ -161,9 +168,9 @@ def test_fedavgm_momentum_accumulates():
     # 0.5*0.25=0.125, theta 0.625
     st = state_with(vec(1.0), hyper=ServerHyper(avgm_beta=0.5, global_lr=1.0),
                     algorithm="fedavgm")
-    st = server_round(st, [vec(0.75)], "fedavgm")
+    st = server_round(st, np.array([vec(0.75)]), "fedavgm")
     assert st.theta[0] == 0.75 and st.buffers["avgm_buf"][0] == 0.25
-    st = server_round(st, [vec(0.75)], "fedavgm")
+    st = server_round(st, np.array([vec(0.75)]), "fedavgm")
     assert st.buffers["avgm_buf"][0] == 0.125
     assert st.theta[0] == 0.625
 
@@ -173,7 +180,7 @@ def test_fedadam_zero_pseudo_gradient_is_fixed_point():
                     algorithm="fedadam")
     theta0 = st.theta.copy()
     for _ in range(3):
-        st = server_round(st, [st.theta.copy(), st.theta.copy()], "fedadam")
+        st = server_round(st, np.array([st.theta.copy(), st.theta.copy()]), "fedadam")
     assert st.theta.tobytes() == theta0.tobytes()
     assert np.all(st.buffers["adam_m"] == 0.0) and np.all(st.buffers["adam_v"] == 0.0)
 
@@ -183,7 +190,7 @@ def test_fedadam_scalar_hand_oracle():
     # theta' = 1 - 0.01*m/(sqrt(v)+0.001)
     st = state_with(vec(1.0), hyper=ServerHyper(global_lr=0.01, adam_tau=0.001),
                     algorithm="fedadam")
-    nxt = server_round(st, [vec(0.75)], "fedadam")
+    nxt = server_round(st, np.array([vec(0.75)]), "fedadam")
     assert nxt.buffers["adam_m"][0] == pytest.approx(0.025, abs=1e-15)
     assert nxt.buffers["adam_v"][0] == pytest.approx(0.000625, abs=1e-15)
     expected = 1.0 - 0.01 * 0.025 / (np.sqrt(0.000625) + 0.001)
@@ -192,7 +199,7 @@ def test_fedadam_scalar_hand_oracle():
 
 def test_feddyn_zero_alpha_degenerates_to_mean():
     st = state_with(vec(1.0), algorithm="feddyn")
-    returns = [vec(0.9), vec(0.7)]
+    returns = np.array([vec(0.9), vec(0.7)])
     nxt = server_round(st, returns, "feddyn", local=LocalConfig(dyn_alpha=0.0))
     from fedsim.params import mean
     assert nxt.theta.tobytes() == mean(returns).tobytes()
@@ -203,7 +210,7 @@ def test_feddyn_scalar_hand_oracle():
     # theta=1, returns {0.8, 0.6}: displacements sum -0.6;
     # h' = 0 - 0.1*(-0.6)/4 = 0.015; theta' = 0.7 - 0.015/0.1 = 0.55
     st = state_with(vec(1.0), algorithm="feddyn", n_clients=4)
-    nxt = server_round(st, [vec(0.8), vec(0.6)], "feddyn",
+    nxt = server_round(st, np.array([vec(0.8), vec(0.6)]), "feddyn",
                        local=LocalConfig(dyn_alpha=0.1))
     assert nxt.buffers["dyn_h"][0] == pytest.approx(0.015, abs=1e-15)
     assert nxt.theta[0] == pytest.approx(0.55, abs=1e-14)
@@ -214,7 +221,7 @@ def test_feddyn_needs_population():
     # state holds one client corrector row for, not over the sampled clients
     for n, h in ((4, 0.015), (2, 0.03)):
         st = state_with(vec(1.0), algorithm="feddyn", n_clients=n)
-        nxt = server_round(st, [vec(0.8), vec(0.6)], "feddyn",
+        nxt = server_round(st, np.array([vec(0.8), vec(0.6)]), "feddyn",
                            local=LocalConfig(dyn_alpha=0.1))
         assert nxt.buffers["h"].shape == (n, 1)
         assert nxt.buffers["dyn_h"][0] == pytest.approx(h, abs=1e-15)
@@ -223,7 +230,7 @@ def test_feddyn_needs_population():
 def test_feddyn_refreshes_the_sampled_correctors():
     # h_i <- h_i - dyn_alpha*(theta_i - init) for the sampled ids only
     st = state_with(vec(1.0), algorithm="feddyn", n_clients=4)
-    nxt = server_round(st, [vec(0.5), vec(3.0)], "feddyn", ids=[1, 3],
+    nxt = server_round(st, np.array([vec(0.5), vec(3.0)]), "feddyn", ids=[1, 3],
                        local=LocalConfig(dyn_alpha=0.5))
     np.testing.assert_array_equal(nxt.buffers["h"][:, 0], [0.0, 0.25, 0.0, -1.0])
     v = REGISTRY["feddyn"].v(nxt, LocalConfig(), [3, 1])
@@ -233,10 +240,11 @@ def test_feddyn_refreshes_the_sampled_correctors():
 def test_fedcm_refreshes_momentum():
     # the step scale is K*eta = 5*1.0; with lr0 = 0 the momentum is kept
     st = state_with(vec(1.0), algorithm="fedcm")
-    nxt = server_round(st, [vec(0.8), vec(0.6)], "fedcm", local=LocalConfig(k=5, lr0=1.0))
+    nxt = server_round(st, np.array([vec(0.8), vec(0.6)]), "fedcm",
+                       local=LocalConfig(k=5, lr0=1.0))
     assert nxt.theta[0] == pytest.approx(0.7, abs=1e-15)
     assert nxt.buffers["cm_momentum"][0] == pytest.approx(0.3 / 5.0, abs=1e-15)
-    frozen = server_round(st, [vec(0.8)], "fedcm", local=LocalConfig(k=5, lr0=0.0))
+    frozen = server_round(st, np.array([vec(0.8)]), "fedcm", local=LocalConfig(k=5, lr0=0.0))
     assert frozen.buffers["cm_momentum"] is st.buffers["cm_momentum"]
 
 
@@ -260,7 +268,7 @@ def test_hyper_validation():
 def test_server_model_overflow_names_its_round(algorithm, hyper):
     # the new model is finite entry by entry, but its squared norm is not
     st = state_with(vec(0.5, -0.25), hyper=hyper, algorithm=algorithm)
-    st = server_round(st, [vec(0.5, -0.25)], algorithm)
+    st = server_round(st, np.array([vec(0.5, -0.25)]), algorithm)
     with pytest.raises(NumericError, match="server model is not finite") as ei:
-        server_round(st, [vec(0.25, 0.0), vec(0.5, -0.5)], algorithm)
+        server_round(st, np.array([vec(0.25, 0.0), vec(0.5, -0.5)]), algorithm)
     assert ei.value.round == 1
