@@ -130,11 +130,10 @@ def _feddyn_step(st, m, returns, ids, sent, local):
     if alpha == 0.0:
         return m, {}
     h = st.buffers["h"]
+    disp = np.zeros_like(st.theta)
     for cid, r in zip(ids, returns):
         h[cid] = feddyn_updated_state(h[cid], r, sent, alpha)
-    disp = np.zeros_like(st.theta)
-    for r in returns:
-        disp = disp + (r - st.theta)
+        disp += r - st.theta
     dyn_h = st.buffers["dyn_h"] - alpha * disp / h.shape[0]
     return m - dyn_h / alpha, {"dyn_h": dyn_h}
 

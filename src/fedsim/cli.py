@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import REGISTRY
-from .client import LocalConfig
+from .client import UNBOUNDED_FIELDS, LocalConfig
 from .data import generate_synthetic, load_csv, split_stratified, take_per_class
 from .engine import RunConfig, run
 from .errors import ConfigError, NumericError, StructuralError
@@ -90,7 +90,8 @@ def _coerce(default, value, keypath: str, path: str | None):
     """Align a config value's type with the default's (ints promote to
     floats, bools stay bools), item by item in a list. Only a leaf whose
     default is None may be null; any other value it takes must have its
-    ``_OPTIONAL`` type."""
+    ``_OPTIONAL`` type. A float must be finite, except that a local
+    field in ``UNBOUNDED_FIELDS`` may be Infinity."""
     if default is None:
         if value is None:
             return value
@@ -102,7 +103,13 @@ def _coerce(default, value, keypath: str, path: str | None):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{keypath} must be a number", path=path)
-        return float(value)
+        value = float(value)
+        section, _, name = keypath.rpartition(".")
+        unbounded = section == "local" and name in UNBOUNDED_FIELDS and value == math.inf
+        if not (math.isfinite(value) or unbounded):
+            where = f"{section}: {name}" if section else name
+            raise ConfigError(f"{where} must be a finite number", path=path)
+        return value
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{keypath} must be an integer", path=path)
@@ -193,6 +200,8 @@ def resolve_config(path: str, overrides: list[str], seed: int | None) -> dict:
     apply_overrides(cfg, overrides)
     if seed is not None:
         cfg["seed"] = seed
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']}")
     finalize_config(cfg)
     return cfg
 

@@ -12,18 +12,23 @@ stay bit-identical to fedavg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset
 from .errors import NumericError, StructuralError
-from .models import ModelSpec, check_inputs, gradient_unchecked
+from .models import ModelSpec, gradient_unchecked, param_dim
 from .params import l2_norm_sq, sq_norms
 # Not called here: they stay importable as ``fedsim.client.loss``,
 # ``.axpy`` and ``.gradient``, names the benchmark's traced run hooks.
 from .models import gradient, loss  # noqa: F401
 from .params import axpy  # noqa: F401
+
+
+# The LocalConfig fields that may be +Infinity, meaning no bound at all
+# (clip_norm: no clipping); every other float field must be finite.
+UNBOUNDED_FIELDS = frozenset({"clip_norm"})
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,11 @@ class LocalConfig:
             raise StructuralError("lr_decay must lie in (0, 1]")
         if not self.clip_norm > 0:  # +inf: no clipping
             raise StructuralError("clip_norm must be positive")
-        if not math.isfinite(self.alpha):
-            raise StructuralError("alpha must be a finite number")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not (f.name in UNBOUNDED_FIELDS and value == math.inf)):
+                raise StructuralError(f"{f.name} must be a finite number")
         for name in ("lr0", "beta", "prox_mu", "dyn_alpha"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise StructuralError(f"{name} must be a finite nonnegative number")
@@ -71,6 +79,29 @@ class Rows(np.ndarray):
     a bare ndarray does not allow."""
 
 
+@dataclass(frozen=True)
+class ShardGroup:
+    """Equal-size client shards, stacked once: ``features`` (G, n, f),
+    ``labels`` (G, n), and ``finite`` (G,), whether each shard's features
+    are all finite."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    finite: np.ndarray
+
+
+def shard_group(dataset: Dataset, assignments) -> ShardGroup:
+    """Stack the shards ``assignments``, equal-length index arrays into
+    ``dataset``, into one group; the features are copied once, here."""
+    if len({len(a) for a in assignments}) != 1:
+        raise StructuralError("a client group needs equal-size shards")
+    idx = np.stack(assignments)
+    if idx.shape[1] < 1:
+        raise StructuralError("client shard is empty")
+    X = np.asarray(dataset.features, dtype=np.float64)[idx]
+    return ShardGroup(X, dataset.labels[idx], np.isfinite(X).all(axis=(1, 2)))
+
+
 def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
     """ceil(shard_size*epochs/k), capped at the shard size: the batch size
     that spreads `epochs` passes over the shard across k iterations."""
@@ -87,79 +118,82 @@ def clip_by_norm(g: np.ndarray, clip_norm: float) -> np.ndarray:
 
 def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
             v: np.ndarray | None, c: float) -> np.ndarray:
-    """The step direction a*grad + v + c*(theta - init), in that order; a
-    skipped term (a = 1, v None, c = 0) is not computed at all."""
-    g = grad if a == 1.0 else a * grad
+    """The step direction a*grad + v + c*(theta - init), in that order,
+    built in place in ``grad``, which is returned. A skipped term (a = 1,
+    v None, c = 0) is not computed at all."""
+    if a != 1.0:
+        grad *= a
     if v is not None:
-        g = g + v
+        grad += v
     if c != 0.0:
-        g = g + c * (theta - init)
-    return g
+        grad += c * (theta - init)
+    return grad
 
 
-def local_update(spec: ModelSpec, init: np.ndarray, shards: list[Dataset],
+def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
                  cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
                  a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0,
                  ids=None) -> Rows:
-    """Run K local steps for a group of clients with equal-size shards,
-    all from the same received model ``init``, and return their models as
-    an (S, d) array, one row per shard in the order given.
+    """Run K local steps for the clients at ``rows`` of ``group``, all
+    from the same received model ``init``, and return their models as an
+    (S, d) array, one row per entry of ``rows`` in the order given.
 
     The clients step together as one (S, d) computation, but each row is
     bit-identical to running that client alone: every client draws its
     mini-batches from its own ``rngs`` entry, reshuffling its shard at
     every local epoch in fixed iteration order (a short final slice of an
-    epoch is a partial batch). Each step goes along :func:`combine` with
-    ``a``, ``v`` ((d,) or one row per client) and ``c``.
+    epoch is a partial batch). Each epoch's shuffled shards are gathered
+    once and each step's batch is a slice of them. Each step goes along
+    :func:`combine` with ``a``, ``v`` ((d,) or one row per client) and
+    ``c``, and is clipped only when some row leaves the clip ball.
 
-    The inputs are validated once, here; each step then guards only the
-    squared gradient norm that clipping needs, and the returned models
-    are checked once. A client that fails keeps stepping with the others;
-    afterwards the failure of the first failing row is raised, with the
-    round, its id from ``ids`` (default: the row index) and the step. A
-    row's non-finite features rank before its step and model failures,
-    as they would stop that client before its first step.
+    The caller has validated ``group`` against ``spec`` (the engine does,
+    once per run); here only ``init``'s shape is checked. Each step guards only the squared gradient norm that
+    clipping needs, and the returned models are checked once. A client
+    that fails keeps stepping with the others; afterwards the failure of
+    the first failing row is raised, with the round, its id from ``ids``
+    (default: its row in the group) and the step. A row's non-finite
+    features rank before its step and model failures, as they would stop
+    that client before its first step.
     """
-    S = len(shards)
-    ids = list(range(S)) if ids is None else list(ids)
+    rows = np.asarray(rows, dtype=np.intp)
+    S = len(rows)
+    ids = rows.tolist() if ids is None else list(ids)
     if S < 1 or len(rngs) != S or len(ids) != S:
-        raise StructuralError("a client group needs one rng and one id per shard")
-    n = shards[0].n
-    if n < 1:
-        raise StructuralError("client shard is empty")
-    if any(shard.n != n for shard in shards):
-        raise StructuralError("a client group needs equal-size shards")
-    X = np.stack([np.asarray(shard.features, dtype=np.float64) for shard in shards])
-    y = np.stack([shard.labels for shard in shards])
-    check_inputs(spec, init, X, y)
-    finite_features = np.isfinite(X).all(axis=(1, 2))
-    bs = cfg.batch_size or derive_batch_size(n, cfg.epochs, cfg.k)
-    bs = min(bs, n)
+        raise StructuralError("a client chunk needs one rng and one id per row")
+    if init.shape != (param_dim(spec),):
+        raise StructuralError(
+            f"params have shape {init.shape}, spec needs ({param_dim(spec)},)")
+    n = group.labels.shape[1]
+    bs = min(cfg.batch_size or derive_batch_size(n, cfg.epochs, cfg.k), n)
     eta = cfg.lr(round)
 
+    ball = min(cfg.clip_norm, np.finfo(np.float64).max)  # an overflowed norm is outside
     theta = np.tile(init, (S, 1))
-    rows = np.arange(S)[:, None]
     first_bad_step = np.full(S, -1)
     pos = n  # the first step shuffles
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.k):
             if pos >= n:
                 order = np.stack([rng.permutation(n) for rng in rngs])
+                X, y = group.features[rows[:, None], order], group.labels[rows[:, None], order]
                 pos = 0
-            idx = order[:, pos:pos + bs]
-            Xb, yb = X[rows, idx], y[rows, idx]
+            batch = slice(pos, pos + bs)
+            g = combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch]),
+                        theta, init, a, v, c)
             pos += bs
-            g = combine(gradient_unchecked(spec, theta, Xb, yb), theta, init, a, v, c)
             norm = np.sqrt(sq_norms(g))
-            if not np.isfinite(norm).all():
+            if not (norm <= ball).all():
+                # some row is outside the ball or its norm is not finite
+                # (under an infinite clip_norm too); rows inside the ball
+                # keep g, and the max keeps their unused quotients off zero
                 first_bad_step[~np.isfinite(norm) & (first_bad_step < 0)] = step
-            # rows inside the ball (an infinite clip_norm included) keep g;
-            # the max keeps the unused quotients of those rows off zero
-            scale = np.where(norm <= cfg.clip_norm, 1.0,
-                             cfg.clip_norm / np.maximum(norm, cfg.clip_norm))
-            g = g * scale[:, None]
-            theta = -eta * g + theta
+                g *= np.where(norm <= cfg.clip_norm, 1.0,
+                              cfg.clip_norm / np.maximum(norm, cfg.clip_norm))[:, None]
+            g *= -eta
+            theta += g
         finite_rows = np.isfinite(theta).all(axis=1)
+    finite_features = group.finite[rows]
     for row in range(S):
         if not finite_features[row]:
             raise NumericError("client features contain NaN/Inf", round=round,
@@ -171,4 +205,3 @@ def local_update(spec: ModelSpec, init: np.ndarray, shards: list[Dataset],
             raise NumericError("local model is not finite", round=round,
                                client=ids[row])
     return theta.view(Rows)
-

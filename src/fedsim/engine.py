@@ -7,16 +7,23 @@ matrix, a row per sampled client in ascending id order, released before
 the next round starts. The downlink is metered from the payload, the
 uplink from that matrix.
 
+The client data is built once per run: the training set is checked
+against the model, and the shards of each shard size (the partitioners
+allow at most two) are stacked into one :class:`fedsim.client.ShardGroup`
+with each client's finiteness flag. These groups are the only copy of
+the training features the clients read; a round's local updates take
+row indices into them.
+
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
-each client from (seed, 2, round, client id). Sampled clients with equal
-shard sizes (the partitioners allow at most two sizes) step together in
-chunks capped at ``STACK_BYTES`` of parameters, bit-identical to running
-them one at a time, and each chunk is written to its clients' rows, so
-the aggregate folds them in ascending id order and outputs are
-byte-identical for a fixed config. A numeric failure is raised after
-every chunk of its round has run, for the lowest failing client id at
-its first failing step, as one-at-a-time execution would report it.
+each client from (seed, 2, round, client id). Sampled clients of one
+shard group step together in chunks capped at ``STACK_BYTES`` of
+parameters, bit-identical to running them one at a time, and each chunk
+is written to its clients' rows, so the aggregate folds them in
+ascending id order and outputs are byte-identical for a fixed config. A
+numeric failure is raised after every chunk of its round has run, for
+the lowest failing client id at its first failing step, as
+one-at-a-time execution would report it.
 """
 
 from __future__ import annotations
@@ -27,11 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import REGISTRY
-from .client import LocalConfig, local_update
+from .client import LocalConfig, local_update, shard_group
 from .data import Dataset, partition_dirichlet, partition_iid
 from .errors import NumericError, StructuralError
 from .metrics import EmaSeries, ema_update, global_loss
-from .models import ModelSpec, accuracy, init_params
+from .models import ModelSpec, accuracy, check_inputs, init_params
 from .server import ServerHyper, ServerState, aggregate, init_state
 # Not called here: names the benchmark's traced run hooks (engine.broadcast,
 # .aggregate_fedagm, .aggregate_baseline, .momentum_residual, .feddyn_updated_state).
@@ -42,7 +49,11 @@ from .server import aggregate as aggregate_baseline  # noqa: F401
 # Byte cap on the (S, d) parameter stack of one local_update call; it sets
 # how many clients step together. Larger chunks cut per-step dispatch but
 # grow every (S, d) and (S, bs, width) temporary of the step with them.
-STACK_BYTES = 128 * 1024
+# The value comes from a perfbench sweep on cross_silo (d = 7,210; 2 vCPU,
+# one BLAS thread): 128, 256 and 512 KiB read run_s 0.71, 0.64 and 0.63 s
+# and peak RSS 51.5, 52.4 and 54.3 MB, against 51.6 MB before the shard
+# groups. 512 KiB is faster still but breaks the benchmark's 5% RSS bound.
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -107,16 +118,18 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
     return sorted(int(i) for i in rng.permutation(N)[:size])
 
 
-def _client_chunks(ids: list[int], shards: list[Dataset], rows: int):
-    """Split the positions into the sampled ``ids`` into groups of equal
-    shard size, each cut into chunks of at most ``rows`` clients,
-    positions ascending in each."""
+def _client_chunks(ids: list[int], place: list[tuple[int, int]], rows: int):
+    """Split the positions into the sampled ``ids`` by shard group (the
+    size in ``place[cid] = (shard size, row in its group)``), each cut
+    into chunks of at most ``rows`` clients, positions ascending in each;
+    yields (shard size, positions, group rows)."""
     groups: dict[int, list[int]] = {}
     for pos, cid in enumerate(ids):
-        groups.setdefault(shards[cid].n, []).append(pos)
-    for members in groups.values():
+        groups.setdefault(place[cid][0], []).append(pos)
+    for n, members in groups.items():
         for lo in range(0, len(members), rows):
-            yield members[lo:lo + rows]
+            chunk = members[lo:lo + rows]
+            yield n, chunk, [place[ids[p]][1] for p in chunk]
 
 
 def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
@@ -138,11 +151,18 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
                                         config.concentration, config.seed)
     else:
         partition = partition_iid(dataset, config.n_clients, config.seed)
-    shards = [dataset.subset(a) for a in partition.assignments]
     classifier = spec.kind != "linear_regression"
     test_batch = test_set.to_batch() if classifier else None
 
     theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
+    check_inputs(spec, theta0, dataset.features, dataset.labels)
+    by_size: dict[int, list[np.ndarray]] = {}
+    place = []  # client id -> (shard size, row in that size's group)
+    for a in partition.assignments:
+        shards = by_size.setdefault(len(a), [])
+        place.append((len(a), len(shards)))
+        shards.append(a)
+    groups = {n: shard_group(dataset, shards) for n, shards in by_size.items()}
     state = init_state(theta0, config.server, **algo.buffers(theta0, config.n_clients))
     rows_per_chunk = max(1, STACK_BYTES // (8 * theta0.size))
     ema = EmaSeries()
@@ -154,12 +174,12 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         payload = algo.payload(state)
 
         returns, failure = np.empty((len(ids), theta0.size)), None
-        for pos in _client_chunks(ids, shards, rows_per_chunk):
+        for n, pos, rows in _client_chunks(ids, place, rows_per_chunk):
             chunk = [ids[p] for p in pos]
             rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
             try:
-                returns[pos] = local_update(spec, payload[0], [shards[cid] for cid in chunk],
-                                            cfg, t, rngs, ids=chunk,
+                returns[pos] = local_update(spec, payload[0], groups[n], rows, cfg, t,
+                                            rngs, ids=chunk,
                                             **algo.terms(state, cfg, chunk))
             except NumericError as exc:
                 if failure is None or exc.client < failure.client:

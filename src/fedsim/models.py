@@ -48,8 +48,9 @@ class ModelSpec:
             raise StructuralError("mlp requires at least one hidden layer")
         if self.kind != "mlp" and self.hidden_dims:
             raise StructuralError(f"hidden_dims only apply to mlp, not {self.kind}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise StructuralError("hidden dims must be positive")
+        if any(not isinstance(h, int) or isinstance(h, bool) or h < 1
+               for h in self.hidden_dims):
+            raise StructuralError("hidden dims must be positive integers")
         if not 0 <= self.l2_weight_decay < math.inf:
             raise StructuralError("l2_weight_decay must be a finite nonnegative number")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -216,7 +217,7 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                 upstream = (upstream @ W.transpose(0, 2, 1)) * (1.0 - acts[li] ** 2)
         g = np.concatenate(pieces, axis=1)
     if spec.l2_weight_decay:
-        g = g + spec.l2_weight_decay * params
+        g += spec.l2_weight_decay * params
     return g
 
 

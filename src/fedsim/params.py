@@ -58,18 +58,20 @@ def mean(stack: np.ndarray) -> np.ndarray:
     """Row mean of a non-empty (S, d) stack with a fixed reduction order.
 
     Deviations from the first row are accumulated row by row, top to
-    bottom, and the shifted result is folded back at the end. Besides
-    being deterministic, this makes the mean of k identical rows exactly
-    equal to that row: all deviations are exactly zero, which a plain
-    sum-then-divide cannot guarantee in floating point.
+    bottom, in place, and the shifted result is folded back at the end.
+    Besides being deterministic, this makes the mean of k identical rows
+    exactly equal to that row: all deviations are exactly zero, which a
+    plain sum-then-divide cannot guarantee in floating point.
     """
     if stack.ndim != 2 or not len(stack):
         raise StructuralError(f"mean needs a non-empty (S, d) stack, got shape {stack.shape}")
     base = stack[0]
-    acc = np.zeros_like(base)
+    out = np.zeros_like(base)
+    dev = np.empty_like(base)
     for row in stack[1:]:
-        acc = acc + (row - base)
-    out = base + acc / len(stack)
+        out += np.subtract(row, base, out=dev)
+    out /= len(stack)
+    out += base
     if not np.all(np.isfinite(out)):
         raise NumericError("mean produced non-finite entries")
     return out

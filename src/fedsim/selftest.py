@@ -21,7 +21,7 @@ import numpy as np
 
 from .algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
                          momentum_residual_bound)
-from .client import LocalConfig, local_update
+from .client import LocalConfig, local_update, shard_group
 from .data import Dataset, generate_synthetic, partition_dirichlet
 from .engine import RunConfig, run
 from .models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
@@ -105,12 +105,13 @@ def _degenerations() -> bool:
     spec = ModelSpec("softmax_classifier", input_dim=4, output_dim=3,
                      l2_weight_decay=0.001)
     ds = generate_synthetic(seed=5, clusters=3, per_class=30, input_dim=4, spread=1.0)
-    shard, train, test = ds.subset(range(20)), ds.subset(range(60)), ds.subset(range(60, 90))
+    shard = shard_group(ds, [np.arange(20)])
+    train, test = ds.subset(range(60)), ds.subset(range(60, 90))
     init = np.random.default_rng(1).normal(size=param_dim(spec))
     common = dict(model=spec, n_clients=6, rounds=5, participation=0.5, seed=3,
                   partition_kind="dirichlet", concentration=0.5)
     base_local = LocalConfig(k=10)
-    ref = local_update(spec, init, [shard], base_local, 0, [np.random.default_rng(42)])
+    ref = local_update(spec, init, shard, [0], base_local, 0, [np.random.default_rng(42)])
     base = run(RunConfig(algorithm="fedavg", local=base_local, **common), train, test)
     for name, algo in REGISTRY.items():
         if algo.trivial is None:
@@ -118,7 +119,7 @@ def _degenerations() -> bool:
         local = replace(base_local, **algo.trivial.get("local", {}))
         server = replace(ServerHyper(), **algo.trivial.get("server", {}))
         state = init_state(init, server, **algo.buffers(init, 1))
-        one = local_update(spec, init, [shard], local, 0, [np.random.default_rng(42)],
+        one = local_update(spec, init, shard, [0], local, 0, [np.random.default_rng(42)],
                            **algo.terms(state, local, [0]))
         if one.tobytes() != ref.tobytes():
             return False
@@ -133,7 +134,7 @@ def _degenerations() -> bool:
 
 def _group_equals_one_at_a_time() -> bool:
     """A group of equal-size shards stepped together must give, row for
-    row, the bytes of each shard stepped as a group of one — for every
+    row, the bytes of each shard stepped as a chunk of one — for every
     rule and model kind, with clipping engaged and a partial final batch."""
     rng = np.random.default_rng(17)
     specs = [ModelSpec("linear_regression", input_dim=3, l2_weight_decay=0.01),
@@ -145,23 +146,21 @@ def _group_equals_one_at_a_time() -> bool:
                       alpha=0.9, beta=0.05, prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
     for spec in specs:
         d = param_dim(spec)
-        shards = []
-        for _ in range(4):
-            X = 3.0 * rng.normal(size=(11, spec.input_dim))
-            y = (rng.normal(size=11) if spec.kind == "linear_regression"
-                 else rng.integers(0, spec.output_dim, size=11))
-            shards.append(Dataset(X, y, spec.output_dim))
+        X = 3.0 * rng.normal(size=(44, spec.input_dim))
+        y = (rng.normal(size=44) if spec.kind == "linear_regression"
+             else rng.integers(0, spec.output_dim, size=44))
+        shards = shard_group(Dataset(X, y, spec.output_dim), np.arange(44).reshape(4, 11))
         init = rng.normal(size=d)
         for algo in REGISTRY.values():
             # random buffers give every rule a nonzero drift term v
             state = init_state(init, ServerHyper(), **{
                 k: rng.normal(size=b.shape) for k, b in algo.buffers(init, 4).items()})
-            group = local_update(spec, init, shards, cfg, 1,
+            group = local_update(spec, init, shards, range(4), cfg, 1,
                                  [np.random.default_rng(i) for i in range(4)],
                                  **algo.terms(state, cfg, list(range(4))))
-            for i, shard in enumerate(shards):
-                alone = local_update(spec, init, [shard], cfg, 1,
-                                     [np.random.default_rng(i)], ids=[i],
+            for i in range(4):
+                alone = local_update(spec, init, shards, [i], cfg, 1,
+                                     [np.random.default_rng(i)],
                                      **algo.terms(state, cfg, [i]))
                 if group[i].tobytes() != alone[0].tobytes():
                     return False

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim.client import LocalConfig, local_update
+from fedsim.client import LocalConfig, local_update, shard_group
 from fedsim.data import Dataset
 from fedsim.models import ModelSpec
 
@@ -39,9 +39,10 @@ def test_local_update_result_can_be_watched(monkeypatch):
     of its attributes are read; a result that refuses nulls
     ``client.discarded_loss_ratio``."""
     use = load_child(monkeypatch).LossUse()
-    shards = [Dataset(np.ones((2, 1)), np.full(2, float(t)), 1) for t in (1.0, 2.0)]
+    group = shard_group(Dataset(np.ones((4, 1)), np.array([1.0, 1.0, 2.0, 2.0]), 1),
+                        [np.arange(2), np.arange(2, 4)])
     out = use.wrap_local_update(local_update)(
-        ModelSpec("linear_regression", input_dim=1), np.zeros(1), shards,
+        ModelSpec("linear_regression", input_dim=1), np.zeros(1), group, [0, 1],
         LocalConfig(k=2), 0, [np.random.default_rng(s) for s in (0, 1)])
     assert out.shape == (2, 1)
     assert use.report() is not None

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +356,73 @@ def test_non_finite_literal_in_a_config_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def float_keys(node=DEFAULT_CONFIG, prefix=""):
+    """Every float-valued key of the config, the None-default ones included."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from float_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, float) or f"{prefix}{key}" == "server.global_lr":
+            yield f"{prefix}{key}"
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity literals strict JSON lacks."""
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("overrides,named", [
+    (["partition.kind=iid", "partition.concentration=NaN"], "partition: concentration"),
+    (["data.test_fraction=Infinity"], "data: test_fraction"),
+    (["participation=-Infinity"], "participation"),
+    (["targets=[0.5, NaN]"], "targets[1]"),
+    (["local.clip_norm=-Infinity"], "local: clip_norm"),
+] + [([f"{key}=NaN"], ": ".join(key.split("."))) for key in float_keys()])
+def test_non_finite_value_in_any_float_key_exits_2(tmp_path, capsys, overrides, named):
+    # a key the run never reads (the concentration of an iid partition, the
+    # test fraction of synthetic data) is rejected too, so no manifest can
+    # hold a bare NaN or Infinity
+    out = tmp_path / "out"
+    args = ["run", "--config", write_config(tmp_path), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named} must be a finite number")
+    assert not out.exists()
+
+
+def test_manifest_of_a_finite_config_is_strict_json(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", "partition.kind=iid",
+                 "--out", str(out)]) == 0
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["config"]["partition"]["concentration"] == 0.3
+    strict_json((out / "summary.json").read_text())
+
+
+def test_infinite_clip_norm_is_accepted(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path),
+                 "--set", "local.clip_norm=Infinity", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["local"]["clip_norm"] \
+        == math.inf
+
+
+@pytest.mark.parametrize("how", ["set", "flag", "file"])
+def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys, how):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**SMALL, "seed": -1} if how == "file" else SMALL)
+    args = ["run", "--config", path, "--out", str(out)]
+    args += {"set": ["--set", "seed=-1"], "flag": ["--seed", "-1"], "file": []}[how]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed must be a nonnegative integer")
+    assert not out.exists()
+
+
 def test_evaluation_overflow_exits_3_naming_its_round(tmp_path, capsys):
     # one huge step leaves a regression model whose squared norm is still
     # finite but whose residuals overflow when squared
@@ -512,3 +583,14 @@ def test_selftest_fails_under_lambda_sign_mutation(capsys):
     assert main(["selftest", "--perturb-lambda-sign"]) == 1
     out = capsys.readouterr().out
     assert "FAIL momentum-recurrence" in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fedsim", "run", "--config",
+                           str(tmp_path / "missing.json")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: config file not found")

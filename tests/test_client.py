@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedsim import engine
 from fedsim.algorithms import (NAMES, REGISTRY, feddyn_updated_state,
                                local_gradient_fedagm)
-from fedsim.client import LocalConfig, clip_by_norm, derive_batch_size, local_update
+from fedsim.client import (LocalConfig, clip_by_norm, derive_batch_size, local_update,
+                           shard_group)
 from fedsim.data import Dataset, generate_synthetic
+from fedsim.engine import RunConfig
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, gradient, make_batch, param_dim
 from fedsim.params import axpy
@@ -31,6 +34,20 @@ def classif_shard(seed=0, n=12, dim=3, classes=3):
 SPEC3 = ModelSpec("softmax_classifier", input_dim=3, output_dim=3)
 
 
+def stacked(shards):
+    """The shard group of equal-size Datasets, one row each, in order."""
+    n = shards[0].n
+    ds = Dataset(np.concatenate([s.features for s in shards]),
+                 np.concatenate([s.labels for s in shards]), shards[0].class_count)
+    return shard_group(ds, np.arange(len(shards) * n).reshape(len(shards), n))
+
+
+def update(spec, init, shards, cfg, round, rngs, **kw):
+    """local_update over every row of the group of ``shards``."""
+    return local_update(spec, init, stacked(shards), range(len(shards)), cfg, round,
+                        rngs, **kw)
+
+
 def terms(rule, cfg, init, aux=None, S=1):
     """The registry's client terms (a, v, c) of ``rule`` for S clients,
     with ``aux`` as fedcm's server momentum or feddyn's correctors h_i
@@ -46,8 +63,8 @@ def terms(rule, cfg, init, aux=None, S=1):
 
 def group(spec, init, shards, cfg, round, rngs, rule, aux=None, **kw):
     """local_update with the terms the registry gives ``rule``."""
-    return local_update(spec, init, shards, cfg, round, rngs,
-                        **terms(rule, cfg, init, aux, len(shards)), **kw)
+    return update(spec, init, shards, cfg, round, rngs,
+                  **terms(rule, cfg, init, aux, len(shards)), **kw)
 
 
 def alone(spec, init, shard, cfg, round, rng, rule, aux=None):
@@ -68,8 +85,7 @@ def run(rule, seed=5, cfg=None, aux=None, init=None, round=0, shard=None):
 
 def test_single_full_batch_step_hand_oracle():
     cfg = LocalConfig(k=1, batch_size=1, lr0=0.1, beta=0.0)
-    out = local_update(QUAD, np.zeros(1), [quad_shard(3.0)], cfg, 0,
-                       [np.random.default_rng(0)])
+    out = update(QUAD, np.zeros(1), [quad_shard(3.0)], cfg, 0, [np.random.default_rng(0)])
     assert out[0, 0] == pytest.approx(0.3, abs=1e-15)
     assert out.nbytes == 8  # the uplink of one client of a d = 1 model
 
@@ -193,8 +209,8 @@ def test_group_failure_names_the_lowest_failing_client():
     cfg = LocalConfig(k=2, batch_size=1, lr0=1e150, clip_norm=1e300)
     shards = [quad_shard(1.0), quad_shard(1e100), quad_shard(1e200)]
     with pytest.raises(NumericError, match="gradient norm") as ei:
-        local_update(QUAD, np.zeros(1), shards, cfg, 4,
-                     [np.random.default_rng(i) for i in range(3)], ids=(3, 5, 8))
+        update(QUAD, np.zeros(1), shards, cfg, 4,
+               [np.random.default_rng(i) for i in range(3)], ids=(3, 5, 8))
     assert (ei.value.round, ei.value.client, ei.value.step) == (4, 5, 1)
     for shard, step in zip(shards[1:], (1, 0)):
         with pytest.raises(NumericError) as alone_err:
@@ -203,21 +219,66 @@ def test_group_failure_names_the_lowest_failing_client():
     # a model that overflows on its last step ranks by id like a step failure
     cfg = LocalConfig(k=1, batch_size=1, lr0=1e200, clip_norm=1e300)
     with pytest.raises(NumericError, match="local model is not finite") as ei:
-        local_update(QUAD, np.zeros(1), [quad_shard(1e120), quad_shard(1e200)], cfg, 0,
-                     [np.random.default_rng(0), np.random.default_rng(1)], ids=(2, 4))
+        update(QUAD, np.zeros(1), [quad_shard(1e120), quad_shard(1e200)], cfg, 0,
+               [np.random.default_rng(0), np.random.default_rng(1)], ids=(2, 4))
     assert (ei.value.client, ei.value.step) == (2, None)
     # non-finite features of a higher id do not outrank a lower id's step
     # failure; alone, that client would fail before its first step
     nan_shard = Dataset(np.full((1, 1), np.nan), np.ones(1), 1)
     cfg = LocalConfig(k=2, batch_size=1, lr0=1e150, clip_norm=1e300)
     with pytest.raises(NumericError, match="gradient norm") as ei:
-        local_update(QUAD, np.zeros(1), [quad_shard(1e100), nan_shard], cfg, 4,
-                     [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
+        update(QUAD, np.zeros(1), [quad_shard(1e100), nan_shard], cfg, 4,
+               [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
     assert (ei.value.client, ei.value.step) == (5, 1)
     with pytest.raises(NumericError, match="features") as ei:
-        local_update(QUAD, np.zeros(1), [nan_shard, quad_shard(1e100)], cfg, 4,
-                     [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
+        update(QUAD, np.zeros(1), [nan_shard, quad_shard(1e100)], cfg, 4,
+               [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
     assert (ei.value.client, ei.value.step) == (5, None)
+
+
+def test_mixed_chunk_rows_equal_groups_of_one():
+    # one chunk of four regression clients, clip ball of radius 1: client 2
+    # stays inside it, client 3 starts outside and is clipped until it
+    # comes within reach of its target, and clients 5 and 7 each hold one
+    # example whose squared gradient overflows, client 7 drawing it at
+    # step 1 and client 5 at step 2
+    cfg = LocalConfig(k=8, batch_size=1, lr0=0.1, clip_norm=1.0)
+    ones = np.ones((4, 1))
+    spiked = np.array([[1.0], [1.0], [1.0], [1e160]])
+    shards = [Dataset(ones, np.full(4, 0.3), 1), Dataset(ones, np.full(4, 1.6), 1),
+              Dataset(spiked, np.ones(4), 1), Dataset(spiked, np.ones(4), 1)]
+    seeds, ids = (0, 1, 12, 6), (2, 3, 5, 7)
+
+    def rngs(chunk):
+        return [np.random.default_rng(seeds[i]) for i in chunk]
+
+    with pytest.raises(NumericError, match="gradient norm") as ei:
+        update(QUAD, np.zeros(1), shards, cfg, 4, rngs(range(4)), ids=ids)
+    # the lowest failing id at its first failing step, not the earliest step
+    assert (ei.value.round, ei.value.client, ei.value.step) == (4, 5, 2)
+    for i, step in zip((2, 3), (2, 1)):
+        with pytest.raises(NumericError, match="gradient norm") as alone_err:
+            alone(QUAD, np.zeros(1), shards[i], cfg, 4, rngs([i])[0], "fedavg")
+        assert alone_err.value.step == step
+    # the rows that finish, stepped together without the failing clients
+    together = update(QUAD, np.zeros(1), shards[:2], cfg, 4, rngs((0, 1)), ids=ids[:2])
+    for i in (0, 1):
+        final = alone(QUAD, np.zeros(1), shards[i], cfg, 4, rngs([i])[0], "fedavg")
+        assert together[i].tobytes() == final.tobytes()
+    # client 2 never left the ball and client 3 did
+    inside = replace(cfg, clip_norm=math.inf)
+    for shard, clipped in zip(shards[:2], (False, True)):
+        free = alone(QUAD, np.zeros(1), shard, inside, 4, np.random.default_rng(0), "fedavg")
+        held = alone(QUAD, np.zeros(1), shard, cfg, 4, np.random.default_rng(0), "fedavg")
+        assert (free.tobytes() != held.tobytes()) == clipped
+
+
+def test_infinite_clip_norm_still_flags_an_overflowed_norm():
+    # finite gradient entries whose squared norm overflows to +inf
+    cfg = LocalConfig(k=1, batch_size=1, clip_norm=math.inf)
+    with pytest.raises(NumericError, match="gradient norm") as ei:
+        update(QUAD, np.zeros(1), [quad_shard(1e160)], cfg, 0, [np.random.default_rng(0)])
+    assert ei.value.step == 0
 
 
 @pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
@@ -235,25 +296,29 @@ def test_infinite_clip_norm_never_clips(spec, rule):
 
 
 def test_group_needs_equal_shards_and_one_rng_each():
-    shards = [classif_shard(n=12), classif_shard(n=11)]
-    init = np.zeros(param_dim(SPEC3))
+    ds = classif_shard(n=23)
     with pytest.raises(StructuralError, match="equal-size"):
-        local_update(SPEC3, init, shards, LocalConfig(k=2), 0,
-                     [np.random.default_rng(0)] * 2)
+        shard_group(ds, [np.arange(12), np.arange(12, 23)])
     with pytest.raises(StructuralError, match="one rng"):
-        local_update(SPEC3, init, shards[:1], LocalConfig(k=2), 0,
-                     [np.random.default_rng(0)] * 2)
+        local_update(SPEC3, np.zeros(param_dim(SPEC3)), shard_group(ds, [np.arange(12)]),
+                     [0], LocalConfig(k=2), 0, [np.random.default_rng(0)] * 2)
 
 
-def test_local_update_rejects_bad_inputs_on_entry():
+def test_local_update_rejects_bad_inputs_on_entry(monkeypatch):
+    # the run checks the training set against the model once, before any
+    # client steps; local_update itself checks the shape of its init and
+    # flags a shard's non-finite features
     shard = classif_shard()
     with pytest.raises(StructuralError, match="params have shape"):
         alone(SPEC3, np.zeros(5), shard, LocalConfig(k=2), 0,
               np.random.default_rng(0), "fedavg")
+    stepped = []
+    monkeypatch.setattr(engine, "local_update", lambda *a, **kw: stepped.append(a))
     bad_labels = Dataset(shard.features, shard.labels + 3, 3)
     with pytest.raises(StructuralError, match="labels"):
-        alone(SPEC3, np.zeros(param_dim(SPEC3)), bad_labels, LocalConfig(k=2), 0,
-              np.random.default_rng(0), "fedavg")
+        engine.run(RunConfig(algorithm="fedavg", model=SPEC3, n_clients=2, rounds=1),
+                   bad_labels, bad_labels)
+    assert not stepped
     features = shard.features.copy()
     features[7, 1] = np.nan
     with pytest.raises(NumericError, match="features") as ei:
@@ -333,7 +398,7 @@ def test_epoch_reshuffling_covers_shard():
     shard = classif_shard(n=12)
     cfg = LocalConfig(k=24, lr0=0.05)
     init = np.random.default_rng(1).normal(size=param_dim(SPEC3))
-    a = local_update(SPEC3, init, [shard], cfg, 0, [np.random.default_rng(7)])
+    a = update(SPEC3, init, [shard], cfg, 0, [np.random.default_rng(7)])
     b = run("fedavg", seed=7, cfg=cfg, shard=shard)
     assert a[0].tobytes() == b.tobytes()
     c = run("fedavg", seed=8, cfg=cfg, shard=shard)

@@ -181,9 +181,9 @@ def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
     train, test = small_task()
     calls = []
 
-    def spy(spec, init, shards, *args, **kwargs):
-        calls.append([shard.n for shard in shards])
-        return local_update(spec, init, shards, *args, **kwargs)
+    def spy(spec, init, group, rows, *args, **kwargs):
+        calls.append([group.labels.shape[1]] * len(rows))  # each row's shard size
+        return local_update(spec, init, group, rows, *args, **kwargs)
 
     monkeypatch.setattr(engine, "local_update", spy)
     default = engine.STACK_BYTES

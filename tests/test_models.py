@@ -33,6 +33,12 @@ def test_spec_validation():
         ModelSpec("perceptron", input_dim=2)
 
 
+@pytest.mark.parametrize("hidden", [(1.5,), (True,), (3, 2.0), ("4",), (0,)])
+def test_spec_rejects_hidden_sizes_that_are_not_positive_ints(hidden):
+    with pytest.raises(StructuralError, match="hidden dims"):
+        ModelSpec("mlp", input_dim=4, output_dim=3, hidden_dims=hidden)
+
+
 def test_zero_model_zero_targets_zero_loss():
     batch = make_batch([[1.0, 2.0], [0.5, -1.0]], [0.0, 0.0])
     spec = ModelSpec("linear_regression", input_dim=2)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fedsim.errors import NumericError, StructuralError
 from fedsim.params import axpy, l2_norm_sq, mean
@@ -124,3 +124,17 @@ def test_mean_within_componentwise_bounds(vs):
     eps = 4 * np.vectorize(math.ulp)(np.maximum(np.abs(lo), np.abs(hi)))
     assert np.all(out >= lo - eps) and np.all(out <= hi + eps)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=st.integers(min_value=1, max_value=120), d=st.integers(min_value=1, max_value=9000),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       spread=st.sampled_from([1e-8, 1.0, 1e6]))
+def test_mean_equals_a_plain_top_to_bottom_loop(S, d, seed, spread):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=d) + spread * rng.normal(size=(S, d))
+    base = stack[0]
+    acc = np.zeros_like(base)
+    for row in stack[1:]:
+        acc = acc + (row - base)
+    assert mean(stack).tobytes() == (base + acc / S).tobytes()
