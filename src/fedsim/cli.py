@@ -332,6 +332,25 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+# Strict JSON has no Infinity literal. manifest.json writes +Infinity, the
+# value of an unbounded local field (client.UNBOUNDED_FIELDS), as the
+# number 1e999, which IEEE-754 parsers (Python's json, JavaScript's
+# JSON.parse) read back as +Infinity; any other non-finite value raises.
+_INFINITY_MARK = "\0+Infinity"  # stands in for +Infinity until the text is built
+
+
+def _write_manifest(out_dir: Path, manifest: dict) -> None:
+    def mark(value):
+        if isinstance(value, dict):
+            return {k: mark(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [mark(v) for v in value]
+        return _INFINITY_MARK if isinstance(value, float) and value == math.inf else value
+    text = json.dumps(mark(manifest), indent=2, sort_keys=True, allow_nan=False)
+    (out_dir / "manifest.json").write_text(
+        text.replace(json.dumps(_INFINITY_MARK), "1e999") + "\n", encoding="utf-8")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -365,7 +384,7 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
         except NumericError as exc:
             manifest.update(finished_at=_now(), status="numeric_abort",
                             error=str(exc))
-            _write_json(out_dir / "manifest.json", manifest)
+            _write_manifest(out_dir, manifest)
             print(f"error: {exc}", file=sys.stderr)
             return 3, None
 
@@ -390,7 +409,7 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
         summary["max_momentum_residual"] = result.max_momentum_residual
     _write_json(out_dir / "summary.json", summary)
     manifest.update(finished_at=_now(), status="ok")
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_manifest(out_dir, manifest)
     return 0, result
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericError, StructuralError
-from .models import ModelSpec, gradient_unchecked, param_dim
+from .models import ModelSpec, gradient_unchecked, layer_views, param_dim, targets
 from .params import l2_norm_sq, sq_norms
 # Not called here: they stay importable as ``fedsim.client.loss``,
 # ``.axpy`` and ``.gradient``, names the benchmark's traced run hooks.
@@ -102,6 +102,19 @@ def shard_group(dataset: Dataset, assignments) -> ShardGroup:
     return ShardGroup(X, dataset.labels[idx], np.isfinite(X).all(axis=(1, 2)))
 
 
+def shard_groups(dataset: Dataset, assignments):
+    """One :func:`shard_group` per shard size of ``assignments``, one
+    index array per client id. Returns the groups keyed by shard size and,
+    for each client id, ``(shard size, row in that size's group)``."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    place = []
+    for a in assignments:
+        shards = by_size.setdefault(len(a), [])
+        place.append((len(a), len(shards)))
+        shards.append(a)
+    return {n: shard_group(dataset, shards) for n, shards in by_size.items()}, place
+
+
 def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
     """ceil(shard_size*epochs/k), capped at the shard size: the batch size
     that spreads `epochs` passes over the shard across k iterations."""
@@ -142,8 +155,11 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     bit-identical to running that client alone: every client draws its
     mini-batches from its own ``rngs`` entry, reshuffling its shard at
     every local epoch in fixed iteration order (a short final slice of an
-    epoch is a partial batch). Each epoch's shuffled shards are gathered
-    once and each step's batch is a slice of them. Each step goes along
+    epoch is a partial batch). Each epoch's shuffled shards, with their
+    labels as one-hot :func:`fedsim.models.targets`, are gathered once and
+    each step's batch is a slice of them. Every step writes its gradient
+    into one (S, d) buffer, through layer views of it and of the models
+    built once per call. Each step goes along
     :func:`combine` with ``a``, ``v`` ((d,) or one row per client) and
     ``c``, and is clipped only when some row leaves the clip ball.
 
@@ -170,17 +186,20 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
 
     ball = min(cfg.clip_norm, np.finfo(np.float64).max)  # an overflowed norm is outside
     theta = np.tile(init, (S, 1))
+    g = np.empty_like(theta)  # every step's gradient, then its update, in place
+    views = (layer_views(spec, theta), layer_views(spec, g))
     first_bad_step = np.full(S, -1)
     pos = n  # the first step shuffles
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.k):
             if pos >= n:
                 order = np.stack([rng.permutation(n) for rng in rngs])
-                X, y = group.features[rows[:, None], order], group.labels[rows[:, None], order]
+                X = group.features[rows[:, None], order]
+                y = targets(spec, group.labels[rows[:, None], order])
                 pos = 0
             batch = slice(pos, pos + bs)
-            g = combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch]),
-                        theta, init, a, v, c)
+            combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch], g, views),
+                    theta, init, a, v, c)
             pos += bs
             norm = np.sqrt(sq_norms(g))
             if not (norm <= ball).all():

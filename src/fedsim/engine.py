@@ -11,8 +11,9 @@ The client data is built once per run: the training set is checked
 against the model, and the shards of each shard size (the partitioners
 allow at most two) are stacked into one :class:`fedsim.client.ShardGroup`
 with each client's finiteness flag. These groups are the only copy of
-the training features the clients read; a round's local updates take
-row indices into them.
+the training features that the clients and the evaluation read: a
+round's local updates take row indices into them, and the training loss
+is evaluated from them.
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import REGISTRY
-from .client import LocalConfig, local_update, shard_group
+from .client import LocalConfig, local_update, shard_groups
 from .data import Dataset, partition_dirichlet, partition_iid
 from .errors import NumericError, StructuralError
 from .metrics import EmaSeries, ema_update, global_loss
@@ -156,13 +157,7 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
 
     theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
     check_inputs(spec, theta0, dataset.features, dataset.labels)
-    by_size: dict[int, list[np.ndarray]] = {}
-    place = []  # client id -> (shard size, row in that size's group)
-    for a in partition.assignments:
-        shards = by_size.setdefault(len(a), [])
-        place.append((len(a), len(shards)))
-        shards.append(a)
-    groups = {n: shard_group(dataset, shards) for n, shards in by_size.items()}
+    groups, place = shard_groups(dataset, partition.assignments)
     state = init_state(theta0, config.server, **algo.buffers(theta0, config.n_clients))
     rows_per_chunk = max(1, STACK_BYTES // (8 * theta0.size))
     ema = EmaSeries()
@@ -196,7 +191,7 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
 
         if (t + 1) % config.eval_every == 0:
             try:
-                train_loss = global_loss(spec, state.theta, partition, dataset)
+                train_loss = global_loss(spec, state.theta, groups.values())
             except NumericError as exc:
                 raise NumericError(exc.base_message, round=t) from None
             if classifier:

@@ -1,5 +1,6 @@
 """Evaluation metrics: EMA smoothing, rounds-to-target, and the global
-training objective (unweighted mean of per-client mean losses)."""
+training objective (unweighted mean of per-client mean losses), evaluated
+from the run's client shard groups."""
 
 from __future__ import annotations
 
@@ -8,14 +9,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, Partition
 from .errors import NumericError, StructuralError
-from .models import ModelSpec, check_inputs, decay_term, example_losses
+from .models import ModelSpec, decay_term, example_losses
 # Not called here: it stays importable as ``fedsim.metrics.loss``, the name
 # the benchmark's traced run hooks.
 from .models import loss  # noqa: F401
 
-# Rows per forward pass in global_loss.
+# Rows per forward pass in global_loss. The groups order rows by client,
+# not as the training set does, so a row's loss must not depend on where
+# its block starts. With this OpenBLAS (0.3.31, one thread) a row's logits
+# are the same bits in any block of at most 1,024 rows, except in a block's
+# last (rows mod 4) rows, which a remainder kernel computes and which can
+# differ in the last bit. With 2,000-row blocks the MLP's second-layer gemm
+# changes the bits of most rows. So the constant stays 1,024, and rows may
+# be reordered only within that bound.
 EVAL_BLOCK_ROWS = 1024
 
 
@@ -76,27 +83,30 @@ def rounds_to_target(smoothed, target: float, limit: int):
     return Saturated(limit)
 
 
-def global_loss(spec: ModelSpec, params: np.ndarray, partition: Partition,
-                dataset: Dataset) -> float:
+def global_loss(spec: ModelSpec, params: np.ndarray, groups) -> float:
     """Mean over clients of the client's mean loss on its shard.
 
-    With the equal-size shards the partitioners guarantee, this matches
-    the plain whole-dataset loss up to reduction rounding. Per-example
-    losses come from one forward pass per block of ``EVAL_BLOCK_ROWS``
-    rows, which bounds the memory the pass takes on large training sets.
+    ``groups`` are the run's shard groups (:class:`fedsim.client.ShardGroup`),
+    which hold every client's shard once, already checked against ``spec``.
+    Per-example losses come from one forward pass per block of at most
+    ``EVAL_BLOCK_ROWS`` rows of a group, which bounds the memory the pass
+    takes; each client's sum starts at a fixed multiple of its group's
+    shard size. ``math.fsum`` is exact, so the order of the groups does
+    not change the result. With the equal-size shards the partitioners
+    guarantee, this matches the plain whole-dataset loss up to reduction
+    rounding.
     """
-    X = np.asarray(dataset.features, dtype=np.float64)
-    check_inputs(spec, params, X, dataset.labels)
-    sizes = np.array([len(a) for a in partition.assignments])
-    if not sizes.all():
-        raise StructuralError("global loss over an empty client shard")
-    per_example = np.concatenate([
-        example_losses(spec, params[None], X[None, lo:lo + EVAL_BLOCK_ROWS],
-                       dataset.labels[None, lo:lo + EVAL_BLOCK_ROWS])[0]
-        for lo in range(0, dataset.n, EVAL_BLOCK_ROWS)])
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
-    client_means = np.add.reduceat(
-        per_example[np.concatenate(partition.assignments)], starts) / sizes
+    client_means = []
+    for group in groups:
+        G, n = group.labels.shape
+        X = group.features.reshape(G * n, -1)
+        y = group.labels.reshape(G * n)
+        per_example = np.concatenate([
+            example_losses(spec, params[None], X[None, lo:lo + EVAL_BLOCK_ROWS],
+                           y[None, lo:lo + EVAL_BLOCK_ROWS])[0]
+            for lo in range(0, G * n, EVAL_BLOCK_ROWS)])
+        client_means.append(np.add.reduceat(per_example, np.arange(0, G * n, n)) / n)
+    client_means = np.concatenate(client_means)
     if spec.l2_weight_decay:
         client_means = client_means + decay_term(spec, params[None])[0]
     if not np.all(np.isfinite(client_means)):

@@ -30,6 +30,12 @@ from .params import sq_norms
 
 KINDS = ("linear_regression", "softmax_classifier", "mlp")
 
+# The largest parameter count a spec may have: one float64 model of 2**24
+# parameters is 128 MiB, and a run holds several (the server state and its
+# buffers) plus each round's (S, d) matrix of client models. A larger model
+# is rejected when the spec is made, before any array of its size exists.
+MAX_PARAM_DIM = 2 ** 24
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -54,6 +60,9 @@ class ModelSpec:
         if not 0 <= self.l2_weight_decay < math.inf:
             raise StructuralError("l2_weight_decay must be a finite nonnegative number")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        if param_dim(self) > MAX_PARAM_DIM:
+            raise StructuralError(f"the model has {param_dim(self)} parameters, "
+                                  f"more than the {MAX_PARAM_DIM} allowed")
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,13 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def layer_views(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer views over an (S, d) parameter stack: W of shape
-    (S, fan_in, fan_out) and b of shape (S, 1, fan_out)."""
+    (S, fan_in, fan_out) and b of shape (S, 1, fan_out); none for a
+    regression model. They stay valid while ``params`` is updated in
+    place."""
+    if spec.kind == "linear_regression":
+        return []
     dims = _layer_dims(spec)
     S = params.shape[0]
     layers, pos = [], 0
@@ -175,11 +188,38 @@ def decay_term(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
         return 0.5 * spec.l2_weight_decay * sq_norms(params)
 
 
+def targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
+    """The form of ``labels`` (S, n) that :func:`gradient_unchecked`
+    takes: for a classifier their one-hot rows (S, n, output_dim), for
+    regression the labels themselves."""
+    if spec.kind == "linear_regression":
+        return labels
+    return (labels[..., None] == np.arange(spec.output_dim)).astype(np.float64)
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``-_log_softmax(logits)`` at the labels ``y`` (S, n), built
+    without the whole log-softmax array and equal to it bit for bit. The
+    row max is a running maximum over the class columns: a max rounds
+    nothing, and a few column operations cost less than one last-axis
+    reduction. The loss is ``-(shifted[y] - lse)``, as the full array
+    holds it; ``lse - shifted[y]`` would turn a loss of -0.0 into +0.0."""
+    shift = logits[..., 0].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(shift, logits[..., j], out=shift)
+    shifted = logits - shift[..., None]
+    S, n = y.shape
+    loss = shifted[np.arange(S)[:, None], np.arange(n), y]
+    loss -= np.log(np.exp(shifted).sum(axis=-1))
+    return np.negative(loss, out=loss)
+
+
 # The kernels below take a stack of S clients: params (S, d), features
-# (S, n, input_dim) and labels (S, n). Every operation acts on each client
-# alone through the same BLAS call a single client would make, so row s
-# of a result is bit-identical to a stack holding only client s. They are
-# unchecked: the caller has validated the inputs against ``spec``.
+# (S, n, input_dim) and labels (S, n), which the gradient takes as their
+# targets(). Every operation acts on each client alone through the same
+# BLAS call a single client would make, so row s of a result is
+# bit-identical to a stack holding only client s. They are unchecked: the
+# caller has validated the inputs against ``spec``.
 
 def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
@@ -188,37 +228,41 @@ def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
         if spec.kind == "linear_regression":
             r = _residuals(params, X, y)
             return 0.5 * (r * r)
-        _, logits = _forward(_unpack(spec, params), X)
-        S, n = y.shape
-        return -_log_softmax(logits)[np.arange(S)[:, None], np.arange(n), y]
+        _, logits = _forward(layer_views(spec, params), X)
+        return _cross_entropy(logits, y)
 
 
 def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
-                       y: np.ndarray) -> np.ndarray:
-    """:func:`gradient` of each client of the stack, shape (S, d)."""
-    S, n = y.shape
+                       y: np.ndarray, out: np.ndarray | None = None,
+                       views=None) -> np.ndarray:
+    """:func:`gradient` of each client of the stack, written into ``out``
+    (S, d), a new array by default, which is returned. ``y`` holds the
+    batch's labels in the form :func:`targets` gives. ``views`` is
+    ``(layer_views(spec, params), layer_views(spec, out))``, which a
+    caller that steps the same two arrays many times builds once."""
+    n = X.shape[1]
+    if out is None:
+        out = np.empty_like(params)
     if spec.kind == "linear_regression":
         with np.errstate(over="ignore", invalid="ignore"):
             r = _residuals(params, X, y)
-            g = (X.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / n
+            np.divide((X.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0], n, out=out)
     else:
-        layers = _unpack(spec, params)
+        layers, grads = views or (layer_views(spec, params), layer_views(spec, out))
         acts, logits = _forward(layers, X)
-        probs = np.exp(_log_softmax(logits))
-        probs[np.arange(S)[:, None], np.arange(n), y] -= 1.0
-        upstream = probs / n
-        pieces = [None] * (2 * len(layers))
+        upstream = np.exp(_log_softmax(logits))
+        upstream -= y
+        upstream /= n
         for li in range(len(layers) - 1, -1, -1):
-            W, _ = layers[li]
-            gW = acts[li].transpose(0, 2, 1) @ upstream
-            pieces[2 * li] = gW.reshape(S, -1)
-            pieces[2 * li + 1] = upstream.sum(axis=1)
+            gW, gb = grads[li]
+            np.matmul(acts[li].transpose(0, 2, 1), upstream, out=gW)
+            upstream.sum(axis=1, keepdims=True, out=gb)
             if li > 0:
+                W, _ = layers[li]
                 upstream = (upstream @ W.transpose(0, 2, 1)) * (1.0 - acts[li] ** 2)
-        g = np.concatenate(pieces, axis=1)
     if spec.l2_weight_decay:
-        g += spec.l2_weight_decay * params
-    return g
+        out += spec.l2_weight_decay * params
+    return out
 
 
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
@@ -238,7 +282,7 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Exact analytic gradient of :func:`loss`, decay term included."""
     check_inputs(spec, params, batch.features, batch.labels)
     g = gradient_unchecked(spec, params[None], batch.features[None],
-                           batch.labels[None])[0]
+                           targets(spec, batch.labels[None]))[0]
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient is not finite")
     return g
@@ -269,6 +313,6 @@ def accuracy(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     if spec.kind == "linear_regression":
         raise StructuralError("accuracy is undefined for regression models")
     check_inputs(spec, params, batch.features, batch.labels)
-    _, logits = _forward(_unpack(spec, params[None]), batch.features[None])
+    _, logits = _forward(layer_views(spec, params[None]), batch.features[None])
     pred = np.argmax(logits[0], axis=1)
     return float(np.mean(pred == batch.labels))

@@ -111,6 +111,13 @@ def test_default_config_hash_is_pinned(tmp_path, rule):
     assert config_hash(cfg) == PINNED_HASHES[rule]
 
 
+def test_infinite_clip_norm_config_hash_is_pinned(tmp_path):
+    # the hash keeps hashing Infinity as the canonical JSON's bare literal
+    cfg = resolve_config(write_config(tmp_path, {}), ["local.clip_norm=Infinity"], None)
+    assert config_hash(cfg) == \
+        "9f238050b94be3662c3b6b5353464d778ff74fccbecd49d86d7eb1120b0b6240"
+
+
 def test_global_lr_default_depends_on_algorithm(tmp_path):
     path = write_config(tmp_path, {"algorithm": "fedadam"})
     assert resolve_config(path, [], None)["server"]["global_lr"] == 0.01
@@ -409,6 +416,27 @@ def test_infinite_clip_norm_is_accepted(tmp_path):
                  "--set", "local.clip_norm=Infinity", "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["config"]["local"]["clip_norm"] \
         == math.inf
+
+
+def test_manifest_of_an_infinite_clip_norm_is_strict_json(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path),
+                 "--set", "local.clip_norm=Infinity", "--out", str(out)]) == 0
+    text = (out / "manifest.json").read_text()
+    assert '"clip_norm": 1e999,' in text
+    manifest = strict_json(text)
+    assert manifest["config"]["local"]["clip_norm"] == math.inf
+    assert manifest["config_hash"] == config_hash(manifest["config"])
+
+
+def test_model_over_the_parameter_bound_exits_2_before_writing(tmp_path, capsys):
+    # 3.1e9 parameters: refused before any array of that size is allocated
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", "model.kind=mlp",
+                 "--set", "model.hidden_dims=[100000000]", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("how", ["set", "flag", "file"])

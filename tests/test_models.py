@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsim.errors import StructuralError
-from fedsim.models import (Batch, ModelSpec, accuracy, fd_gradient, gradient,
+from fedsim.models import (MAX_PARAM_DIM, Batch, ModelSpec, _cross_entropy, _forward,
+                           accuracy, example_losses, fd_gradient, gradient,
+                           layer_views,
                            init_params, loss, make_batch, param_dim)
 
 QUAD = ModelSpec("linear_regression", input_dim=1)
@@ -37,6 +41,58 @@ def test_spec_validation():
 def test_spec_rejects_hidden_sizes_that_are_not_positive_ints(hidden):
     with pytest.raises(StructuralError, match="hidden dims"):
         ModelSpec("mlp", input_dim=4, output_dim=3, hidden_dims=hidden)
+
+
+def test_spec_rejects_more_parameters_than_the_bound():
+    assert param_dim(ModelSpec("linear_regression", input_dim=MAX_PARAM_DIM)) == MAX_PARAM_DIM
+    with pytest.raises(StructuralError, match="parameters"):
+        ModelSpec("linear_regression", input_dim=MAX_PARAM_DIM + 1)
+    with pytest.raises(StructuralError, match="3100000010 parameters"):
+        ModelSpec("mlp", input_dim=20, output_dim=10, hidden_dims=(100_000_000,))
+
+
+def negated_log_softmax(logits, y):
+    """The per-example loss as the whole log-softmax array gives it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    S, n = y.shape
+    return -log_softmax[np.arange(S)[:, None], np.arange(n), y]
+
+
+# ties, both zeros, and magnitudes whose differences overflow
+LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 745.0, -745.0]),
+                   st.floats(min_value=-1e308, max_value=1e308, allow_nan=False))
+
+
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
+def test_cross_entropy_equals_the_negated_log_softmax_bit_for_bit(data, shape):
+    logits = data.draw(hnp.arrays(np.float64, shape, elements=LOGITS))
+    y = data.draw(hnp.arrays(np.int64, shape[:2],
+                             elements=st.integers(0, shape[2] - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _cross_entropy(logits, y)
+    assert got.tobytes() == negated_log_softmax(logits, y).tobytes()
+
+
+MLP_4325 = ModelSpec("mlp", input_dim=4, output_dim=5, hidden_dims=(3, 2))
+
+
+@pytest.mark.parametrize("spec", [SOFTMAX_3, MLP_232, MLP_4325],
+                         ids=lambda s: f"{s.kind}{s.hidden_dims}")
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.0, -0.0, 1e-300, 1.0, 1e3, 1e150]), n=st.integers(1, 9))
+def test_example_losses_equal_the_negated_log_softmax_bit_for_bit(spec, seed, scale, n):
+    # scale 0 and -0 give tied logits of either zero; 1e150 gives logits
+    # whose differences overflow
+    rng = np.random.default_rng(seed)
+    params = scale * rng.normal(size=(2, param_dim(spec)))
+    X = scale * rng.normal(size=(2, n, spec.input_dim))
+    y = rng.integers(0, spec.output_dim, size=(2, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, logits = _forward(layer_views(spec, params), X)
+    assert example_losses(spec, params, X, y).tobytes() == \
+        negated_log_softmax(logits, y).tobytes()
 
 
 def test_zero_model_zero_targets_zero_loss():
