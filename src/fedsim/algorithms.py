@@ -19,9 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .client import combine
 from .errors import NumericError
-from .models import gradient
 from .params import axpy, mean
 from .server import aggregate
 
@@ -178,11 +176,3 @@ def aggregate_fedagm(state, returns):
     """One fedagm server round; its step reads only the state and the mean."""
     return aggregate(state, _fedagm_step, returns)
 
-
-def local_gradient_fedagm(spec, params, batch, broadcast, cfg) -> np.ndarray:
-    """fedagm's local gradient alpha*grad_f(params) + beta*(params - broadcast)."""
-    agm = REGISTRY["fedagm"]
-    g = combine(gradient(spec, params, batch), params, broadcast, agm.a(cfg), None, agm.c(cfg))
-    if not np.all(np.isfinite(g)):
-        raise NumericError("local gradient is not finite")
-    return g

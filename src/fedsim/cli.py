@@ -20,7 +20,6 @@ import copy
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -80,6 +79,11 @@ _OPTIONAL = {"local.batch_size": 1, "server.global_lr": 1.0,
              "data.path": "", "data.label_column": ""}
 _ITEMS = {"targets": 0.5, "model.hidden_dims": 1}
 
+# The most float64 values a synthetic data set may hold (512 MiB); the
+# train/test split and the engine's shard groups copy it again. A larger
+# set is rejected before any of it is drawn.
+MAX_SYNTHETIC_VALUES = 2 ** 26
+
 # keys that cmd_compare requires to be identical across its configs: the
 # runs must see the same data, model, sampling schedule, and metrics so
 # only the optimizer differs.
@@ -103,7 +107,10 @@ def _coerce(default, value, keypath: str, path: str | None):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{keypath} must be a number", path=path)
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range is infinite, as 1e999 is
+            value = math.inf if value > 0 else -math.inf
         section, _, name = keypath.rpartition(".")
         unbounded = section == "local" and name in UNBOUNDED_FIELDS and value == math.inf
         if not (math.isfinite(value) or unbounded):
@@ -154,6 +161,8 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", path=path,
                           line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # an integer of more digits than Python converts
+        raise ConfigError("invalid JSON: an integer has too many digits", path=path) from None
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object", path=path)
     return _merge(DEFAULT_CONFIG, raw, "", path)
@@ -176,7 +185,7 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> None:
             raise ConfigError(f"--set addresses unknown key: {key}")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer of too many digits
             value = text
         node[leaf] = _coerce(default[leaf], value, key, None)
 
@@ -232,6 +241,12 @@ def build_dataset(cfg: dict):
             raise ConfigError("data.classes and data.input_dim must be positive")
         if not 0 <= d["spread"] < math.inf:
             raise ConfigError("data.spread must be a finite nonnegative number")
+        size = d["classes"] * (d["train_per_class"] + d["test_per_class"]) * d["input_dim"]
+        if size > MAX_SYNTHETIC_VALUES:
+            raise ConfigError(
+                f"data: the synthetic set has {size} values (data.classes * "
+                "(data.train_per_class + data.test_per_class) * data.input_dim), "
+                f"more than the {MAX_SYNTHETIC_VALUES} allowed")
         full = generate_synthetic(seed=seed, clusters=d["classes"],
                                   per_class=d["train_per_class"] + d["test_per_class"],
                                   input_dim=d["input_dim"], spread=d["spread"])
@@ -261,9 +276,9 @@ def build_dataset(cfg: dict):
     if m["kind"] != "linear_regression" and train.class_count != m["output_dim"]:
         raise ConfigError(f"model.output_dim is {m['output_dim']} but the data "
                           f"has {train.class_count} classes")
-    if cfg["clients"] > train.n:
-        raise ConfigError(f"clients is {cfg['clients']} but the training set has "
-                          f"only {train.n} examples")
+    if not 1 <= cfg["clients"] <= train.n:
+        raise ConfigError(f"clients is {cfg['clients']} but must lie between 1 and "
+                          f"the {train.n} examples of the training set")
     return train, test, meta
 
 
@@ -486,21 +501,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is None:
-        env = os.environ.get("FEDSIM_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            flag = int(env)
-        except ValueError:
-            raise ConfigError(f"FEDSIM_THREADS must be an integer, got {env!r}") \
-                from None
-    if flag < 1:
-        raise ConfigError("--threads must be a positive integer")
-    return flag
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
@@ -520,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="override a resolved config key (dotted path, "
                             "repeatable)")
-        p.add_argument("--threads", type=int, default=None, metavar="N",
+        p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="accepted and recorded in manifest.json; clients "
-                            "always run serially (default: $FEDSIM_THREADS or 1)")
+                            "always run serially (default: 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
 
@@ -550,7 +550,8 @@ def main(argv=None) -> int:
     try:
         if args.verb == "selftest":
             return run_selftest(perturb_lambda_sign=args.perturb_lambda_sign)
-        args.threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError("--threads must be a positive integer")
         if args.verb == "run":
             return cmd_run(args)
         return cmd_compare(args)

@@ -19,11 +19,12 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericError, StructuralError
 from .models import ModelSpec, gradient_unchecked, layer_views, param_dim, targets
-from .params import l2_norm_sq, sq_norms
+from .params import sq_norms
 # Not called here: they stay importable as ``fedsim.client.loss``,
-# ``.axpy`` and ``.gradient``, names the benchmark's traced run hooks.
+# ``.axpy``, ``.gradient`` and ``.l2_norm_sq``, names the benchmark's
+# traced run hooks.
 from .models import gradient, loss  # noqa: F401
-from .params import axpy  # noqa: F401
+from .params import axpy, l2_norm_sq  # noqa: F401
 
 
 # The LocalConfig fields that may be +Infinity, meaning no bound at all
@@ -119,14 +120,6 @@ def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
     """ceil(shard_size*epochs/k), capped at the shard size: the batch size
     that spreads `epochs` passes over the shard across k iterations."""
     return max(1, min(shard_size, -(-shard_size * epochs // k)))
-
-
-def clip_by_norm(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale ``g`` onto the clip ball; returned unchanged when inside."""
-    norm = math.sqrt(l2_norm_sq(g))
-    if norm <= clip_norm:
-        return g
-    return (clip_norm / norm) * g
 
 
 def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,

@@ -32,16 +32,13 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.class_count)
 
-    def to_batch(self, indices=None) -> Batch:
-        if indices is None:
-            return make_batch(self.features, self.labels)
-        return make_batch(self.features[indices], self.labels[indices])
+    def to_batch(self) -> Batch:
+        return make_batch(self.features, self.labels)
 
 
 @dataclass(frozen=True)
 class Partition:
     assignments: tuple
-    client_count: int
 
 
 def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
@@ -138,8 +135,8 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     return Dataset(features, labels, len(label_names), meta)
 
 
-def _finish(parts: list[list[int]], N: int) -> Partition:
-    return Partition(tuple(np.array(sorted(p), dtype=np.int64) for p in parts), N)
+def _finish(parts: list[list[int]]) -> Partition:
+    return Partition(tuple(np.array(sorted(p), dtype=np.int64) for p in parts))
 
 
 def partition_iid(dataset: Dataset, N: int, seed: int) -> Partition:
@@ -147,7 +144,7 @@ def partition_iid(dataset: Dataset, N: int, seed: int) -> Partition:
     if N < 1 or N > dataset.n:
         raise StructuralError(f"need 1 <= N <= {dataset.n}, got {N}")
     perm = np.random.default_rng(seed).permutation(dataset.n)
-    return _finish([c.tolist() for c in np.array_split(perm, N)], N)
+    return _finish([c.tolist() for c in np.array_split(perm, N)])
 
 
 def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
@@ -224,7 +221,7 @@ def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
             sizes[rec] += 1
     for d, lists in donor_lists.items():
         parts[d] = [ix for sub in lists for ix in sub]
-    return _finish(parts, N)
+    return _finish(parts)
 
 
 def split_stratified(dataset: Dataset, test_fraction: float,

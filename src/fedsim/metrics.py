@@ -5,7 +5,7 @@ from the run's client shard groups."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,38 +26,19 @@ from .models import loss  # noqa: F401
 EVAL_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class EmaSeries:
-    """A raw series together with its running exponential moving average.
-
-    The smoothed series initializes to the first raw value, which makes a
-    constant series a fixed point of the recurrence.
-    """
-
-    raw: tuple = ()
-    smoothed: tuple = ()
-    decay: float = 0.9
-
-    def __post_init__(self):
-        if not 0 < self.decay < 1:
-            raise StructuralError("decay must lie in (0, 1)")
-        if len(self.raw) != len(self.smoothed):
-            raise StructuralError("raw and smoothed series must have equal length")
-
-    @property
-    def last(self) -> float:
-        return self.smoothed[-1] if self.smoothed else math.nan
+# The weight of the previous smoothed value in each EMA step.
+EMA_DECAY = 0.9
 
 
-def ema_update(series: EmaSeries, value: float) -> EmaSeries:
+def ema_update(prev: float | None, value: float) -> float:
+    """The smoothed value after ``value``, given the previous smoothed
+    value ``prev``: ``value`` itself when ``prev`` is None (the first
+    value), which makes a constant series a fixed point of the recurrence."""
     if not math.isfinite(value):
         raise StructuralError(f"EMA input must be finite, got {value!r}")
-    if series.smoothed:
-        smooth = series.decay * series.smoothed[-1] + (1.0 - series.decay) * value
-    else:
-        smooth = value
-    return replace(series, raw=series.raw + (value,),
-                   smoothed=series.smoothed + (smooth,))
+    if prev is None:
+        return value
+    return EMA_DECAY * prev + (1.0 - EMA_DECAY) * value
 
 
 @dataclass(frozen=True)

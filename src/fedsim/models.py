@@ -76,10 +76,6 @@ class Batch:
     features: np.ndarray
     labels: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
 
 def make_batch(features, labels) -> Batch:
     X = np.asarray(features, dtype=np.float64)

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from fedsim.cli import main
-from fedsim.algorithms import (aggregate_fedagm, local_gradient_fedagm, momentum_residual,
-                               momentum_residual_bound)
+from fedsim.algorithms import aggregate_fedagm, momentum_residual, momentum_residual_bound
 from fedsim.client import LocalConfig
 from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, take_per_class
 from fedsim.engine import RunConfig, run
-from fedsim.metrics import EmaSeries, Saturated, ema_update, rounds_to_target
+from fedsim.metrics import Saturated, ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from fedsim.server import ServerHyper, ServerState, init_state
+from oracles import local_gradient_fedagm
 
 
 def _write(tmp_path, name, payload):
@@ -261,6 +261,7 @@ def test_c5_partition_invariants_and_heterogeneity_order():
         n_clients = int(rng.integers(2, min(41, ds.n + 1)))
         conc = float(rng.choice([0.05, 0.3, 0.6, 1.0, 10.0]))
         part = partition_dirichlet(ds, n_clients, conc, int(rng.integers(0, 10 ** 6)))
+        assert len(part.assignments) == n_clients
         joined = np.concatenate(part.assignments)
         assert joined.size == ds.n and np.unique(joined).size == ds.n
         sizes = [a.size for a in part.assignments]
@@ -319,19 +320,18 @@ def test_c7_metric_oracles():
     rng = np.random.default_rng(707)
     for _ in range(100):
         values = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 50)))
-        series = EmaSeries()
-        direct = []
+        smoothed, ema, direct = [], None, []
         for v in values:
-            series = ema_update(series, float(v))
+            ema = ema_update(ema, float(v))
+            smoothed.append(ema)
             direct.append(v if not direct else 0.9 * direct[-1] + 0.1 * v)
-        assert len(series.smoothed) == len(direct)
-        for got, want in zip(series.smoothed, direct):
+        for got, want in zip(smoothed, direct):
             assert abs(got - want) <= 1e-12
 
         target = float(rng.uniform(0.05, 0.95))
         limit = int(rng.integers(1, 60))
-        got = rounds_to_target(series.smoothed, target, limit)
-        want = next((i + 1 for i, v in enumerate(series.smoothed[:limit])
+        got = rounds_to_target(smoothed, target, limit)
+        want = next((i + 1 for i, v in enumerate(smoothed[:limit])
                      if v >= target), None)
         if want is None:
             assert isinstance(got, Saturated) and got.limit == limit

@@ -301,6 +301,8 @@ def test_non_finite_csv_cell_exits_2_naming_the_cell(tmp_path, capsys, normalize
     ("data.classes=0", "data.classes"),
     ("partition.concentration=0", "partition.concentration"),
     ("partition.concentration=-0.5", "partition.concentration"),
+    ("clients=0", "clients"),
+    ("clients=-1", "clients"),
 ])
 def test_bad_data_or_partition_value_exits_2_before_writing(tmp_path, capsys,
                                                             override, key):
@@ -363,6 +365,23 @@ def test_non_finite_literal_in_a_config_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["set", "file"])
+def test_integer_of_too_many_digits_exits_2(tmp_path, capsys, how):
+    digits = "9" * 5000  # more digits than Python converts from text
+    if how == "file":
+        path = tmp_path / "long.json"
+        path.write_text('{"rounds": ' + digits + "}")
+        args, named = ["run", "--config", str(path)], "long.json"
+    else:
+        args = ["run", "--config", write_config(tmp_path), "--set", f"rounds={digits}"]
+        named = "error: rounds must be an integer"
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
+
+
 def float_keys(node=DEFAULT_CONFIG, prefix=""):
     """Every float-valued key of the config, the None-default ones included."""
     for key, value in node.items():
@@ -385,7 +404,11 @@ def strict_json(text):
     (["participation=-Infinity"], "participation"),
     (["targets=[0.5, NaN]"], "targets[1]"),
     (["local.clip_norm=-Infinity"], "local: clip_norm"),
-] + [([f"{key}=NaN"], ": ".join(key.split("."))) for key in float_keys()])
+] + [([f"{key}=NaN"], ": ".join(key.split("."))) for key in float_keys()] + [
+    # an integer beyond the float range is infinite, as 1e999 is
+    ([f"data.spread={10 ** 400}"], "data: spread"),
+    ([f"model.l2_weight_decay=-{10 ** 400}"], "model: l2_weight_decay"),
+])
 def test_non_finite_value_in_any_float_key_exits_2(tmp_path, capsys, overrides, named):
     # a key the run never reads (the concentration of an iid partition, the
     # test fraction of synthetic data) is rejected too, so no manifest can
@@ -416,6 +439,11 @@ def test_infinite_clip_norm_is_accepted(tmp_path):
                  "--set", "local.clip_norm=Infinity", "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["config"]["local"]["clip_norm"] \
         == math.inf
+    # an integer beyond the float range reads as the same infinity
+    cfg = resolve_config(write_config(tmp_path, {}), [f"local.clip_norm={10 ** 400}"], None)
+    assert cfg["local"]["clip_norm"] == math.inf
+    assert config_hash(cfg) == \
+        "9f238050b94be3662c3b6b5353464d778ff74fccbecd49d86d7eb1120b0b6240"
 
 
 def test_manifest_of_an_infinite_clip_norm_is_strict_json(tmp_path):
@@ -436,6 +464,24 @@ def test_model_over_the_parameter_bound_exits_2_before_writing(tmp_path, capsys)
                  "--set", "model.hidden_dims=[100000000]", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: model: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["data.input_dim=1000000000000000", "model.input_dim=1000000000000000"],
+     "data.input_dim"),
+    (["data.train_per_class=1000000000000"], "data.train_per_class"),
+], ids=["input_dim", "train_per_class"])
+def test_synthetic_data_over_the_bound_exits_2_before_writing(tmp_path, capsys,
+                                                              overrides, key):
+    # refused before any of the data is drawn; never raise these values
+    out = tmp_path / "out"
+    args = ["run", "--config", write_config(tmp_path), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data: ") and key in err[0]
     assert not out.exists()
 
 
@@ -580,20 +626,16 @@ def test_compare_needs_two_configs(tmp_path, capsys):
 # --------------------------------------------------------------- threads
 
 
-def test_threads_env_fallback_and_validation(tmp_path, monkeypatch, capsys):
+def test_threads_default_to_1_and_must_be_positive(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    assert main(["run", "--config", cfg, "--threads", "1", "--out", str(out1)]) == 0
-    monkeypatch.setenv("FEDSIM_THREADS", "8")
-    assert main(["run", "--config", cfg, "--out", str(out8)]) == 0
-    assert (out1 / "rounds.csv").read_bytes() == (out8 / "rounds.csv").read_bytes()
-
-    monkeypatch.setenv("FEDSIM_THREADS", "many")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    assert json.loads((tmp_path / "t" / "manifest.json").read_text())["threads"] == 1
     capsys.readouterr()
-    assert main(["run", "--config", cfg, "--threads", "0",
-                 "--out", str(tmp_path / "x")]) == 2
-    assert "positive" in capsys.readouterr().err
+    for bad in ("0", "-3"):
+        assert main(["run", "--config", cfg, "--threads", bad,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: --threads must be a positive integer\n"
+    assert not (tmp_path / "x").exists()
 
 
 # -------------------------------------------------------------- selftest

@@ -1,0 +1,188 @@
+"""The CLI's exit-code contract as a fuzzed property.
+
+A tiny valid ``fedsim run`` is mutated, through the config file and
+through ``--set``, with values from a fixed pool, and its CSV data file
+is corrupted. Every invocation must:
+
+* exit 0, 2 or 3, never with a traceback;
+* on exit 2 or 3, print exactly one ``error:`` line to stderr, which names
+  a mutated key or the data file (exit 2) or the round (exit 3);
+* leave a ``manifest.json`` with a ``status`` whenever it created the
+  output directory.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from fedsim.cli import DEFAULT_CONFIG, main
+
+BASE = {
+    "algorithm": "fedagm",
+    "rounds": 2,
+    "clients": 4,
+    "seed": 1,
+    "model": {"input_dim": 3, "output_dim": 2},
+    "data": {"classes": 2, "train_per_class": 6, "test_per_class": 3, "input_dim": 3},
+    "partition": {"kind": "dirichlet", "concentration": 0.5},
+    "local": {"k": 2},
+}
+
+POOL = (None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf)
+# only the size keys take these, so that no run is long
+HUGE = (10 ** 15, 2 ** 64, 10 ** 400)
+
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _keys(tree, prefix=""):
+    for key, value in tree.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _keys(value, f"{prefix}{key}.")
+
+
+KEYS = tuple(_keys(DEFAULT_CONFIG))
+
+
+def _is_size_key(key: str) -> bool:
+    return key.startswith(("data.", "model.")) or key == "clients"
+
+
+@st.composite
+def mutation(draw):
+    key = draw(st.sampled_from(KEYS))
+    pool = POOL + HUGE if _is_size_key(key) else POOL
+    return key, draw(st.sampled_from(pool)), draw(st.sampled_from(("file", "set")))
+
+
+def _put(cfg: dict, key: str, value) -> None:
+    *sections, leaf = key.split(".")
+    for section in sections:
+        cfg = cfg.setdefault(section, {})
+    cfg[leaf] = value
+
+
+def _set_text(value) -> str:
+    # a bare string takes the --set fallback; everything else is JSON,
+    # NaN and Infinity included
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _names(line: str, key: str) -> bool:
+    """Whether ``line`` names ``key``: each part of the dotted key
+    appears in it as a word."""
+    return all(re.search(rf"\b{re.escape(p)}\b", line) for p in key.split("."))
+
+
+def invoke(tmp: Path, cfg: dict, overrides=()) -> tuple[int, list[str], Path]:
+    """Run ``fedsim run`` on ``cfg`` in-process; returns the exit code,
+    the stderr lines and the output directory."""
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp / "out"
+    args = ["run", "--config", str(path), "--out", str(out)]
+    for key, value in overrides:
+        args += ["--set", f"{key}={_set_text(value)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue().splitlines(), out
+
+
+def check_contract(code: int, err: list[str], out: Path, names) -> None:
+    assert code in (0, 2, 3), (code, err)
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        if code == 2:
+            assert any(names(err[0])), err[0]
+        else:
+            assert "round=" in err[0], err[0]
+    if out.exists():
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["status"] == ("ok" if code == 0 else "numeric_abort")
+
+
+def test_the_base_config_runs():
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = invoke(Path(tmp), BASE)
+    assert (code, err) == (0, [])
+
+
+@FUZZ
+@given(st.lists(mutation(), min_size=1, max_size=3, unique_by=lambda m: m[0]))
+def test_mutated_configs_keep_the_exit_code_contract(mutations):
+    keys = [key for key, _, _ in mutations]
+    # a section and a key inside it would overwrite each other
+    assume(not any(b.startswith(a + ".") for a in keys for b in keys))
+    cfg = copy.deepcopy(BASE)
+    overrides = []
+    for key, value, channel in mutations:
+        if channel == "file":
+            _put(cfg, key, value)
+        else:
+            overrides.append((key, value))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = invoke(Path(tmp), cfg, overrides)
+        check_contract(code, err, out, lambda line: (_names(line, k) for k in keys))
+
+
+HEADER = ["f0", "f1", "f2", "label"]
+BAD_CELLS = ("x", "", "nan", "-inf", "1e999", "1,5", "0x10")
+
+
+@st.composite
+def corruption(draw):
+    kind = draw(st.sampled_from(("bad_cell", "missing_column", "huge_column")))
+    row = draw(st.integers(0, 19))
+    column = draw(st.integers(0, 3 if kind == "missing_column" else 2))
+    if kind == "bad_cell":
+        detail = draw(st.sampled_from(BAD_CELLS))
+    elif kind == "huge_column":  # one value per row
+        detail = draw(st.lists(st.sampled_from((1e308, -1e308, 1.7e308)),
+                               min_size=20, max_size=20))
+    else:
+        detail = None
+    return kind, row, column, detail
+
+
+def _csv_rows(seed: int) -> list[list[str]]:
+    rows = []
+    for i in range(20):
+        feats = [repr(((seed + 7 * i + 3 * j) % 11) / 5.0 - 1.0) for j in range(3)]
+        rows.append(feats + [f"c{(i + seed) % 2}"])
+    return rows
+
+
+@FUZZ
+@given(corruption(), st.integers(0, 10), st.booleans())
+def test_corrupted_csv_files_keep_the_exit_code_contract(corrupt, seed, normalize):
+    kind, row, column, detail = corrupt
+    header, rows = list(HEADER), _csv_rows(seed)
+    if kind == "bad_cell":
+        rows[row][column] = detail
+    elif kind == "missing_column":
+        del header[column]
+        for r in rows:
+            del r[column]
+    else:
+        for r, value in zip(rows, detail):
+            r[column] = repr(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n",
+                        encoding="utf-8")
+        cfg = copy.deepcopy(BASE)
+        cfg["data"] = {"kind": "csv", "path": str(data), "label_column": "label",
+                       "normalize": normalize}
+        code, err, out = invoke(Path(tmp), cfg)
+        check_contract(code, err, out, lambda line: (
+            name in line for name in (str(data), "model.input_dim")))

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from fedsim import engine
-from fedsim.algorithms import (NAMES, REGISTRY, feddyn_updated_state,
-                               local_gradient_fedagm)
-from fedsim.client import (LocalConfig, clip_by_norm, derive_batch_size, local_update,
-                           shard_group)
+from fedsim.algorithms import NAMES, REGISTRY, feddyn_updated_state
+from fedsim.client import LocalConfig, derive_batch_size, local_update, shard_group
 from fedsim.data import Dataset, generate_synthetic
 from fedsim.engine import RunConfig
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, gradient, make_batch, param_dim
 from fedsim.params import axpy
 from fedsim.server import ServerHyper, init_state
+from oracles import clip_by_norm, local_gradient_fedagm
 
 QUAD = ModelSpec("linear_regression", input_dim=1)
 
@@ -134,7 +133,7 @@ def reference_update(spec, init, shard, cfg, round, rng, rule, aux):
         if pos >= shard.n:
             order = rng.permutation(shard.n)
             pos = 0
-        batch = shard.to_batch(order[pos:pos + bs])
+        batch = shard.subset(order[pos:pos + bs]).to_batch()
         pos += bs
         g = gradient(spec, theta, batch)
         if rule == "fedagm":

@@ -14,11 +14,12 @@ def entropy(counts):
     return float(-(p * np.log(p)).sum())
 
 
-def check_partition(ds, part):
+def check_partition(ds, part, N):
+    assert len(part.assignments) == N
     all_idx = np.concatenate(part.assignments)
     assert len(all_idx) == ds.n
     assert len(np.unique(all_idx)) == ds.n
-    lo, hi = ds.n // part.client_count, -(-ds.n // part.client_count)
+    lo, hi = ds.n // N, -(-ds.n // N)
     for shard in part.assignments:
         assert lo <= len(shard) <= hi
 
@@ -116,7 +117,7 @@ def test_partition_iid_sizes():
     ds = generate_synthetic(seed=0, clusters=5, per_class=20, input_dim=2, spread=1.0)
     part = partition_iid(ds, 10, seed=0)
     assert all(len(a) == 10 for a in part.assignments)
-    check_partition(ds, part)
+    check_partition(ds, part, 10)
 
 
 def test_partition_iid_single_client():
@@ -146,7 +147,7 @@ def test_partition_dirichlet_huge_concentration_is_near_iid():
     global_hist = np.bincount(ds.labels, minlength=5) / ds.n
     for seed in range(5):
         part = partition_dirichlet(ds, 10, concentration=1e9, seed=seed)
-        check_partition(ds, part)
+        check_partition(ds, part, 10)
         for shard in part.assignments:
             hist = np.bincount(ds.labels[shard], minlength=5) / len(shard)
             tv = 0.5 * np.abs(hist - global_hist).sum()
@@ -158,7 +159,7 @@ def test_partition_dirichlet_tiny_concentration_is_skewed():
     top2_mass = []
     for seed in range(5):
         part = partition_dirichlet(ds, 10, concentration=0.01, seed=seed)
-        check_partition(ds, part)
+        check_partition(ds, part, 10)
         for shard in part.assignments:
             counts = np.sort(np.bincount(ds.labels[shard], minlength=10))[::-1]
             top2_mass.append(counts[:2].sum() / counts.sum())
@@ -178,8 +179,8 @@ def test_partition_invariants_randomized():
         N = int(rng.integers(1, 40))
         conc = float(10.0 ** rng.uniform(-2, 2))
         seed = int(rng.integers(0, 1 << 31))
-        check_partition(ds, partition_dirichlet(ds, N, conc, seed))
-        check_partition(ds, partition_iid(ds, N, seed))
+        check_partition(ds, partition_dirichlet(ds, N, conc, seed), N)
+        check_partition(ds, partition_iid(ds, N, seed), N)
 
 
 def test_heterogeneity_monotone_in_concentration():

@@ -7,41 +7,41 @@ from hypothesis import given, strategies as st
 from fedsim.client import shard_groups
 from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid
 from fedsim.errors import StructuralError
-from fedsim.metrics import (EVAL_BLOCK_ROWS, EmaSeries, Saturated, ema_update,
-                            global_loss, rounds_to_target)
+from fedsim.metrics import (EVAL_BLOCK_ROWS, Saturated, ema_update, global_loss,
+                            rounds_to_target)
 from fedsim.models import (ModelSpec, _forward, decay_term, layer_views, loss,
                            param_dim)
 
 
-def series_of(values, decay=0.9):
-    s = EmaSeries(decay=decay)
+def series_of(values):
+    """The smoothed series of ``values``, one ema_update each."""
+    smoothed, ema = [], None
     for v in values:
-        s = ema_update(s, v)
-    return s
+        ema = ema_update(ema, v)
+        smoothed.append(ema)
+    return smoothed
 
 
 def test_ema_initializes_to_first_value():
-    s = ema_update(EmaSeries(), 0.5)
-    assert s.smoothed == (0.5,)
-    assert s.raw == (0.5,)
+    assert ema_update(None, 0.5) == 0.5
 
 
 def test_ema_recurrence_oracle():
     s = series_of([0.5, 0.7])
-    assert s.smoothed[1] == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-16)
-    assert s.smoothed[1] == pytest.approx(0.52, abs=1e-15)
+    assert s[1] == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-16)
+    assert s[1] == pytest.approx(0.52, abs=1e-15)
 
 
 def test_ema_constant_series_is_fixed_point():
     s = series_of([0.5] * 20)
-    assert all(v == 0.5 for v in s.smoothed)
+    assert all(v == 0.5 for v in s)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), min_size=1,
                 max_size=30))
 def test_ema_stays_within_running_bounds(values):
     s = series_of(values)
-    for t, v in enumerate(s.smoothed):
+    for t, v in enumerate(s):
         lo, hi = min(values[:t + 1]), max(values[:t + 1])
         # one ulp of slack: the recurrence rounds once per step
         pad = 4 * math.ulp(max(abs(lo), abs(hi), 1.0))
@@ -54,7 +54,7 @@ def test_ema_of_monotone_series_is_monotone(values):
     values = sorted(values)
     s = series_of(values)
     pad = 4 * math.ulp(1.0)
-    assert all(a <= b + pad for a, b in zip(s.smoothed, s.smoothed[1:]))
+    assert all(a <= b + pad for a, b in zip(s, s[1:]))
 
 
 def test_ema_matches_direct_expansion():
@@ -63,15 +63,17 @@ def test_ema_matches_direct_expansion():
         values = rng.uniform(0, 1, size=int(rng.integers(1, 40)))
         s = series_of(list(values))
         direct = values[0]
-        assert abs(s.smoothed[0] - direct) <= 1e-12
+        assert abs(s[0] - direct) <= 1e-12
         for v in values[1:]:
             direct = 0.9 * direct + 0.1 * v
-        assert abs(s.smoothed[-1] - direct) <= 1e-12
+        assert abs(s[-1] - direct) <= 1e-12
 
 
 def test_ema_rejects_nonfinite():
     with pytest.raises(StructuralError):
-        ema_update(EmaSeries(), math.nan)
+        ema_update(None, math.nan)
+    with pytest.raises(StructuralError):
+        ema_update(0.5, math.inf)
 
 
 def test_rounds_to_target_first_crossing():
@@ -153,7 +155,7 @@ def test_global_loss_matches_per_shard_loop_across_blocks(spec):
     for N in (1, 37, 400):
         part = partition_dirichlet(ds, N, 0.3, seed=N)
         params = rng.normal(size=param_dim(spec))
-        ref = math.fsum(loss(spec, params, ds.to_batch(a)) for a in part.assignments) / N
+        ref = math.fsum(loss(spec, params, ds.subset(a).to_batch()) for a in part.assignments) / N
         assert abs(global_loss(spec, params, groups_of(ds, part)) - ref) <= 1e-12 * abs(ref)
 
 
