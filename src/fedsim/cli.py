@@ -25,8 +25,6 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .algorithms import REGISTRY
 from .client import UNBOUNDED_FIELDS, LocalConfig
@@ -219,6 +217,8 @@ def build_model(cfg: dict) -> ModelSpec:
     m = cfg["model"]
     if m["kind"] == "linear_regression" and m["output_dim"] != 1:
         raise ConfigError("model.output_dim must be 1 for linear_regression")
+    if m["kind"] == "mlp" and not m["hidden_dims"]:
+        raise ConfigError("model.hidden_dims must list at least one hidden layer for mlp")
     try:
         return ModelSpec(kind=m["kind"], input_dim=m["input_dim"],
                          output_dim=m["output_dim"],
@@ -263,7 +263,7 @@ def build_dataset(cfg: dict):
         except StructuralError as exc:
             raise ConfigError(f"data.test_fraction {d['test_fraction']!r}: {exc}",
                               path=d["path"]) from None
-        meta = {"kind": "csv", **_jsonable(ds.meta)}
+        meta = {"kind": "csv", **ds.meta}
     else:
         raise ConfigError(f"unknown data kind: {d['kind']!r}")
     meta["train_examples"] = train.n
@@ -304,18 +304,6 @@ def build_run_config(cfg: dict) -> RunConfig:
         raise ConfigError(f"bad config value: {exc}") from None
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer, np.floating, np.bool_)):
-        return value.item()
-    return value
-
-
 def _fmt(x: float) -> str:
     # repr gives the shortest decimal that round-trips, so reruns of the
     # same config produce byte-identical files
@@ -342,27 +330,27 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
     return report
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-# Strict JSON has no Infinity literal. manifest.json writes +Infinity, the
-# value of an unbounded local field (client.UNBOUNDED_FIELDS), as the
-# number 1e999, which IEEE-754 parsers (Python's json, JavaScript's
-# JSON.parse) read back as +Infinity; any other non-finite value raises.
+# Strict JSON has no NaN or Infinity literal. A NaN (the accuracy of a
+# regression run) is written as null, and +Infinity, the value of an
+# unbounded local field (client.UNBOUNDED_FIELDS), as the number 1e999,
+# which IEEE-754 parsers (Python's json, JavaScript's JSON.parse) read
+# back as +Infinity; -Infinity raises.
 _INFINITY_MARK = "\0+Infinity"  # stands in for +Infinity until the text is built
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
+def _write_manifest(out_dir: Path, payload: dict, name: str = "manifest.json") -> None:
+    """Write ``payload`` as strict JSON to ``out_dir / name``; every JSON
+    file fedsim writes goes through here."""
     def mark(value):
         if isinstance(value, dict):
             return {k: mark(v) for k, v in value.items()}
         if isinstance(value, list):
             return [mark(v) for v in value]
+        if isinstance(value, float) and math.isnan(value):
+            return None
         return _INFINITY_MARK if isinstance(value, float) and value == math.inf else value
-    text = json.dumps(mark(manifest), indent=2, sort_keys=True, allow_nan=False)
-    (out_dir / "manifest.json").write_text(
+    text = json.dumps(mark(payload), indent=2, sort_keys=True, allow_nan=False)
+    (out_dir / name).write_text(
         text.replace(json.dumps(_INFINITY_MARK), "1e999") + "\n", encoding="utf-8")
 
 
@@ -370,13 +358,12 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
-             threads: int) -> tuple[int, object]:
+def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int):
     """Run one resolved config, already built into ``rc`` and ``data`` (the
     (train, test, meta) of :func:`build_dataset`), into ``out_dir``;
-    returns (exit status, RunResult or None). Writes rounds.csv
-    incrementally so an aborted run keeps the rounds finished before the
-    failure."""
+    returns the RunResult. Writes rounds.csv incrementally so an aborted
+    run keeps the rounds finished before the failure, whose NumericError
+    is raised again once the manifest records it."""
     digest = config_hash(cfg)
     train, test, meta = data
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -400,8 +387,7 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
             manifest.update(finished_at=_now(), status="numeric_abort",
                             error=str(exc))
             _write_manifest(out_dir, manifest)
-            print(f"error: {exc}", file=sys.stderr)
-            return 3, None
+            raise
 
     records = result.records
     summary = {
@@ -422,10 +408,10 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path,
     }
     if result.max_momentum_residual is not None:
         summary["max_momentum_residual"] = result.max_momentum_residual
-    _write_json(out_dir / "summary.json", summary)
+    _write_manifest(out_dir, summary, "summary.json")
     manifest.update(finished_at=_now(), status="ok")
     _write_manifest(out_dir, manifest)
-    return 0, result
+    return result
 
 
 def cmd_run(args) -> int:
@@ -433,11 +419,9 @@ def cmd_run(args) -> int:
     data = build_dataset(cfg)
     rc = build_run_config(cfg)
     out_dir = Path(args.out)
-    status, result = _execute(cfg, rc, data, out_dir, args.threads)
-    if status == 0:
-        print(f"run complete: {len(result.records)} evaluated rounds "
-              f"written to {out_dir}")
-    return status
+    result = _execute(cfg, rc, data, out_dir, args.threads)
+    print(f"run complete: {len(result.records)} evaluated rounds written to {out_dir}")
+    return 0
 
 
 def _unique_labels(paths: list[str]) -> list[str]:
@@ -471,13 +455,22 @@ def cmd_compare(args) -> int:
     total_rounds = configs[0]["rounds"]
     mid_round = max(1, total_rounds // 2)
     targets = configs[0]["targets"]
+    manifest = {
+        "tool_version": __version__,
+        "started_at": _now(),
+        "runs": [{"label": label, "config_hash": config_hash(cfg)}
+                 for label, cfg in zip(labels, configs)],
+    }
 
     rows = []
     for label, cfg, rc in zip(labels, configs, run_configs):
-        status, result = _execute(cfg, rc, data, out_dir / label, args.threads)
-        if status != 0:
-            return status
-        records = result.records
+        try:
+            records = _execute(cfg, rc, data, out_dir / label, args.threads).records
+        except NumericError as exc:
+            manifest.update(finished_at=_now(), status="numeric_abort",
+                            error=str(exc), failed_label=label)
+            _write_manifest(out_dir, manifest)
+            raise
         curve = out_dir / f"{label}_curve.csv"
         with curve.open("w", encoding="utf-8", newline="") as fh:
             fh.write("round,ema_accuracy\n")
@@ -497,6 +490,8 @@ def cmd_compare(args) -> int:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+    manifest.update(finished_at=_now(), status="ok")
+    _write_manifest(out_dir, manifest)
     print(f"comparison of {len(rows)} runs written to {out_dir}")
     return 0
 

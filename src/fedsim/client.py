@@ -82,38 +82,39 @@ class Rows(np.ndarray):
 
 @dataclass(frozen=True)
 class ShardGroup:
-    """Equal-size client shards, stacked once: ``features`` (G, n, f),
-    ``labels`` (G, n), and ``finite`` (G,), whether each shard's features
-    are all finite."""
+    """Equal-size client shards, stacked once: ``ids`` (G,), the client id
+    of each row, ascending; ``features`` (G, n, f); ``labels`` (G, n); and
+    ``finite`` (G,), whether each shard's features are all finite."""
 
+    ids: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     finite: np.ndarray
 
 
-def shard_group(dataset: Dataset, assignments) -> ShardGroup:
+def shard_group(dataset: Dataset, assignments, ids=None) -> ShardGroup:
     """Stack the shards ``assignments``, equal-length index arrays into
-    ``dataset``, into one group; the features are copied once, here."""
+    ``dataset``, into one group whose rows belong to the clients ``ids``
+    (default 0, 1, ...); the features are copied once, here."""
     if len({len(a) for a in assignments}) != 1:
         raise StructuralError("a client group needs equal-size shards")
     idx = np.stack(assignments)
     if idx.shape[1] < 1:
         raise StructuralError("client shard is empty")
     X = np.asarray(dataset.features, dtype=np.float64)[idx]
-    return ShardGroup(X, dataset.labels[idx], np.isfinite(X).all(axis=(1, 2)))
+    ids = np.arange(len(idx)) if ids is None else np.asarray(ids)
+    return ShardGroup(ids, X, dataset.labels[idx], np.isfinite(X).all(axis=(1, 2)))
 
 
-def shard_groups(dataset: Dataset, assignments):
+def shard_groups(dataset: Dataset, assignments) -> list[ShardGroup]:
     """One :func:`shard_group` per shard size of ``assignments``, one
-    index array per client id. Returns the groups keyed by shard size and,
-    for each client id, ``(shard size, row in that size's group)``."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    place = []
-    for a in assignments:
-        shards = by_size.setdefault(len(a), [])
-        place.append((len(a), len(shards)))
-        shards.append(a)
-    return {n: shard_group(dataset, shards) for n, shards in by_size.items()}, place
+    index array per client id, in order of first appearance."""
+    sizes = np.array([len(a) for a in assignments])
+    groups = []
+    for n in dict.fromkeys(sizes.tolist()):
+        ids = np.flatnonzero(sizes == n)
+        groups.append(shard_group(dataset, [assignments[i] for i in ids], ids))
+    return groups
 
 
 def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
@@ -138,8 +139,7 @@ def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
 
 def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
                  cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
-                 a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0,
-                 ids=None) -> Rows:
+                 a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0) -> Rows:
     """Run K local steps for the clients at ``rows`` of ``group``, all
     from the same received model ``init``, and return their models as an
     (S, d) array, one row per entry of ``rows`` in the order given.
@@ -157,19 +157,18 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     ``c``, and is clipped only when some row leaves the clip ball.
 
     The caller has validated ``group`` against ``spec`` (the engine does,
-    once per run); here only ``init``'s shape is checked. Each step guards only the squared gradient norm that
-    clipping needs, and the returned models are checked once. A client
-    that fails keeps stepping with the others; afterwards the failure of
-    the first failing row is raised, with the round, its id from ``ids``
-    (default: its row in the group) and the step. A row's non-finite
-    features rank before its step and model failures, as they would stop
-    that client before its first step.
+    once per run); here only ``init``'s shape is checked. Each step guards
+    only the squared gradient norm that clipping needs, and the returned
+    models are checked once. A client that fails keeps stepping with the
+    others; afterwards the failure of the first failing row is raised,
+    with the round, its client id from ``group.ids`` and the step. A row's
+    non-finite features rank before its step and model failures, as they
+    would stop that client before its first step.
     """
     rows = np.asarray(rows, dtype=np.intp)
     S = len(rows)
-    ids = rows.tolist() if ids is None else list(ids)
-    if S < 1 or len(rngs) != S or len(ids) != S:
-        raise StructuralError("a client chunk needs one rng and one id per row")
+    if S < 1 or len(rngs) != S:
+        raise StructuralError("a client chunk needs one rng per row")
     if init.shape != (param_dim(spec),):
         raise StructuralError(
             f"params have shape {init.shape}, spec needs ({param_dim(spec)},)")
@@ -206,6 +205,7 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
             theta += g
         finite_rows = np.isfinite(theta).all(axis=1)
     finite_features = group.finite[rows]
+    ids = group.ids[rows].tolist()
     for row in range(S):
         if not finite_features[row]:
             raise NumericError("client features contain NaN/Inf", round=round,

@@ -1,8 +1,9 @@
 """Dataset generation, CSV ingestion, and client partitioning.
 
-Partitions map example indices to clients. Both partitioners guarantee the
-same two invariants: the index lists are pairwise disjoint and cover the
-dataset exactly, and every client holds floor(n/N) or ceil(n/N) examples.
+A partition is a tuple of sorted example-index arrays, one per client id.
+Both partitioners guarantee the same two invariants: the index lists are
+pairwise disjoint and cover the dataset exactly, and every client holds
+floor(n/N) or ceil(n/N) examples.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ class Dataset:
 
     def to_batch(self) -> Batch:
         return make_batch(self.features, self.labels)
-
-
-@dataclass(frozen=True)
-class Partition:
-    assignments: tuple
 
 
 def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
@@ -135,11 +131,11 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     return Dataset(features, labels, len(label_names), meta)
 
 
-def _finish(parts: list[list[int]]) -> Partition:
-    return Partition(tuple(np.array(sorted(p), dtype=np.int64) for p in parts))
+def _finish(parts: list[list[int]]) -> tuple:
+    return tuple(np.array(sorted(p), dtype=np.int64) for p in parts)
 
 
-def partition_iid(dataset: Dataset, N: int, seed: int) -> Partition:
+def partition_iid(dataset: Dataset, N: int, seed: int) -> tuple:
     """Random permutation dealt into N near-equal contiguous chunks."""
     if N < 1 or N > dataset.n:
         raise StructuralError(f"need 1 <= N <= {dataset.n}, got {N}")
@@ -148,7 +144,7 @@ def partition_iid(dataset: Dataset, N: int, seed: int) -> Partition:
 
 
 def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
-                        seed: int) -> Partition:
+                        seed: int) -> tuple:
     """Label-skewed split: per-client class ratios drawn from a symmetric
     Dirichlet, examples dealt per class proportionally to the ratio
     columns, then greedily rebalanced to the equal-size invariant.

@@ -10,10 +10,11 @@ uplink from that matrix.
 The client data is built once per run: the training set is checked
 against the model, and the shards of each shard size (the partitioners
 allow at most two) are stacked into one :class:`fedsim.client.ShardGroup`
-with each client's finiteness flag. These groups are the only copy of
-the training features that the clients and the evaluation read: a
-round's local updates take row indices into them, and the training loss
-is evaluated from them.
+with each row's client id and finiteness flag. These groups are the only
+record of which client owns which row, and the only copy of the training
+features that the clients and the evaluation read: a round's local
+updates take the rows of its sampled ids, and the training loss is
+evaluated from them.
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
@@ -119,20 +120,6 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
     return sorted(int(i) for i in rng.permutation(N)[:size])
 
 
-def _client_chunks(ids: list[int], place: list[tuple[int, int]], rows: int):
-    """Split the positions into the sampled ``ids`` by shard group (the
-    size in ``place[cid] = (shard size, row in its group)``), each cut
-    into chunks of at most ``rows`` clients, positions ascending in each;
-    yields (shard size, positions, group rows)."""
-    groups: dict[int, list[int]] = {}
-    for pos, cid in enumerate(ids):
-        groups.setdefault(place[cid][0], []).append(pos)
-    for n, members in groups.items():
-        for lo in range(0, len(members), rows):
-            chunk = members[lo:lo + rows]
-            yield n, chunk, [place[ids[p]][1] for p in chunk]
-
-
 def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         on_record=None) -> RunResult:
     """Execute ``config.rounds`` federated rounds.
@@ -148,16 +135,16 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     spec, cfg = config.model, config.local
     algo = REGISTRY[config.algorithm]
     if config.partition_kind == "dirichlet":
-        partition = partition_dirichlet(dataset, config.n_clients,
-                                        config.concentration, config.seed)
+        assignments = partition_dirichlet(dataset, config.n_clients,
+                                          config.concentration, config.seed)
     else:
-        partition = partition_iid(dataset, config.n_clients, config.seed)
+        assignments = partition_iid(dataset, config.n_clients, config.seed)
     classifier = spec.kind != "linear_regression"
     test_batch = test_set.to_batch() if classifier else None
 
     theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
     check_inputs(spec, theta0, dataset.features, dataset.labels)
-    groups, place = shard_groups(dataset, partition.assignments)
+    groups = shard_groups(dataset, assignments)
     state = init_state(theta0, config.server, **algo.buffers(theta0, config.n_clients))
     rows_per_chunk = max(1, STACK_BYTES // (8 * theta0.size))
     ema = None  # the smoothed test accuracy
@@ -168,17 +155,22 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         ids = sample_clients(config.n_clients, config.participation, t, config.seed)
         payload = algo.payload(state)
 
+        sampled = np.zeros(config.n_clients, dtype=bool)
+        sampled[ids] = True
         returns, failure = np.empty((len(ids), theta0.size)), None
-        for n, pos, rows in _client_chunks(ids, place, rows_per_chunk):
-            chunk = [ids[p] for p in pos]
-            rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
-            try:
-                returns[pos] = local_update(spec, payload[0], groups[n], rows, cfg, t,
-                                            rngs, ids=chunk,
-                                            **algo.terms(state, cfg, chunk))
-            except NumericError as exc:
-                if failure is None or exc.client < failure.client:
-                    failure = exc
+        for group in groups:
+            members = np.flatnonzero(sampled[group.ids])
+            for lo in range(0, len(members), rows_per_chunk):
+                rows = members[lo:lo + rows_per_chunk]
+                chunk = group.ids[rows].tolist()
+                rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
+                try:
+                    returns[np.searchsorted(ids, chunk)] = local_update(
+                        spec, payload[0], group, rows, cfg, t, rngs,
+                        **algo.terms(state, cfg, chunk))
+                except NumericError as exc:
+                    if failure is None or exc.client < failure.client:
+                        failure = exc
         if failure is not None:
             raise failure
 
@@ -191,7 +183,7 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
 
         if (t + 1) % config.eval_every == 0:
             try:
-                train_loss = global_loss(spec, state.theta, groups.values())
+                train_loss = global_loss(spec, state.theta, groups)
             except NumericError as exc:
                 raise NumericError(exc.base_message, round=t) from None
             if classifier:

@@ -174,10 +174,10 @@ def _partition_invariants() -> bool:
         n_clients = int(rng.integers(2, 30))
         conc = float(rng.choice([0.05, 0.3, 1.0, 10.0]))
         part = partition_dirichlet(ds, n_clients, conc, int(rng.integers(0, 10 ** 6)))
-        joined = np.concatenate(part.assignments)
+        joined = np.concatenate(part)
         if joined.size != ds.n or np.unique(joined).size != ds.n:
             return False
-        sizes = [a.size for a in part.assignments]
+        sizes = [a.size for a in part]
         if max(sizes) - min(sizes) > 1:
             return False
     return True

@@ -261,10 +261,10 @@ def test_c5_partition_invariants_and_heterogeneity_order():
         n_clients = int(rng.integers(2, min(41, ds.n + 1)))
         conc = float(rng.choice([0.05, 0.3, 0.6, 1.0, 10.0]))
         part = partition_dirichlet(ds, n_clients, conc, int(rng.integers(0, 10 ** 6)))
-        assert len(part.assignments) == n_clients
-        joined = np.concatenate(part.assignments)
+        assert len(part) == n_clients
+        joined = np.concatenate(part)
         assert joined.size == ds.n and np.unique(joined).size == ds.n
-        sizes = [a.size for a in part.assignments]
+        sizes = [a.size for a in part]
         assert max(sizes) - min(sizes) <= 1
 
     ds = generate_synthetic(seed=3, clusters=10, per_class=100, input_dim=2, spread=1.0)
@@ -275,7 +275,7 @@ def test_c5_partition_invariants_and_heterogeneity_order():
             part = make(seed)
             per_seed.append(np.mean([
                 _entropy(np.bincount(ds.labels[a], minlength=10))
-                for a in part.assignments]))
+                for a in part]))
         return float(np.mean(per_seed))
 
     e_03 = mean_entropy(lambda s: partition_dirichlet(ds, 20, 0.3, s))

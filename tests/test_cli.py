@@ -199,6 +199,10 @@ def test_regression_model_logs_nan_accuracy(tmp_path):
     for row in read_rows(out):
         assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
         assert math.isfinite(float(row[1]))
+    # summary.json is strict JSON: a NaN accuracy is written as null
+    final = strict_json((out / "summary.json").read_text())["final"]
+    assert final["test_accuracy"] is None and final["ema_accuracy"] is None
+    assert math.isfinite(final["train_loss"])
 
 
 def test_parse_error_exits_2_with_location(tmp_path, capsys):
@@ -303,6 +307,7 @@ def test_non_finite_csv_cell_exits_2_naming_the_cell(tmp_path, capsys, normalize
     ("partition.concentration=-0.5", "partition.concentration"),
     ("clients=0", "clients"),
     ("clients=-1", "clients"),
+    ("model.kind=mlp", "model.hidden_dims"),
 ])
 def test_bad_data_or_partition_value_exits_2_before_writing(tmp_path, capsys,
                                                             override, key):
@@ -615,6 +620,47 @@ def test_rejected_compare_leaves_no_directory(tmp_path, capsys, second):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+TINY = {
+    "algorithm": "fedagm", "rounds": 2, "clients": 4, "seed": 1,
+    "model": {"input_dim": 3, "output_dim": 2},
+    "data": {"classes": 2, "train_per_class": 6, "test_per_class": 3, "input_dim": 3},
+    "partition": {"kind": "dirichlet", "concentration": 0.5},
+    "local": {"k": 2},
+}
+
+
+def test_compare_writes_a_top_level_manifest(tmp_path):
+    a = write_config(tmp_path, TINY, "a.json")
+    b = write_config(tmp_path, dict(TINY, algorithm="fedavg"), "b.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config", b, "--out", str(out)]) == 0
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and "error" not in manifest
+    assert manifest["runs"] == [
+        {"label": label, "config_hash": strict_json(
+            (out / label / "manifest.json").read_text())["config_hash"]}
+        for label in ("a", "b")]
+    assert (out / "comparison.csv").exists()
+
+
+def test_aborted_compare_leaves_a_manifest_naming_the_failed_run(tmp_path, capsys):
+    # the second run diverges: compare exits 3 after the first run's files,
+    # with a top-level manifest but no comparison.csv
+    a = write_config(tmp_path, TINY, "a.json")
+    c = write_config(tmp_path, dict(TINY, local={"k": 2, "lr0": 1e300}), "c.json")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config", c, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "round=" in err[0]
+    assert sorted(p.name for p in out.iterdir()) == ["a", "a_curve.csv", "c", "manifest.json"]
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert manifest["status"] == "numeric_abort"
+    assert manifest["failed_label"] == "c"
+    assert manifest["error"] == err[0][len("error: "):]
+    assert [run["label"] for run in manifest["runs"]] == ["a", "c"]
+    assert strict_json((out / "c" / "manifest.json").read_text())["status"] == "numeric_abort"
 
 
 def test_compare_needs_two_configs(tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 A tiny valid ``fedsim run`` is mutated, through the config file and
 through ``--set``, with values from a fixed pool, and its CSV data file
-is corrupted. Every invocation must:
+is corrupted; a ``fedsim compare`` of two copies of it has its second
+config mutated the same way. Every invocation must:
 
 * exit 0, 2 or 3, never with a traceback;
 * on exit 2 or 3, print exactly one ``error:`` line to stderr, which names
-  a mutated key or the data file (exit 2) or the round (exit 3);
+  a mutated key or a file (exit 2) or the round (exit 3);
 * leave a ``manifest.json`` with a ``status`` whenever it created the
-  output directory.
+  output directory, and in each run directory of a compare.
 """
 
 import contextlib
@@ -83,13 +84,18 @@ def _names(line: str, key: str) -> bool:
     return all(re.search(rf"\b{re.escape(p)}\b", line) for p in key.split("."))
 
 
-def invoke(tmp: Path, cfg: dict, overrides=()) -> tuple[int, list[str], Path]:
-    """Run ``fedsim run`` on ``cfg`` in-process; returns the exit code,
-    the stderr lines and the output directory."""
-    path = tmp / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+def invoke(tmp: Path, cfg: dict, overrides=(), first=None) -> tuple[int, list[str], Path]:
+    """Run ``fedsim run`` on ``cfg`` in-process, or, given a ``first``
+    config, ``fedsim compare`` on ``first`` and ``cfg``; returns the exit
+    code, the stderr lines and the output directory."""
+    configs = [cfg] if first is None else [first, cfg]
+    args = ["run" if first is None else "compare"]
+    for i, c in enumerate(configs):
+        path = tmp / f"cfg{i}.json"
+        path.write_text(json.dumps(c), encoding="utf-8")
+        args += ["--config", str(path)]
     out = tmp / "out"
-    args = ["run", "--config", str(path), "--out", str(out)]
+    args += ["--out", str(out)]
     for key, value in overrides:
         args += ["--set", f"{key}={_set_text(value)}"]
     err = io.StringIO()
@@ -109,6 +115,9 @@ def check_contract(code: int, err: list[str], out: Path, names) -> None:
     if out.exists():
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["status"] == ("ok" if code == 0 else "numeric_abort")
+        for run_dir in filter(Path.is_dir, out.iterdir()):
+            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["status"] in ("ok", "numeric_abort")
 
 
 def test_the_base_config_runs():
@@ -117,9 +126,8 @@ def test_the_base_config_runs():
     assert (code, err) == (0, [])
 
 
-@FUZZ
-@given(st.lists(mutation(), min_size=1, max_size=3, unique_by=lambda m: m[0]))
-def test_mutated_configs_keep_the_exit_code_contract(mutations):
+def _mutate(mutations) -> tuple[dict, list]:
+    """BASE with the file mutations applied, and the ``--set`` ones."""
     keys = [key for key, _, _ in mutations]
     # a section and a key inside it would overwrite each other
     assume(not any(b.startswith(a + ".") for a in keys for b in keys))
@@ -130,9 +138,33 @@ def test_mutated_configs_keep_the_exit_code_contract(mutations):
             _put(cfg, key, value)
         else:
             overrides.append((key, value))
+    return cfg, overrides
+
+
+MUTATIONS = st.lists(mutation(), min_size=1, max_size=3, unique_by=lambda m: m[0])
+
+
+@FUZZ
+@given(MUTATIONS)
+def test_mutated_configs_keep_the_exit_code_contract(mutations):
+    cfg, overrides = _mutate(mutations)
     with tempfile.TemporaryDirectory() as tmp:
         code, err, out = invoke(Path(tmp), cfg, overrides)
-        check_contract(code, err, out, lambda line: (_names(line, k) for k in keys))
+        check_contract(code, err, out,
+                       lambda line: (_names(line, key) for key, _, _ in mutations))
+
+
+@FUZZ
+@given(MUTATIONS)
+def test_mutated_compare_keeps_the_exit_code_contract(mutations):
+    # the file mutations reach the second config only, the --set ones both;
+    # a second config whose data, model or schedule differs is named by path
+    cfg, overrides = _mutate(mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = invoke(Path(tmp), cfg, overrides, first=BASE)
+        second = str(Path(tmp) / "cfg1.json")
+        check_contract(code, err, out, lambda line: (
+            second in line, *(_names(line, key) for key, _, _ in mutations)))
 
 
 HEADER = ["f0", "f1", "f2", "label"]

@@ -6,8 +6,9 @@ import pytest
 
 from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, feddyn_updated_state
-from fedsim.client import LocalConfig, derive_batch_size, local_update, shard_group
-from fedsim.data import Dataset, generate_synthetic
+from fedsim.client import (LocalConfig, derive_batch_size, local_update, shard_group,
+                           shard_groups)
+from fedsim.data import Dataset, generate_synthetic, partition_dirichlet
 from fedsim.engine import RunConfig
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, gradient, make_batch, param_dim
@@ -33,17 +34,19 @@ def classif_shard(seed=0, n=12, dim=3, classes=3):
 SPEC3 = ModelSpec("softmax_classifier", input_dim=3, output_dim=3)
 
 
-def stacked(shards):
-    """The shard group of equal-size Datasets, one row each, in order."""
+def stacked(shards, ids=None):
+    """The shard group of equal-size Datasets, one row each, in order,
+    owned by the clients ``ids`` (default 0, 1, ...)."""
     n = shards[0].n
     ds = Dataset(np.concatenate([s.features for s in shards]),
                  np.concatenate([s.labels for s in shards]), shards[0].class_count)
-    return shard_group(ds, np.arange(len(shards) * n).reshape(len(shards), n))
+    return shard_group(ds, np.arange(len(shards) * n).reshape(len(shards), n), ids)
 
 
-def update(spec, init, shards, cfg, round, rngs, **kw):
-    """local_update over every row of the group of ``shards``."""
-    return local_update(spec, init, stacked(shards), range(len(shards)), cfg, round,
+def update(spec, init, shards, cfg, round, rngs, ids=None, **kw):
+    """local_update over every row of the group of ``shards``, owned by
+    the clients ``ids``."""
+    return local_update(spec, init, stacked(shards, ids), range(len(shards)), cfg, round,
                         rngs, **kw)
 
 
@@ -301,6 +304,25 @@ def test_group_needs_equal_shards_and_one_rng_each():
     with pytest.raises(StructuralError, match="one rng"):
         local_update(SPEC3, np.zeros(param_dim(SPEC3)), shard_group(ds, [np.arange(12)]),
                      [0], LocalConfig(k=2), 0, [np.random.default_rng(0)] * 2)
+
+
+def test_shard_groups_record_which_client_owns_each_row():
+    # 23 examples over 5 clients: shards of 5 and 4 examples, one group per
+    # size in order of first appearance; each group lists its clients
+    # ascending, and its row r holds the shard of client ids[r]
+    ds = classif_shard(n=23)
+    assignments = partition_dirichlet(ds, 5, 0.3, seed=2)
+    groups = shard_groups(ds, assignments)
+    assert [g.labels.shape[1] for g in groups] == list(dict.fromkeys(map(len, assignments)))
+    assert sorted(np.concatenate([g.ids for g in groups]).tolist()) == list(range(5))
+    for g in groups:
+        assert (np.diff(g.ids) > 0).all()
+        for row, cid in enumerate(g.ids):
+            np.testing.assert_array_equal(g.features[row], ds.features[assignments[cid]])
+            np.testing.assert_array_equal(g.labels[row], ds.labels[assignments[cid]])
+    # a group built without ids belongs to clients 0, 1, ...
+    np.testing.assert_array_equal(shard_group(ds, [np.arange(4), np.arange(4, 8)]).ids,
+                                  [0, 1])
 
 
 def test_local_update_rejects_bad_inputs_on_entry(monkeypatch):

@@ -15,12 +15,12 @@ def entropy(counts):
 
 
 def check_partition(ds, part, N):
-    assert len(part.assignments) == N
-    all_idx = np.concatenate(part.assignments)
+    assert len(part) == N
+    all_idx = np.concatenate(part)
     assert len(all_idx) == ds.n
     assert len(np.unique(all_idx)) == ds.n
     lo, hi = ds.n // N, -(-ds.n // N)
-    for shard in part.assignments:
+    for shard in part:
         assert lo <= len(shard) <= hi
 
 
@@ -116,21 +116,21 @@ def test_load_csv_unknown_label_column(tmp_path):
 def test_partition_iid_sizes():
     ds = generate_synthetic(seed=0, clusters=5, per_class=20, input_dim=2, spread=1.0)
     part = partition_iid(ds, 10, seed=0)
-    assert all(len(a) == 10 for a in part.assignments)
+    assert all(len(a) == 10 for a in part)
     check_partition(ds, part, 10)
 
 
 def test_partition_iid_single_client():
     ds = generate_synthetic(seed=0, clusters=2, per_class=5, input_dim=2, spread=1.0)
     part = partition_iid(ds, 1, seed=3)
-    np.testing.assert_array_equal(part.assignments[0], np.arange(10))
+    np.testing.assert_array_equal(part[0], np.arange(10))
 
 
 def test_partition_iid_deterministic():
     ds = generate_synthetic(seed=0, clusters=5, per_class=20, input_dim=2, spread=1.0)
     a = partition_iid(ds, 7, seed=9)
     b = partition_iid(ds, 7, seed=9)
-    for x, y in zip(a.assignments, b.assignments):
+    for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 
 
@@ -148,7 +148,7 @@ def test_partition_dirichlet_huge_concentration_is_near_iid():
     for seed in range(5):
         part = partition_dirichlet(ds, 10, concentration=1e9, seed=seed)
         check_partition(ds, part, 10)
-        for shard in part.assignments:
+        for shard in part:
             hist = np.bincount(ds.labels[shard], minlength=5) / len(shard)
             tv = 0.5 * np.abs(hist - global_hist).sum()
             assert tv <= 0.1
@@ -160,7 +160,7 @@ def test_partition_dirichlet_tiny_concentration_is_skewed():
     for seed in range(5):
         part = partition_dirichlet(ds, 10, concentration=0.01, seed=seed)
         check_partition(ds, part, 10)
-        for shard in part.assignments:
+        for shard in part:
             counts = np.sort(np.bincount(ds.labels[shard], minlength=10))[::-1]
             top2_mass.append(counts[:2].sum() / counts.sum())
     assert np.median(top2_mass) >= 0.8
@@ -169,7 +169,7 @@ def test_partition_dirichlet_tiny_concentration_is_skewed():
 def test_partition_dirichlet_single_client():
     ds = generate_synthetic(seed=0, clusters=3, per_class=4, input_dim=2, spread=1.0)
     part = partition_dirichlet(ds, 1, concentration=0.05, seed=1)
-    np.testing.assert_array_equal(part.assignments[0], np.arange(12))
+    np.testing.assert_array_equal(part[0], np.arange(12))
 
 
 def test_partition_invariants_randomized():
@@ -192,7 +192,7 @@ def test_heterogeneity_monotone_in_concentration():
             part = make(seed)
             vals.append(np.mean([
                 entropy(np.bincount(ds.labels[s], minlength=10))
-                for s in part.assignments]))
+                for s in part]))
         return float(np.mean(vals))
 
     e03 = mean_entropy(lambda s: partition_dirichlet(ds, 20, 0.3, s))

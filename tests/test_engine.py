@@ -9,12 +9,12 @@ import pytest
 from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, Algorithm
 from fedsim.cli import main
-from fedsim.client import LocalConfig, local_update
-from fedsim.data import Dataset, generate_synthetic, take_per_class
+from fedsim.client import LocalConfig, local_update, shard_group
+from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, take_per_class
 from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params
-from fedsim.server import ServerHyper, aggregate
+from fedsim.server import ServerHyper, aggregate, init_state
 
 
 def small_task(seed=0):
@@ -141,6 +141,38 @@ def test_momentum_residual_tracked_and_small():
         1 + float(np.max(np.abs(out.final_state.buffers["delta"]))))
 
 
+
+def test_live_momentum_check_aborts_a_broken_fedagm_step(monkeypatch, tmp_path, capsys):
+    # a fedagm server step whose delta is nudged by 1e-6 breaks the
+    # recurrence delta' = tau*gbar + lam*delta; the check in the registry
+    # entry must stop the run at the first round, in the engine and the CLI
+    fedagm = REGISTRY["fedagm"]
+
+    def nudged(st, m, *rest):
+        theta, buffers = fedagm.step(st, m, *rest)
+        return theta, {"delta": buffers["delta"] + 1e-6}
+
+    monkeypatch.setitem(REGISTRY, "fedagm", replace(fedagm, step=nudged))
+    train, test = small_task()
+    with pytest.raises(NumericError, match="momentum identity violated") as ei:
+        run(config("fedagm"), train, test)
+    assert ei.value.round == 0
+
+    path = tmp_path / "fedagm.json"
+    path.write_text(json.dumps({
+        "algorithm": "fedagm", "rounds": 3, "clients": 4,
+        "model": {"input_dim": 3, "output_dim": 2},
+        "data": {"classes": 2, "train_per_class": 6, "test_per_class": 3, "input_dim": 3},
+        "local": {"k": 2}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: momentum identity violated")
+    assert "round=0" in err[0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numeric_abort"
+    assert manifest["error"] == err[0][len("error: "):]
+
 def test_feddyn_state_changes_trajectory():
     train, test = small_task()
     plain = run(config("fedavg", rounds=6), train, test)
@@ -201,6 +233,28 @@ def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
         assert all(len(sizes) == 1 for sizes in calls)
         assert stacked.records == serial.records
         assert stacked.final_state.theta.tobytes() == serial.final_state.theta.tobytes()
+
+
+def test_each_sampled_client_steps_on_its_own_shard():
+    # one fedavg round at clients 0, 2, 3 and 4 of 7, whose Dirichlet shards
+    # of 13 and 12 examples fall in both size groups (client 2 alone holds
+    # 12, so the other group's rows are not its client ids): the new model
+    # is the mean of each sampled client stepped alone on its own shard
+    train, test = small_task()
+    cfg = config("fedavg", rounds=1, n_clients=7, participation=4 / 7, seed=2,
+                 partition_kind="dirichlet")
+    ids = sample_clients(7, cfg.participation, 0, cfg.seed)
+    assignments = partition_dirichlet(train, 7, cfg.concentration, cfg.seed)
+    assert len(ids) == 4 and len({len(assignments[cid]) for cid in ids}) == 2
+    theta0 = init_params(SPEC, np.random.default_rng([cfg.seed, 0]))
+    alone = np.concatenate([
+        local_update(SPEC, theta0, shard_group(train, [assignments[cid]], [cid]), [0],
+                     cfg.local, 0, [np.random.default_rng([cfg.seed, 2, 0, cid])])
+        for cid in ids])
+    expected = aggregate(init_state(theta0, cfg.server), REGISTRY["fedavg"].step, alone)
+    out = run(cfg, train, test)
+    assert out.records[0].sampled_clients == tuple(ids)
+    assert out.final_state.theta.tobytes() == expected.theta.tobytes()
 
 
 def test_round_returns_die_before_the_next_round(monkeypatch):

@@ -121,7 +121,7 @@ def _task(seed=0):
 
 def groups_of(ds, part):
     """The shard groups the engine evaluates from."""
-    return list(shard_groups(ds, part.assignments)[0].values())
+    return shard_groups(ds, part)
 
 
 def test_global_loss_single_client_equals_whole_set():
@@ -155,7 +155,7 @@ def test_global_loss_matches_per_shard_loop_across_blocks(spec):
     for N in (1, 37, 400):
         part = partition_dirichlet(ds, N, 0.3, seed=N)
         params = rng.normal(size=param_dim(spec))
-        ref = math.fsum(loss(spec, params, ds.subset(a).to_batch()) for a in part.assignments) / N
+        ref = math.fsum(loss(spec, params, ds.subset(a).to_batch()) for a in part) / N
         assert abs(global_loss(spec, params, groups_of(ds, part)) - ref) <= 1e-12 * abs(ref)
 
 
@@ -186,10 +186,10 @@ def partition_global_loss(spec, params, part, ds):
             log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             per_example.append(-log_softmax[0, np.arange(yb.shape[1]), yb[0]])
     per_example = np.concatenate(per_example)
-    sizes = np.array([len(a) for a in part.assignments])
+    sizes = np.array([len(a) for a in part])
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     client_means = np.add.reduceat(
-        per_example[np.concatenate(part.assignments)], starts) / sizes
+        per_example[np.concatenate(part)], starts) / sizes
     if spec.l2_weight_decay:
         client_means = client_means + decay_term(spec, params[None])[0]
     return math.fsum(client_means.tolist()) / len(client_means)
