@@ -154,6 +154,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", path=path) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: byte {exc.start} does not decode",
+                          path=path) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -414,11 +417,22 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int)
     return result
 
 
+def _out_dir(out: str) -> Path:
+    """``--out`` as a Path, rejected when it, or the nearest of its
+    parents that exists, is not a directory, so that a run fails before
+    any data is built rather than at its first write."""
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return path
+
+
 def cmd_run(args) -> int:
+    out_dir = _out_dir(args.out)
     cfg = resolve_config(args.config, args.overrides, args.seed)
     data = build_dataset(cfg)
     rc = build_run_config(cfg)
-    out_dir = Path(args.out)
     result = _execute(cfg, rc, data, out_dir, args.threads)
     print(f"run complete: {len(result.records)} evaluated rounds written to {out_dir}")
     return 0
@@ -434,6 +448,7 @@ def _unique_labels(paths: list[str]) -> list[str]:
 
 
 def cmd_compare(args) -> int:
+    out_dir = _out_dir(args.out)
     configs = [resolve_config(p, args.overrides, args.seed) for p in args.configs]
     if len(configs) < 2:
         raise ConfigError("compare needs at least two --config files")
@@ -449,7 +464,6 @@ def cmd_compare(args) -> int:
     data = build_dataset(configs[0])
     run_configs = [build_run_config(cfg) for cfg in configs]
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = _unique_labels(args.configs)
     total_rounds = configs[0]["rounds"]

@@ -9,6 +9,8 @@ floor(n/N) or ceil(n/N) examples.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,7 +71,12 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     except OSError as exc:
         raise ConfigError(f"cannot open data file: {exc}", path=path) from None
     with fh:
-        reader = csv.reader(fh)
+        # decoded whole, so that a decode error's offset is the file's
+        try:
+            reader = csv.reader(io.StringIO(fh.read(), newline=""))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text: byte {exc.start} does not decode",
+                              path=path) from None
         try:
             header = next(reader)
         except StopIteration:
@@ -161,12 +168,14 @@ def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
     C = dataset.class_count
     ratios = rng.dirichlet(np.full(C, concentration), size=N)
 
-    parts: list[list[int]] = [[] for _ in range(N)]
+    # Each class's shuffled examples are dealt to the clients in id order,
+    # so a client's examples are its runs of each class, in class order.
+    dealt, owners = [], []
     for c in range(C):
         idx = np.flatnonzero(dataset.labels == c)
         if idx.size == 0:
             continue
-        idx = idx[rng.permutation(idx.size)]
+        dealt.append(idx[rng.permutation(idx.size)])
         col = ratios[:, c].copy()
         total = col.sum()
         if total <= 0.0:
@@ -178,13 +187,16 @@ def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
         leftovers = idx.size - int(counts.sum())
         order = np.lexsort((np.arange(N), -(quota - counts)))
         counts[order[:leftovers]] += 1
-        pos = 0
-        for i in range(N):
-            parts[i].extend(idx[pos:pos + counts[i]].tolist())
-            pos += counts[i]
+        owners.append(np.repeat(np.arange(N), counts))
+    dealt, owners = np.concatenate(dealt), np.concatenate(owners)
+    by_client = dealt[np.argsort(owners, kind="stable")]
+    sizes = np.bincount(owners, minlength=N).tolist()
+    starts = [0, *itertools.accumulate(sizes)]
+    owner = np.empty(dataset.n, dtype=np.int64)
+    owner[dealt] = owners
+    labels = dataset.labels.tolist()
 
     lo = dataset.n // N
-    sizes = [len(p) for p in parts]
     # the n % N largest shards keep the ceil size; everyone else gets floor
     by_size = sorted(range(N), key=lambda i: (-sizes[i], i))
     targets = [lo] * N
@@ -207,17 +219,18 @@ def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
                 continue
             if d not in donor_lists:
                 lists = [[] for _ in range(C)]
-                for ix in parts[d]:
-                    lists[int(dataset.labels[ix])].append(ix)
+                for ix in by_client[starts[d]:starts[d + 1]].tolist():
+                    lists[labels[ix]].append(ix)
                 donor_lists[d] = lists
             lists = donor_lists[d]
             donor_class = max(range(C), key=lambda c: (len(lists[c]), -c))
-            parts[rec].append(lists[donor_class].pop())
+            owner[lists[donor_class].pop()] = rec
             sizes[d] -= 1
             sizes[rec] += 1
-    for d, lists in donor_lists.items():
-        parts[d] = [ix for sub in lists for ix in sub]
-    return _finish(parts)
+    # every client's examples in index order, one slice each
+    by_owner = np.argsort(owner, kind="stable")
+    ends = list(itertools.accumulate(sizes))
+    return tuple(by_owner[a:b] for a, b in zip([0, *ends[:-1]], ends))
 
 
 def split_stratified(dataset: Dataset, test_fraction: float,
@@ -244,14 +257,14 @@ def take_per_class(dataset: Dataset, count_per_class: int) -> tuple[Dataset, Dat
     """Split off the first ``count_per_class`` examples of every class into
     the first dataset; the remainder forms the second. Positional, so a
     single random generation can be split without a second rng."""
-    first, second = [], []
-    taken = np.zeros(dataset.class_count, dtype=np.int64)
-    for i, c in enumerate(dataset.labels):
-        if taken[c] < count_per_class:
-            first.append(i)
-            taken[c] += 1
-        else:
-            second.append(i)
-    if not second:
+    labels = dataset.labels
+    by_class = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=dataset.class_count)
+    # rank[i]: how many examples of i's class come before i
+    rank = np.empty(labels.size, dtype=np.int64)
+    rank[by_class] = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    taken = rank < count_per_class
+    first, second = np.flatnonzero(taken), np.flatnonzero(~taken)
+    if not second.size:
         raise StructuralError("count_per_class consumed the entire dataset")
     return dataset.subset(first), dataset.subset(second)

@@ -15,17 +15,6 @@ from .models import ModelSpec, decay_term, example_losses
 # the benchmark's traced run hooks.
 from .models import loss  # noqa: F401
 
-# Rows per forward pass in global_loss. The groups order rows by client,
-# not as the training set does, so a row's loss must not depend on where
-# its block starts. With this OpenBLAS (0.3.31, one thread) a row's logits
-# are the same bits in any block of at most 1,024 rows, except in a block's
-# last (rows mod 4) rows, which a remainder kernel computes and which can
-# differ in the last bit. With 2,000-row blocks the MLP's second-layer gemm
-# changes the bits of most rows. So the constant stays 1,024, and rows may
-# be reordered only within that bound.
-EVAL_BLOCK_ROWS = 1024
-
-
 # The weight of the previous smoothed value in each EMA step.
 EMA_DECAY = 0.9
 
@@ -69,23 +58,20 @@ def global_loss(spec: ModelSpec, params: np.ndarray, groups) -> float:
 
     ``groups`` are the run's shard groups (:class:`fedsim.client.ShardGroup`),
     which hold every client's shard once, already checked against ``spec``.
-    Per-example losses come from one forward pass per block of at most
-    ``EVAL_BLOCK_ROWS`` rows of a group, which bounds the memory the pass
-    takes; each client's sum starts at a fixed multiple of its group's
-    shard size. ``math.fsum`` is exact, so the order of the groups does
-    not change the result. With the equal-size shards the partitioners
+    Each group's per-example losses come from one
+    :func:`fedsim.models.example_losses` pass over all its rows, whose gemm
+    calls take at most :data:`fedsim.models.EVAL_BLOCK_ROWS` rows each;
+    each client's sum starts at a fixed multiple of its group's shard
+    size. ``math.fsum`` is exact, so the order of the groups does not
+    change the result. With the equal-size shards the partitioners
     guarantee, this matches the plain whole-dataset loss up to reduction
     rounding.
     """
     client_means = []
     for group in groups:
         G, n = group.labels.shape
-        X = group.features.reshape(G * n, -1)
-        y = group.labels.reshape(G * n)
-        per_example = np.concatenate([
-            example_losses(spec, params[None], X[None, lo:lo + EVAL_BLOCK_ROWS],
-                           y[None, lo:lo + EVAL_BLOCK_ROWS])[0]
-            for lo in range(0, G * n, EVAL_BLOCK_ROWS)])
+        per_example = example_losses(spec, params, group.features.reshape(G * n, -1),
+                                     group.labels.reshape(G * n))
         client_means.append(np.add.reduceat(per_example, np.arange(0, G * n, n)) / n)
     client_means = np.concatenate(client_means)
     if spec.l2_weight_decay:

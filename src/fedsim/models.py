@@ -16,6 +16,13 @@ weight matrix stored row-major as (fan_in, fan_out). Classifier losses are
 batch means, so changing the batch size does not rescale gradients, and an
 optional L2 penalty ``(l2_weight_decay/2)*||params||**2`` over the full
 vector (biases included) is added inside both loss and gradient.
+
+Evaluation has one path, :func:`example_losses`, which :func:`loss` and
+:func:`fedsim.metrics.global_loss` both call: one model over any number of
+rows, with the gemm calls blocked and the classifier head computed
+class-major, once over all the rows, equal bit for bit to the row-major
+log-softmax. Training steps go through :func:`gradient_unchecked`, which
+takes a stack of clients instead.
 """
 
 from __future__ import annotations
@@ -193,21 +200,105 @@ def targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     return (labels[..., None] == np.arange(spec.output_dim)).astype(np.float64)
 
 
+# Rows per gemm call in example_losses. Evaluation reads the rows of a
+# shard group, in client order rather than the training set's, so a row's
+# loss must not depend on where its gemm block starts. With this OpenBLAS
+# (0.3.31, one thread) a row's logits are the same bits in any block of at
+# most 1,024 rows, except in a block's last (rows mod 4) rows, which a
+# remainder kernel computes and which can differ in the last bit. With
+# 2,000-row blocks the MLP's second-layer gemm changes the bits of most
+# rows. So the constant stays 1,024, and rows may be reordered only within
+# that bound. It governs the gemm calls alone: everything after them runs
+# once over all the rows.
+EVAL_BLOCK_ROWS = 1024
+
+
+def _blocked_matmul(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``A @ W`` for A (rows, k) and W (k, m), as one gemm per block of
+    ``EVAL_BLOCK_ROWS`` rows of A and one for the tail."""
+    rows, k = A.shape
+    out = np.empty((rows, W.shape[1]))
+    full = rows - rows % EVAL_BLOCK_ROWS
+    if full:
+        np.matmul(A[:full].reshape(-1, EVAL_BLOCK_ROWS, k), W,
+                  out=out[:full].reshape(-1, EVAL_BLOCK_ROWS, W.shape[1]))
+    if full < rows:
+        np.matmul(A[full:], W, out=out[full:])
+    return out
+
+
+def _pairwise_sum(E: np.ndarray) -> np.ndarray:
+    """Column sums of E (C, rows), adding each column's C values in the
+    order numpy's pairwise summation adds a contiguous run of C values:
+    in sequence below 8; in eight running sums, combined as a tree, then
+    the rest in sequence, up to 128; split at a multiple of 8 near the
+    middle above that."""
+    C = E.shape[0]
+    if C < 8:
+        s = E[0].copy()
+        for row in E[1:]:
+            s += row
+        return s
+    if C > 128:
+        half = C // 2 - C // 2 % 8
+        return _pairwise_sum(E[:half]) + _pairwise_sum(E[half:])
+    whole = C - C % 8
+    r = E[:8] if whole == 8 else E[:8].copy()
+    for lo in range(8, whole, 8):
+        r += E[lo:lo + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in E[whole:]:
+        s += row
+    return s
+
+
+def class_sum(E: np.ndarray) -> np.ndarray:
+    """``E.T.sum(axis=-1)`` for a class-major E (C, rows), bit for bit: the
+    reduction starts from its identity 0.0, which turns a sum of -0.0
+    into +0.0."""
+    return 0.0 + _pairwise_sum(E)
+
+
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``-_log_softmax(logits)`` at the labels ``y`` (S, n), built
-    without the whole log-softmax array and equal to it bit for bit. The
-    row max is a running maximum over the class columns: a max rounds
-    nothing, and a few column operations cost less than one last-axis
-    reduction. The loss is ``-(shifted[y] - lse)``, as the full array
-    holds it; ``lse - shifted[y]`` would turn a loss of -0.0 into +0.0."""
-    shift = logits[..., 0].copy()
-    for j in range(1, logits.shape[-1]):
-        np.maximum(shift, logits[..., j], out=shift)
-    shifted = logits - shift[..., None]
-    S, n = y.shape
-    loss = shifted[np.arange(S)[:, None], np.arange(n), y]
-    loss -= np.log(np.exp(shifted).sum(axis=-1))
+    """``-_log_softmax`` at the labels ``y`` (rows,) of class-major logits
+    (C, rows), which it overwrites; equal bit for bit to the row-major
+    computation. The row max takes the classes in order, as a running
+    maximum would, and a max rounds nothing. The loss is
+    ``-(shifted[y] - lse)``, as the full array holds it; ``lse - shifted[y]``
+    would turn a loss of -0.0 into +0.0."""
+    rows = logits.shape[1]
+    logits -= np.maximum.reduce(logits, axis=0)
+    # shifted[y[i], i], gathered by flat index
+    loss = logits.ravel().take(np.arange(0, logits.size, rows)[y] + np.arange(rows))
+    loss -= np.log(class_sum(np.exp(logits, out=logits)))
     return np.negative(loss, out=loss)
+
+
+def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """Per-example loss of the model ``params`` (d,) on features X (rows,
+    input_dim) and labels y (rows,), decay term excluded, shape (rows,).
+    Unchecked: the caller has validated the inputs against ``spec``.
+
+    Only the gemm calls are blocked (:data:`EVAL_BLOCK_ROWS`); each
+    hidden layer's bias and tanh run in place over all the rows, and the
+    classifier head runs once, class-major: the last bias add writes the
+    transposed logits (C, rows), so that the max, the shift, the gather,
+    the exp and the class sum each run over all the rows at once, with no
+    per-row reduction over the few classes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear_regression":
+            r = _blocked_matmul(X, params[:, None])[:, 0]
+            r -= y
+            return 0.5 * (r * r)
+        *hidden, (W, b) = [(W[0], b[0, 0]) for W, b in layer_views(spec, params[None])]
+        for Wh, bh in hidden:
+            X = _blocked_matmul(X, Wh)
+            X += bh
+            np.tanh(X, out=X)
+        logits = np.empty((spec.output_dim, X.shape[0]))
+        np.add(_blocked_matmul(X, W).T, b[:, None], out=logits)
+        return _cross_entropy(logits, y)
 
 
 # The kernels below take a stack of S clients: params (S, d), features
@@ -216,17 +307,6 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 # BLAS call a single client would make, so row s of a result is
 # bit-identical to a stack holding only client s. They are unchecked: the
 # caller has validated the inputs against ``spec``.
-
-def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """Per-example loss, decay term excluded, shape (S, n)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "linear_regression":
-            r = _residuals(params, X, y)
-            return 0.5 * (r * r)
-        _, logits = _forward(layer_views(spec, params), X)
-        return _cross_entropy(logits, y)
-
 
 def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                        y: np.ndarray, out: np.ndarray | None = None,
@@ -264,11 +344,10 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean per-example loss plus the L2 decay term."""
     check_inputs(spec, params, batch.features, batch.labels)
-    value = np.mean(example_losses(spec, params[None], batch.features[None],
-                                   batch.labels[None]), axis=1)
+    value = np.mean(example_losses(spec, params, batch.features, batch.labels))
     if spec.l2_weight_decay:
-        value = value + decay_term(spec, params[None])
-    value = float(value[0])
+        value = value + decay_term(spec, params[None])[0]
+    value = float(value)
     if not np.isfinite(value):
         raise NumericError("loss is not finite")
     return value

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fedsim import cli
 from fedsim.cli import (DEFAULT_CONFIG, apply_overrides, config_hash, load_config,
                         main, resolve_config)
 from fedsim.errors import ConfigError
@@ -213,6 +214,18 @@ def test_parse_error_exits_2_with_location(tmp_path, capsys):
     assert "broken.json:1:15" in err
 
 
+def test_config_that_is_not_utf8_exits_2_naming_path_and_byte(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    raw = b'{"algorithm": "fed\xe1gm"}'
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "latin.json" in err[0] and f"byte {raw.index(0xe1)} " in err[0]
+    assert not out.exists()
+
+
 def test_missing_config_exits_2_naming_path(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--out", str(tmp_path / "x")]) == 2
@@ -281,6 +294,22 @@ def test_csv_dataset_roundtrip(tmp_path):
     assert meta["label_names"] == ["x", "y", "z"]
     assert meta["normalized"] is True
     assert meta["train_examples"] == 9 and meta["test_examples"] == 3
+
+
+@pytest.mark.parametrize("prefix", [b"", b"a,b,species\n" + b"1,2,x\n" * 2000],
+                         ids=["first_byte", "past_the_first_read"])
+def test_csv_that_is_not_utf8_exits_2_naming_path_and_byte(tmp_path, capsys, prefix):
+    data_file = tmp_path / "tiny.csv"
+    data_file.write_bytes(prefix + b"\xff\xfe{")
+    payload = {"rounds": 2, "clients": 2, "model": {"input_dim": 2, "output_dim": 3},
+               "data": {"kind": "csv", "path": str(data_file), "label_column": "species"}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "tiny.csv" in err[0] and f"byte {len(prefix)} " in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("normalize", [True, False])
@@ -661,6 +690,22 @@ def test_aborted_compare_leaves_a_manifest_naming_the_failed_run(tmp_path, capsy
     assert manifest["error"] == err[0][len("error: "):]
     assert [run["label"] for run in manifest["runs"]] == ["a", "c"]
     assert strict_json((out / "c" / "manifest.json").read_text())["status"] == "numeric_abort"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_out_that_is_or_lies_under_a_file_exits_2_before_any_data(
+        tmp_path, capsys, monkeypatch, verb, under):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / "x" if under else afile
+    monkeypatch.setattr(cli, "build_dataset", lambda cfg: pytest.fail("data was built"))
+    cfg = write_config(tmp_path, TINY)
+    configs = ["--config", cfg] * (2 if verb == "compare" else 1)
+    assert main([verb, *configs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert afile.read_text() == "keep\n"
 
 
 def test_compare_needs_two_configs(tmp_path, capsys):

@@ -10,6 +10,8 @@ config mutated the same way. Every invocation must:
   a mutated key or a file (exit 2) or the round (exit 3);
 * leave a ``manifest.json`` with a ``status`` whenever it created the
   output directory, and in each run directory of a compare.
+
+The run and compare fuzz tests must each see all three exit codes.
 """
 
 import contextlib
@@ -36,7 +38,11 @@ BASE = {
     "local": {"k": 2},
 }
 
-POOL = (None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf)
+# 1e300 is a valid value of every float key; as the step size, a gradient
+# weight, the decay or the data spread it makes the run diverge (exit 3)
+POOL = (None, True, "x", [], {}, -1, 0, 1.5, 1e300, math.nan, math.inf, -math.inf)
+DIVERGING_KEYS = ("local.lr0", "local.alpha", "local.beta", "model.l2_weight_decay",
+                  "data.spread")
 # only the size keys take these, so that no run is long
 HUGE = (10 ** 15, 2 ** 64, 10 ** 400)
 
@@ -60,9 +66,14 @@ def _is_size_key(key: str) -> bool:
 
 @st.composite
 def mutation(draw):
-    key = draw(st.sampled_from(KEYS))
-    pool = POOL + HUGE if _is_size_key(key) else POOL
-    return key, draw(st.sampled_from(pool)), draw(st.sampled_from(("file", "set")))
+    # one mutation in four sets a diverging key to 1e300, so that a share
+    # of the runs exit 3
+    if draw(st.integers(0, 3)) == 0:
+        key, value = draw(st.sampled_from(DIVERGING_KEYS)), 1e300
+    else:
+        key = draw(st.sampled_from(KEYS))
+        value = draw(st.sampled_from(POOL + HUGE if _is_size_key(key) else POOL))
+    return key, value, draw(st.sampled_from(("file", "set")))
 
 
 def _put(cfg: dict, key: str, value) -> None:
@@ -112,6 +123,8 @@ def check_contract(code: int, err: list[str], out: Path, names) -> None:
             assert any(names(err[0])), err[0]
         else:
             assert "round=" in err[0], err[0]
+    # a run that started, whether it finished or diverged, leaves its directory
+    assert out.exists() or code == 2
     if out.exists():
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["status"] == ("ok" if code == 0 else "numeric_abort")
@@ -144,27 +157,41 @@ def _mutate(mutations) -> tuple[dict, list]:
 MUTATIONS = st.lists(mutation(), min_size=1, max_size=3, unique_by=lambda m: m[0])
 
 
-@FUZZ
-@given(MUTATIONS)
-def test_mutated_configs_keep_the_exit_code_contract(mutations):
-    cfg, overrides = _mutate(mutations)
-    with tempfile.TemporaryDirectory() as tmp:
-        code, err, out = invoke(Path(tmp), cfg, overrides)
-        check_contract(code, err, out,
-                       lambda line: (_names(line, key) for key, _, _ in mutations))
+def test_mutated_configs_keep_the_exit_code_contract():
+    codes = set()
+
+    @FUZZ
+    @given(MUTATIONS)
+    def check(mutations):
+        cfg, overrides = _mutate(mutations)
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, out = invoke(Path(tmp), cfg, overrides)
+            check_contract(code, err, out,
+                           lambda line: (_names(line, key) for key, _, _ in mutations))
+        codes.add(code)
+
+    check()
+    assert codes == {0, 2, 3}
 
 
-@FUZZ
-@given(MUTATIONS)
-def test_mutated_compare_keeps_the_exit_code_contract(mutations):
+def test_mutated_compare_keeps_the_exit_code_contract():
     # the file mutations reach the second config only, the --set ones both;
     # a second config whose data, model or schedule differs is named by path
-    cfg, overrides = _mutate(mutations)
-    with tempfile.TemporaryDirectory() as tmp:
-        code, err, out = invoke(Path(tmp), cfg, overrides, first=BASE)
-        second = str(Path(tmp) / "cfg1.json")
-        check_contract(code, err, out, lambda line: (
-            second in line, *(_names(line, key) for key, _, _ in mutations)))
+    codes = set()
+
+    @FUZZ
+    @given(MUTATIONS)
+    def check(mutations):
+        cfg, overrides = _mutate(mutations)
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, out = invoke(Path(tmp), cfg, overrides, first=BASE)
+            second = str(Path(tmp) / "cfg1.json")
+            check_contract(code, err, out, lambda line: (
+                second in line, *(_names(line, key) for key, _, _ in mutations)))
+        codes.add(code)
+
+    check()
+    assert codes == {0, 2, 3}
 
 
 HEADER = ["f0", "f1", "f2", "label"]

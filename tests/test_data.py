@@ -7,6 +7,7 @@ from fedsim.data import (Dataset, generate_synthetic, load_csv, partition_dirich
                          partition_iid, split_stratified, take_per_class)
 from fedsim.errors import ConfigError, StructuralError
 from fedsim.models import ModelSpec, accuracy, gradient, param_dim
+from oracles import partition_dirichlet_by_deal, take_per_class_by_scan
 
 
 def entropy(counts):
@@ -181,6 +182,51 @@ def test_partition_invariants_randomized():
         seed = int(rng.integers(0, 1 << 31))
         check_partition(ds, partition_dirichlet(ds, N, conc, seed), N)
         check_partition(ds, partition_iid(ds, N, seed), N)
+
+
+def _shuffled_labels(rng, n, C):
+    """A dataset of n examples over C classes in random order, some of them
+    possibly empty; each feature is the example's own index."""
+    labels = rng.integers(0, int(rng.integers(1, C + 1)), size=n)
+    return Dataset(np.arange(n, dtype=np.float64)[:, None], labels, C)
+
+
+def test_partition_dirichlet_equals_the_dealing_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        ds = _shuffled_labels(rng, int(rng.integers(1, 400)), int(rng.integers(1, 12)))
+        N = int(rng.integers(1, ds.n + 1))
+        conc = float(10.0 ** rng.uniform(-3, 3))
+        seed = int(rng.integers(0, 1 << 31))
+        got = partition_dirichlet(ds, N, conc, seed)
+        want = partition_dirichlet_by_deal(ds, N, conc, seed)
+        assert len(got) == len(want) == N
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (ds.n, N, conc, seed)
+
+
+def test_partition_dirichlet_at_scale_equals_the_dealing_loop():
+    ds = generate_synthetic(seed=3, clusters=10, per_class=500, input_dim=2, spread=1.0)
+    for N, conc, seed in [(1000, 0.3, 11), (100, 0.3, 23), (997, 0.05, 5), (5000, 1.0, 7)]:
+        got = partition_dirichlet(ds, N, conc, seed)
+        want = partition_dirichlet_by_deal(ds, N, conc, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_take_per_class_equals_the_label_scan():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        ds = _shuffled_labels(rng, int(rng.integers(2, 300)), int(rng.integers(1, 12)))
+        count = int(rng.integers(0, ds.n // 2 + 2))
+        first, second = take_per_class_by_scan(ds, count)
+        if not second:
+            with pytest.raises(StructuralError):
+                take_per_class(ds, count)
+            continue
+        got_first, got_second = take_per_class(ds, count)
+        assert got_first.features[:, 0].tolist() == first
+        assert got_second.features[:, 0].tolist() == second
+        assert np.array_equal(got_first.labels, ds.labels[first])
 
 
 def test_heterogeneity_monotone_in_concentration():

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedsim.client import shard_groups
-from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid
+from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, partition_iid
 from fedsim.errors import StructuralError
-from fedsim.metrics import (EVAL_BLOCK_ROWS, Saturated, ema_update, global_loss,
-                            rounds_to_target)
-from fedsim.models import (ModelSpec, _forward, decay_term, layer_views, loss,
-                           param_dim)
+from fedsim.metrics import Saturated, ema_update, global_loss, rounds_to_target
+from fedsim.models import (EVAL_BLOCK_ROWS, ModelSpec, _forward, decay_term, layer_views,
+                           loss, param_dim)
 
 
 def series_of(values):
@@ -242,3 +241,61 @@ def test_global_loss_ignores_the_order_of_the_groups(spec):
     assert len(groups) == 2
     params = np.random.default_rng(6).normal(size=param_dim(spec))
     assert global_loss(spec, params, groups[::-1]) == global_loss(spec, params, groups)
+
+
+ROW_COUNTS = [k * EVAL_BLOCK_ROWS + r for k in (0, 1, 2) for r in (0, 1, 2, 3) if k or r]
+CLASS_COUNTS = [2, 7, 8, 9, 16, 17, 129]
+
+
+def _dataset(rows, C, rng, exact=False):
+    """``rows`` examples of 5 features over C classes. With ``exact`` the
+    features are multiples of 1/4 in [-1, 1], so that with parameters that
+    are multiples of 1/8 every logit is exact, whatever rows its gemm
+    block holds."""
+    if exact:
+        X = rng.integers(-4, 5, size=(rows, 5)) / 4
+    else:
+        X = rng.normal(size=(rows, 5))
+    return Dataset(X, rng.integers(0, C, size=rows), C)
+
+
+@pytest.mark.parametrize("C", CLASS_COUNTS)
+@pytest.mark.parametrize("kind", ["softmax_classifier", "mlp"])
+def test_global_loss_of_one_group_equals_the_partition_computation(kind, C):
+    # one client per row, in dataset order: the group's gemm blocks are the
+    # partition computation's, so every logit has the same bits, and the
+    # class-major loss must equal the row-major one exactly, whatever the
+    # tail of the last block
+    rng = np.random.default_rng(C)
+    spec = ModelSpec(kind, input_dim=5, output_dim=C,
+                     hidden_dims=(6,) if kind == "mlp" else (), l2_weight_decay=0.01)
+    for rows in ROW_COUNTS:
+        ds = _dataset(rows, C, rng)
+        part = tuple(np.arange(rows)[:, None])
+        groups = groups_of(ds, part)
+        assert len(groups) == 1
+        for scale in (0.1, 30.0):
+            params = scale * rng.normal(size=param_dim(spec))
+            assert global_loss(spec, params, groups) == \
+                partition_global_loss(spec, params, part, ds), (rows, scale)
+
+
+@pytest.mark.parametrize("C", CLASS_COUNTS)
+def test_global_loss_of_two_groups_equals_the_partition_computation(C):
+    # one single-row client per row of the first range and one client
+    # holding the second (of at least 2 rows): two groups, each with its
+    # own gemm tail, whose blocks do not line up with the dataset's. Exact
+    # logits keep the comparison independent of the BLAS kernel that
+    # computes them.
+    rng = np.random.default_rng(C)
+    spec = ModelSpec("softmax_classifier", input_dim=5, output_dim=C, l2_weight_decay=0.01)
+    pairs = [(a, b) for a, b in zip(ROW_COUNTS, ROW_COUNTS[4:] + ROW_COUNTS[:4]) if b > 1]
+    for first, second in pairs:
+        ds = _dataset(first + second, C, rng, exact=True)
+        part = (*np.arange(first)[:, None], np.arange(first, first + second))
+        groups = groups_of(ds, part)
+        assert [g.labels.size for g in groups] == [first, second]
+        for scale in (1, 16):
+            params = scale * rng.integers(-8, 9, size=param_dim(spec)) / 8
+            assert global_loss(spec, params, groups) == \
+                partition_global_loss(spec, params, part, ds), (first, second, scale)

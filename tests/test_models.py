@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from fedsim.errors import StructuralError
 from fedsim.models import (MAX_PARAM_DIM, Batch, ModelSpec, _cross_entropy, _forward,
-                           accuracy, example_losses, fd_gradient, gradient,
+                           accuracy, class_sum, example_losses, fd_gradient, gradient,
                            layer_views,
                            init_params, loss, make_batch, param_dim)
 
@@ -70,9 +70,27 @@ def test_cross_entropy_equals_the_negated_log_softmax_bit_for_bit(data, shape):
     logits = data.draw(hnp.arrays(np.float64, shape, elements=LOGITS))
     y = data.draw(hnp.arrays(np.int64, shape[:2],
                              elements=st.integers(0, shape[2] - 1)))
+    # _cross_entropy takes the logits class-major, (C, rows), and overwrites them
+    class_major = logits.reshape(-1, shape[2]).T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _cross_entropy(logits, y)
+        got = _cross_entropy(class_major, y.reshape(-1))
     assert got.tobytes() == negated_log_softmax(logits, y).tobytes()
+
+
+def test_class_sum_equals_numpys_row_sum_bit_for_bit():
+    # ties of either zero, sums that overflow to inf and inf - inf, and
+    # rows of -0.0 alone, whose sum is +0.0
+    for C in range(1, 301):
+        rng = np.random.default_rng(C)
+        A = rng.normal(size=(40, C)) * rng.choice([1.0, 1e-3, 1e10], size=(40, C))
+        special = rng.random((40, C)) < np.linspace(0.0, 1.0, 40)[:, None]
+        A[special] = rng.choice([0.0, -0.0, 1e308, -1e308, 745.0, -745.0],
+                                size=special.sum())
+        A[0], A[1], A[2, ::2] = -0.0, 0.0, -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = A.sum(axis=-1)
+            got = class_sum(A.T.copy())
+        assert got.tobytes() == want.tobytes(), C
 
 
 MLP_4325 = ModelSpec("mlp", input_dim=4, output_dim=5, hidden_dims=(3, 2))
@@ -91,8 +109,9 @@ def test_example_losses_equal_the_negated_log_softmax_bit_for_bit(spec, seed, sc
     y = rng.integers(0, spec.output_dim, size=(2, n))
     with np.errstate(over="ignore", invalid="ignore"):
         _, logits = _forward(layer_views(spec, params), X)
-    assert example_losses(spec, params, X, y).tobytes() == \
-        negated_log_softmax(logits, y).tobytes()
+    want = negated_log_softmax(logits, y)
+    for s in range(2):
+        assert example_losses(spec, params[s], X[s], y[s]).tobytes() == want[s].tobytes()
 
 
 def test_zero_model_zero_targets_zero_loss():
