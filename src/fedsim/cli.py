@@ -10,7 +10,8 @@ byte-identical in rounds.csv and summary.json.
 
 Exit codes: 0 success, 2 config/input problem (parse errors carry
 line:column), 3 numeric abort (message carries round/client; the partial
-rounds.csv written so far is kept).
+rounds.csv written so far is kept), 130 interrupted by SIGINT (the
+manifest of the run that was going says ``status: "interrupted"``).
 """
 
 from __future__ import annotations
@@ -391,6 +392,10 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int)
                             error=str(exc))
             _write_manifest(out_dir, manifest)
             raise
+        except KeyboardInterrupt:
+            manifest.update(finished_at=_now(), status="interrupted")
+            _write_manifest(out_dir, manifest)
+            raise
 
     records = result.records
     summary = {
@@ -485,6 +490,11 @@ def cmd_compare(args) -> int:
                             error=str(exc), failed_label=label)
             _write_manifest(out_dir, manifest)
             raise
+        except KeyboardInterrupt:
+            manifest.update(finished_at=_now(), status="interrupted",
+                            failed_label=label)
+            _write_manifest(out_dir, manifest)
+            raise
         curve = out_dir / f"{label}_curve.csv"
         with curve.open("w", encoding="utf-8", newline="") as fh:
             fh.write("round,ema_accuracy\n")
@@ -570,6 +580,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -181,11 +181,15 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     g = np.empty_like(theta)  # every step's gradient, then its update, in place
     views = (layer_views(spec, theta), layer_views(spec, g))
     first_bad_step = np.full(S, -1)
+    shard_rows, order = np.arange(n), np.empty((S, n), dtype=np.intp)  # each epoch's shuffle
     pos = n  # the first step shuffles
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.k):
             if pos >= n:
-                order = np.stack([rng.permutation(n) for rng in rngs])
+                # the draws of rng.permutation(n), which shuffles arange(n)
+                order[:] = shard_rows
+                for rng, row in zip(rngs, order):
+                    rng.shuffle(row)
                 X = group.features[rows[:, None], order]
                 y = targets(spec, group.labels[rows[:, None], order])
                 pos = 0

@@ -18,7 +18,13 @@ evaluated from them.
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),
-each client from (seed, 2, round, client id). Sampled clients of one
+each client from (seed, 2, round, client id) — as the stream of
+``np.random.default_rng`` on that key. The client streams are not built
+one generator at a time: the rounds are sampled ``STREAM_BLOCK``
+client-rounds at a time, :func:`fedsim.streams.client_states` runs
+numpy's seeding arithmetic over the whole block at once, and one pool of
+generators is re-seated with those states chunk by chunk, so each client
+draws exactly what its own ``default_rng`` would. Sampled clients of one
 shard group step together in chunks capped at ``STACK_BYTES`` of
 parameters, bit-identical to running them one at a time, and each chunk
 is written to its clients' rows, so the aggregate folds them in
@@ -42,6 +48,7 @@ from .errors import NumericError, StructuralError
 from .metrics import ema_update, global_loss
 from .models import ModelSpec, accuracy, check_inputs, init_params
 from .server import ServerHyper, ServerState, aggregate, init_state
+from .streams import client_states
 # Not called here: names the benchmark's traced run hooks (engine.broadcast,
 # .aggregate_fedagm, .aggregate_baseline, .momentum_residual, .feddyn_updated_state).
 from .algorithms import (aggregate_fedagm, feddyn_updated_state,  # noqa: F401
@@ -56,6 +63,16 @@ from .server import aggregate as aggregate_baseline  # noqa: F401
 # and peak RSS 51.5, 52.4 and 54.3 MB, against 51.6 MB before the shard
 # groups. 512 KiB is faster still but breaks the benchmark's 5% RSS bound.
 STACK_BYTES = 256 * 1024
+
+# Client-rounds whose streams one client_states pass seeds (at least one
+# round's worth). Per row a pass costs 45 µs at 10 rows, 5.7 µs at 100,
+# 2.4 µs at 510 and 1.4 µs at 2,000, against 25 µs for one default_rng
+# (2-vCPU Xeon VM, numpy 2.4.6), so a pass per round would not pay on
+# cross_device (10 clients a round). A perfbench sweep of 16, 64, 256,
+# 512 and 2,048 read cross_device round_ms_p50 2.51, 1.90, 1.92, 1.92 and
+# 1.81 ms, and cross_silo peak RSS 52.1-52.3 MB up to 512 but 53.0 MB at
+# 2,048, where one block holds all 2,000 states of a run.
+STREAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -120,6 +137,21 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
     return sorted(int(i) for i in rng.permutation(N)[:size])
 
 
+def _client_streams(config: RunConfig):
+    """Yield ``(round, sampled ids, their stream states)`` for every round:
+    the ids of :func:`sample_clients` and, per id, the state of
+    ``default_rng([seed, 2, round, id])``, sampled and seeded for about
+    ``STREAM_BLOCK`` client-rounds at a time."""
+    N, p, seed = config.n_clients, config.participation, config.seed
+    t = 0
+    while t < config.rounds:
+        ids = [sample_clients(N, p, t, seed)]
+        stop = min(config.rounds, t + max(1, STREAM_BLOCK // len(ids[0])))
+        ids += [sample_clients(N, p, u, seed) for u in range(t + 1, stop)]
+        yield from zip(range(t, stop), ids, client_states(seed, range(t, stop), ids))
+        t = stop
+
+
 def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         on_record=None) -> RunResult:
     """Execute ``config.rounds`` federated rounds.
@@ -151,8 +183,8 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     records: list[RoundRecord] = []
     acc_down = acc_up = 0
     max_residual = None if algo.check is None else 0.0
-    for t in range(config.rounds):
-        ids = sample_clients(config.n_clients, config.participation, t, config.seed)
+    pool: list[np.random.Generator] = []  # re-seated for every chunk
+    for t, ids, states in _client_streams(config):
         payload = algo.payload(state)
 
         sampled = np.zeros(config.n_clients, dtype=bool)
@@ -163,10 +195,14 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
             for lo in range(0, len(members), rows_per_chunk):
                 rows = members[lo:lo + rows_per_chunk]
                 chunk = group.ids[rows].tolist()
-                rngs = [np.random.default_rng([config.seed, 2, t, cid]) for cid in chunk]
+                pos = np.searchsorted(ids, chunk)
+                pool += [np.random.Generator(np.random.PCG64(0))
+                         for _ in range(len(chunk) - len(pool))]
+                for rng, j in zip(pool, pos.tolist()):
+                    rng.bit_generator.state = states[j]
                 try:
-                    returns[np.searchsorted(ids, chunk)] = local_update(
-                        spec, payload[0], group, rows, cfg, t, rngs,
+                    returns[pos] = local_update(
+                        spec, payload[0], group, rows, cfg, t, pool[:len(chunk)],
                         **algo.terms(state, cfg, chunk))
                 except NumericError as exc:
                     if failure is None or exc.client < failure.client:

@@ -1,11 +1,12 @@
 """Fast invariant suite behind the ``fedsim selftest`` verb.
 
-Five checks, each deterministic (fixed seeds) and fast enough to run on
+Six checks, each deterministic (fixed seeds) and fast enough to run on
 every install: the server-momentum recurrence, analytic-vs-numeric
 gradients, hyperparameter degenerations that must reproduce plain
-averaging bit for bit, partition structure, and clients stepped together
-as a group matching each client stepped alone bit for bit. One PASS/FAIL line is
-printed per check so a broken build names its failure.
+averaging bit for bit, partition structure, clients stepped together
+as a group matching each client stepped alone bit for bit, and client
+streams seeded in bulk matching numpy's ``default_rng``. One PASS/FAIL
+line is printed per check so a broken build names its failure.
 
 ``perturb_lambda_sign`` flips the sign of the momentum term inside the
 recurrence check's own prediction. A healthy build must then FAIL that
@@ -26,6 +27,7 @@ from .data import Dataset, generate_synthetic, partition_dirichlet
 from .engine import RunConfig, run
 from .models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from .server import ServerHyper, init_state
+from .streams import client_states
 
 
 def _momentum_recurrence(perturb_lambda_sign: bool) -> bool:
@@ -183,12 +185,32 @@ def _partition_invariants() -> bool:
     return True
 
 
+def _client_streams() -> bool:
+    """Pooled generators re-seated with bulk-seeded states must draw what
+    ``default_rng([seed, 2, round, client])`` draws, for a seed and a
+    round of more than 32 bits too, even after a buffered 32-bit draw."""
+    rounds, ids = [0, 59, 2 ** 32 + 1], [[0, 5, 999], [1, 2 ** 31], [3, 2 ** 32 - 1]]
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed in (0, 11, 2 ** 40 + 5):
+        for t, cids, states in zip(rounds, ids, client_states(seed, rounds, ids)):
+            for cid, st in zip(cids, states):
+                rng.integers(2 ** 31)  # leaves half a 64-bit draw buffered
+                rng.bit_generator.state = st
+                ref = np.random.default_rng([seed, 2, t, cid])
+                if (rng.bit_generator.state != ref.bit_generator.state
+                        or rng.permutation(16).tolist() != ref.permutation(16).tolist()
+                        or rng.integers(2 ** 31) != ref.integers(2 ** 31)):
+                    return False
+    return True
+
+
 CHECKS = (
     ("momentum-recurrence", lambda perturb: _momentum_recurrence(perturb)),
     ("gradient-vs-finite-difference", lambda perturb: _gradients_match_fd()),
     ("degeneration-equivalence", lambda perturb: _degenerations()),
     ("partition-invariants", lambda perturb: _partition_invariants()),
     ("group-equals-one-at-a-time", lambda perturb: _group_equals_one_at_a_time()),
+    ("client-streams", lambda perturb: _client_streams()),
 )
 
 

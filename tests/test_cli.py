@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -692,6 +694,41 @@ def test_aborted_compare_leaves_a_manifest_naming_the_failed_run(tmp_path, capsy
     assert strict_json((out / "c" / "manifest.json").read_text())["status"] == "numeric_abort"
 
 
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_sigint_exits_130_with_one_line_and_an_interrupted_manifest(tmp_path, verb):
+    # a run far too long to finish, interrupted once its rounds.csv has a row
+    long = dict(SMALL, rounds=10 ** 6, targets=[])
+    configs = [write_config(tmp_path, long, f"{label}.json") for label in "ab"]
+    out = tmp_path / "out"
+    run_dir = out if verb == "run" else out / "a"
+    args = [a for c in configs[:1 if verb == "run" else 2] for a in ("--config", c)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "fedsim", verb, *args, "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env, cwd=tmp_path)
+    try:
+        deadline = time.monotonic() + 60
+        csv = run_dir / "rounds.csv"
+        while not (csv.exists() and csv.read_text().count("\n") >= 2):  # header and a row
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n"
+    assert len(read_rows(run_dir)) >= 1
+    manifest = strict_json((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted" and "finished_at" in manifest
+    if verb == "compare":
+        top = strict_json((out / "manifest.json").read_text())
+        assert top["status"] == "interrupted" and top["failed_label"] == "a"
+        assert not (out / "comparison.csv").exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
 @pytest.mark.parametrize("verb", ["run", "compare"])
 def test_out_that_is_or_lies_under_a_file_exits_2_before_any_data(
@@ -737,7 +774,7 @@ def test_selftest_passes_and_repeats_identically(capsys):
     first = capsys.readouterr().out
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out == first
-    assert first.count("PASS") == 5
+    assert first.count("PASS") == 6
 
 
 def test_selftest_fails_under_lambda_sign_mutation(capsys):

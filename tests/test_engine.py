@@ -15,6 +15,7 @@ from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params
 from fedsim.server import ServerHyper, aggregate, init_state
+from fedsim.streams import client_states
 
 
 def small_task(seed=0):
@@ -255,6 +256,37 @@ def test_each_sampled_client_steps_on_its_own_shard():
     out = run(cfg, train, test)
     assert out.records[0].sampled_clients == tuple(ids)
     assert out.final_state.theta.tobytes() == expected.theta.tobytes()
+
+
+@pytest.mark.parametrize("clients, participation, rounds, blocks", [
+    (200, 1.0, 6, (6, 6, 3)),   # 200 sampled a round: 2 rounds a block by default
+    (5, 0.2, 7, (7, 3, 1)),     # 1 sampled a round: 3 rounds a block at 3
+])
+def test_outputs_do_not_depend_on_stream_block(monkeypatch, tmp_path, clients,
+                                               participation, rounds, blocks):
+    # the client streams are seeded STREAM_BLOCK client-rounds at a time;
+    # the block only changes how many passes seed them, not a byte
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "algorithm": "fedagm", "rounds": rounds, "clients": clients,
+        "participation": participation, "seed": 2 ** 40 + 5,
+        "partition": {"kind": "dirichlet", "concentration": 0.5},
+        "local": {"k": 2}}))
+    passes = []
+
+    def counted(*args):
+        passes.append(args[1])
+        return client_states(*args)
+    monkeypatch.setattr(engine, "client_states", counted)
+    outputs = []
+    for block, want in zip((1, 3, engine.STREAM_BLOCK), blocks):
+        monkeypatch.setattr(engine, "STREAM_BLOCK", block)
+        passes.clear()
+        out = tmp_path / f"block{block}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(passes) == want and [t for p in passes for t in p] == list(range(rounds))
+        outputs.append([(out / name).read_bytes() for name in ("rounds.csv", "summary.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_round_returns_die_before_the_next_round(monkeypatch):

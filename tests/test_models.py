@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedsim.errors import StructuralError
-from fedsim.models import (MAX_PARAM_DIM, Batch, ModelSpec, _cross_entropy, _forward,
+from fedsim.models import (EVAL_BLOCK_ROWS, MAX_PARAM_DIM, Batch, ModelSpec, _cross_entropy,
+                           _forward,
                            accuracy, class_sum, example_losses, fd_gradient, gradient,
                            layer_views,
                            init_params, loss, make_batch, param_dim)
@@ -294,3 +295,30 @@ def test_init_params_deterministic_and_shaped():
     assert np.all(a[6:9] == 0.0) and np.all(a[15:] == 0.0)
     np.testing.assert_array_equal(init_params(SOFTMAX_3, np.random.default_rng(0)),
                                   np.zeros(param_dim(SOFTMAX_3)))
+
+
+@pytest.mark.parametrize("spec", [QUAD, SOFTMAX_3, MLP_4325], ids=lambda s: s.kind)
+def test_evaluation_gemms_take_at_most_eval_block_rows(monkeypatch, spec):
+    # 2,051 rows: two full blocks and a tail of 3; every layer's gemms
+    # must cover the rows once, none of them wider than the bound
+    rng = np.random.default_rng(8)
+    rows = 2 * EVAL_BLOCK_ROWS + 3
+    params = rng.normal(size=param_dim(spec))
+    X = rng.normal(size=(rows, spec.input_dim))
+    y = (rng.normal(size=rows) if spec.kind == "linear_regression"
+         else rng.integers(0, spec.output_dim, size=rows))
+    gemms = []  # the rows of each gemm; a 3-d call makes one per leading item
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        gemms.extend([a.shape[-2]] * (a.shape[0] if a.ndim == 3 else 1))
+        return matmul(a, b, *args, **kwargs)
+    monkeypatch.setattr(np, "matmul", spy)
+    got = example_losses(spec, params, X, y)
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert max(gemms) <= EVAL_BLOCK_ROWS
+    assert sum(gemms) == (len(spec.hidden_dims) + 1) * rows
+    # and the rows come out as an explicit loop over the blocks gives them
+    blocks = [example_losses(spec, params, X[lo:lo + EVAL_BLOCK_ROWS], y[lo:lo + EVAL_BLOCK_ROWS])
+              for lo in range(0, rows, EVAL_BLOCK_ROWS)]
+    assert got.tobytes() == np.concatenate(blocks).tobytes()
