@@ -9,9 +9,12 @@ and echoed into manifest.json, so two runs with the same hash are
 byte-identical in rounds.csv and summary.json.
 
 Exit codes: 0 success, 2 config/input problem (parse errors carry
-line:column), 3 numeric abort (message carries round/client; the partial
-rounds.csv written so far is kept), 130 interrupted by SIGINT (the
-manifest of the run that was going says ``status: "interrupted"``).
+line:column) or an output that cannot be written (the message names it;
+the manifest says ``status: "io_error"``), 3 numeric abort (message
+carries round/client; the partial rounds.csv written so far is kept),
+130 interrupted by SIGINT (the manifest of the run that was going says
+``status: "interrupted"``). A manifest says ``status: "running"`` from
+the moment its directory exists, so a killed run leaves that.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import copy
 import hashlib
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +36,7 @@ from .algorithms import REGISTRY
 from .client import UNBOUNDED_FIELDS, LocalConfig
 from .data import generate_synthetic, load_csv, split_stratified, take_per_class
 from .engine import RunConfig, run
-from .errors import ConfigError, NumericError, StructuralError
+from .errors import ConfigError, NumericError, OutputError, StructuralError
 from .metrics import Saturated, rounds_to_target
 from .models import ModelSpec
 from .selftest import run_selftest
@@ -342,9 +347,20 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
 _INFINITY_MARK = "\0+Infinity"  # stands in for +Infinity until the text is built
 
 
-def _write_manifest(out_dir: Path, payload: dict, name: str = "manifest.json") -> None:
-    """Write ``payload`` as strict JSON to ``out_dir / name``; every JSON
-    file fedsim writes goes through here."""
+@contextmanager
+def _writing(path: Path):
+    """Raise an OSError met inside as an OutputError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(path: Path, content) -> None:
+    """Write a dict as strict JSON, or a list of rows as CSV lines, to
+    ``path``; every output but the streamed rounds.csv goes through here.
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so a reader sees the old file or the new one, never part of one."""
     def mark(value):
         if isinstance(value, dict):
             return {k: mark(v) for k, v in value.items()}
@@ -353,73 +369,98 @@ def _write_manifest(out_dir: Path, payload: dict, name: str = "manifest.json") -
         if isinstance(value, float) and math.isnan(value):
             return None
         return _INFINITY_MARK if isinstance(value, float) and value == math.inf else value
-    text = json.dumps(mark(payload), indent=2, sort_keys=True, allow_nan=False)
-    (out_dir / name).write_text(
-        text.replace(json.dumps(_INFINITY_MARK), "1e999") + "\n", encoding="utf-8")
+    if isinstance(content, dict):
+        text = json.dumps(mark(content), indent=2, sort_keys=True, allow_nan=False)
+        text = text.replace(json.dumps(_INFINITY_MARK), "1e999") + "\n"
+    else:
+        text = "".join(",".join(map(str, row)) + "\n" for row in content)
+    tmp = path.with_name(path.name + ".tmp")
+    with _writing(path):
+        try:
+            tmp.write_bytes(text.encode("utf-8"))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@contextmanager
+def _run_dir(out_dir: Path, manifest: dict):
+    """Create ``out_dir`` and write ``manifest`` into it, first as
+    ``running``, then stamped with how the block ends: ``ok``,
+    ``numeric_abort`` or ``io_error`` with the ``error``, or
+    ``interrupted``. A failure also gets the fields the caller put into
+    the dict this yields, and is raised again."""
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    manifest.update(started_at=_now(), status="running")
+    _write(out_dir / "manifest.json", manifest)
+    failure = {}
+    ending = None  # no status describes any other exception
+    try:
+        yield failure
+        ending = {"status": "ok"}
+    except NumericError as exc:
+        ending = {"status": "numeric_abort", "error": str(exc), **failure}
+        raise
+    except OutputError as exc:
+        ending = {"status": "io_error", "error": str(exc), **failure}
+        raise
+    except KeyboardInterrupt:
+        ending = {"status": "interrupted", **failure}
+        raise
+    finally:
+        if ending is not None:
+            manifest.update(finished_at=_now(), **ending)
+            _write(out_dir / "manifest.json", manifest)
+
+
 def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int):
     """Run one resolved config, already built into ``rc`` and ``data`` (the
     (train, test, meta) of :func:`build_dataset`), into ``out_dir``;
-    returns the RunResult. Writes rounds.csv incrementally so an aborted
-    run keeps the rounds finished before the failure, whose NumericError
-    is raised again once the manifest records it."""
+    returns its records and summary. Writes rounds.csv incrementally so an
+    aborted run keeps the rounds finished before the failure."""
     digest = config_hash(cfg)
     train, test, meta = data
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = _now()
     manifest = {
         "tool_version": __version__,
         "config_hash": digest,
         "config": cfg,
         "data_meta": meta,
         "threads": threads,
-        "started_at": started,
         "output_paths": ["rounds.csv", "summary.json", "manifest.json"],
     }
     rounds_path = out_dir / "rounds.csv"
-    with rounds_path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER)
-        try:
+    with _run_dir(out_dir, manifest):
+        with (_writing(rounds_path),
+              rounds_path.open("w", encoding="utf-8", newline="") as fh):
+            fh.write(CSV_HEADER)
             result = run(rc, train, test,
                          on_record=lambda rec: (fh.write(_csv_row(rec)), fh.flush()))
-        except NumericError as exc:
-            manifest.update(finished_at=_now(), status="numeric_abort",
-                            error=str(exc))
-            _write_manifest(out_dir, manifest)
-            raise
-        except KeyboardInterrupt:
-            manifest.update(finished_at=_now(), status="interrupted")
-            _write_manifest(out_dir, manifest)
-            raise
-
-    records = result.records
-    summary = {
-        "algorithm": cfg["algorithm"],
-        "config_hash": digest,
-        "evaluated_rounds": len(records),
-        "final": None if not records else {
-            "round": records[-1].round,
-            "train_loss": records[-1].train_loss,
-            "test_accuracy": records[-1].test_accuracy,
-            "ema_accuracy": records[-1].ema_accuracy,
-        },
-        "totals": {
-            "bytes_down": sum(r.bytes_down for r in records),
-            "bytes_up": sum(r.bytes_up for r in records),
-        },
-        "rounds_to_target": _targets_report(records, rc.targets, cfg["rounds"]),
-    }
-    if result.max_momentum_residual is not None:
-        summary["max_momentum_residual"] = result.max_momentum_residual
-    _write_manifest(out_dir, summary, "summary.json")
-    manifest.update(finished_at=_now(), status="ok")
-    _write_manifest(out_dir, manifest)
-    return result
+        records = result.records
+        summary = {
+            "algorithm": cfg["algorithm"],
+            "config_hash": digest,
+            "evaluated_rounds": len(records),
+            "final": None if not records else {
+                "round": records[-1].round,
+                "train_loss": records[-1].train_loss,
+                "test_accuracy": records[-1].test_accuracy,
+                "ema_accuracy": records[-1].ema_accuracy,
+            },
+            "totals": {
+                "bytes_down": sum(r.bytes_down for r in records),
+                "bytes_up": sum(r.bytes_up for r in records),
+            },
+            "rounds_to_target": _targets_report(records, rc.targets, cfg["rounds"]),
+        }
+        if result.max_momentum_residual is not None:
+            summary["max_momentum_residual"] = result.max_momentum_residual
+        _write(out_dir / "summary.json", summary)
+    return records, summary
 
 
 def _out_dir(out: str) -> Path:
@@ -438,8 +479,8 @@ def cmd_run(args) -> int:
     cfg = resolve_config(args.config, args.overrides, args.seed)
     data = build_dataset(cfg)
     rc = build_run_config(cfg)
-    result = _execute(cfg, rc, data, out_dir, args.threads)
-    print(f"run complete: {len(result.records)} evaluated rounds written to {out_dir}")
+    records, _ = _execute(cfg, rc, data, out_dir, args.threads)
+    print(f"run complete: {len(records)} evaluated rounds written to {out_dir}")
     return 0
 
 
@@ -469,54 +510,31 @@ def cmd_compare(args) -> int:
     data = build_dataset(configs[0])
     run_configs = [build_run_config(cfg) for cfg in configs]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     labels = _unique_labels(args.configs)
     total_rounds = configs[0]["rounds"]
     mid_round = max(1, total_rounds // 2)
-    targets = configs[0]["targets"]
+    targets = [_fmt(t) for t in configs[0]["targets"]]
     manifest = {
         "tool_version": __version__,
-        "started_at": _now(),
         "runs": [{"label": label, "config_hash": config_hash(cfg)}
                  for label, cfg in zip(labels, configs)],
     }
-
-    rows = []
-    for label, cfg, rc in zip(labels, configs, run_configs):
-        try:
-            records = _execute(cfg, rc, data, out_dir / label, args.threads).records
-        except NumericError as exc:
-            manifest.update(finished_at=_now(), status="numeric_abort",
-                            error=str(exc), failed_label=label)
-            _write_manifest(out_dir, manifest)
-            raise
-        except KeyboardInterrupt:
-            manifest.update(finished_at=_now(), status="interrupted",
-                            failed_label=label)
-            _write_manifest(out_dir, manifest)
-            raise
-        curve = out_dir / f"{label}_curve.csv"
-        with curve.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("round,ema_accuracy\n")
-            for rec in records:
-                fh.write(f"{rec.round},{_fmt(rec.ema_accuracy)}\n")
-        at_mid = next((r.ema_accuracy for r in reversed(records)
-                       if r.round <= mid_round), float("nan"))
-        at_end = records[-1].ema_accuracy if records else float("nan")
-        report = _targets_report(records, targets, total_rounds)
-        rows.append([label, cfg["algorithm"], _fmt(at_mid), _fmt(at_end)]
-                    + [str(report[_fmt(t)]) for t in targets])
-
-    header = (["label", "algorithm", f"ema_acc_round_{mid_round}",
-               f"ema_acc_round_{total_rounds}"]
-              + [f"rounds_to_{_fmt(t)}" for t in targets])
-    with (out_dir / "comparison.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    manifest.update(finished_at=_now(), status="ok")
-    _write_manifest(out_dir, manifest)
-    print(f"comparison of {len(rows)} runs written to {out_dir}")
+    table = [["label", "algorithm", f"ema_acc_round_{mid_round}",
+              f"ema_acc_round_{total_rounds}"] + [f"rounds_to_{t}" for t in targets]]
+    with _run_dir(out_dir, manifest) as failure:
+        for label, cfg, rc in zip(labels, configs, run_configs):
+            failure["failed_label"] = label
+            records, summary = _execute(cfg, rc, data, out_dir / label, args.threads)
+            _write(out_dir / f"{label}_curve.csv", [["round", "ema_accuracy"]]
+                   + [[rec.round, _fmt(rec.ema_accuracy)] for rec in records])
+            at_mid = next((r.ema_accuracy for r in reversed(records)
+                           if r.round <= mid_round), float("nan"))
+            at_end = summary["final"]["ema_accuracy"] if records else float("nan")
+            table.append([label, cfg["algorithm"], _fmt(at_mid), _fmt(at_end)]
+                         + [summary["rounds_to_target"][t] for t in targets])
+        failure.clear()  # comparison.csv belongs to no one run
+        _write(out_dir / "comparison.csv", table)
+    print(f"comparison of {len(labels)} runs written to {out_dir}")
     return 0
 
 
@@ -574,7 +592,7 @@ def main(argv=None) -> int:
         if args.verb == "run":
             return cmd_run(args)
         return cmd_compare(args)
-    except ConfigError as exc:
+    except (ConfigError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by every fedsim module.
 
-Three failure families map onto the CLI's exit codes: configuration or
-input-file problems (exit 2), numeric blow-ups during a run (exit 3), and
-structural misuse of the API, which is always a caller bug and is allowed
-to surface as a traceback.
+Four failure families map onto the CLI's exit codes: configuration or
+input-file problems and outputs that cannot be written (exit 2), numeric
+blow-ups during a run (exit 3), and structural misuse of the API, which
+is always a caller bug and is allowed to surface as a traceback.
 """
 
 from __future__ import annotations
@@ -63,3 +63,8 @@ class ConfigError(FedSimError):
         self.path = path
         self.line = line
         self.column = column
+
+
+class OutputError(FedSimError):
+    """An output file or directory could not be written; the message
+    names its path."""

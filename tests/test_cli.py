@@ -694,9 +694,10 @@ def test_aborted_compare_leaves_a_manifest_naming_the_failed_run(tmp_path, capsy
     assert strict_json((out / "c" / "manifest.json").read_text())["status"] == "numeric_abort"
 
 
-@pytest.mark.parametrize("verb", ["run", "compare"])
-def test_sigint_exits_130_with_one_line_and_an_interrupted_manifest(tmp_path, verb):
-    # a run far too long to finish, interrupted once its rounds.csv has a row
+def start_long_run(tmp_path, verb):
+    """Start ``fedsim run`` or ``compare`` on runs far too long to finish
+    and wait until rounds.csv has a row; returns the process, the output
+    directory and the directory of the run that is going."""
     long = dict(SMALL, rounds=10 ** 6, targets=[])
     configs = [write_config(tmp_path, long, f"{label}.json") for label in "ab"]
     out = tmp_path / "out"
@@ -714,6 +715,17 @@ def test_sigint_exits_130_with_one_line_and_an_interrupted_manifest(tmp_path, ve
         while not (csv.exists() and csv.read_text().count("\n") >= 2):  # header and a row
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
+    except BaseException:
+        proc.kill()
+        proc.communicate()
+        raise
+    return proc, out, run_dir
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_sigint_exits_130_with_one_line_and_an_interrupted_manifest(tmp_path, verb):
+    proc, out, run_dir = start_long_run(tmp_path, verb)
+    try:
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:
@@ -727,6 +739,58 @@ def test_sigint_exits_130_with_one_line_and_an_interrupted_manifest(tmp_path, ve
         top = strict_json((out / "manifest.json").read_text())
         assert top["status"] == "interrupted" and top["failed_label"] == "a"
         assert not (out / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_killed_run_leaves_a_running_manifest(tmp_path, verb):
+    # SIGKILL gives the process no way out, so the manifest written when
+    # the directory was made must already be whole and true
+    proc, out, run_dir = start_long_run(tmp_path, verb)
+    proc.kill()
+    proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    for directory in {out, run_dir}:
+        manifest = strict_json((directory / "manifest.json").read_text())
+        assert manifest["status"] == "running" and "started_at" in manifest
+        assert "finished_at" not in manifest and "error" not in manifest
+    assert len(read_rows(run_dir)) >= 1
+    assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("verb, blocked", [
+    ("run", "rounds.csv"), ("run", "summary.json"),
+    ("compare", "a_curve.csv"), ("compare", "comparison.csv"),
+])
+def test_output_that_cannot_be_written_exits_2_with_an_io_error_manifest(
+        tmp_path, capsys, verb, blocked):
+    # a directory stands where an output file goes
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    configs = [write_config(tmp_path, TINY, "a.json")] * (2 if verb == "compare" else 1)
+    assert main([verb, *(a for c in configs for a in ("--config", c)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out / blocked}: Is a directory"]
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert manifest["status"] == "io_error" and "finished_at" in manifest
+    assert manifest["error"] == err[0][len("error: "):]
+    if verb == "compare":
+        # every run finished; a curve belongs to its run, comparison.csv to none
+        assert manifest.get("failed_label") == ("a" if blocked == "a_curve.csv" else None)
+        assert strict_json((out / "a" / "manifest.json").read_text())["status"] == "ok"
+    assert (out / blocked).is_dir() and not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_unwritable_manifest_exits_2_with_one_line(tmp_path, capsys, verb):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, TINY, "a.json")
+    configs = ["--config", cfg] * (2 if verb == "compare" else 1)
+    assert main([verb, *configs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out / 'manifest.json'}: Is a directory"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])

@@ -3,15 +3,19 @@
 A tiny valid ``fedsim run`` is mutated, through the config file and
 through ``--set``, with values from a fixed pool, and its CSV data file
 is corrupted; a ``fedsim compare`` of two copies of it has its second
-config mutated the same way. Every invocation must:
+config mutated the same way. About one invocation in eight finds a
+directory where one of its output files goes. Every invocation must:
 
 * exit 0, 2 or 3, never with a traceback;
 * on exit 2 or 3, print exactly one ``error:`` line to stderr, which names
   a mutated key or a file (exit 2) or the round (exit 3);
 * leave a ``manifest.json`` with a ``status`` whenever it created the
-  output directory, and in each run directory of a compare.
+  output directory, and in each run directory of a compare; an output
+  that could not be written ends in exit 2 naming it, and the manifest
+  beside it says ``io_error``.
 
-The run and compare fuzz tests must each see all three exit codes.
+The run and compare fuzz tests must each see all three exit codes, and
+an invocation that ends on each output path they block.
 """
 
 import contextlib
@@ -115,22 +119,34 @@ def invoke(tmp: Path, cfg: dict, overrides=(), first=None) -> tuple[int, list[st
     return code, err.getvalue().splitlines(), out
 
 
-def check_contract(code: int, err: list[str], out: Path, names) -> None:
+def check_contract(code: int, err: list[str], out: Path, names, blocked=None) -> bool:
+    """``blocked``, when given, is an output path inside ``out`` that was
+    made a directory before the invocation. Returns whether the
+    invocation ended on it, in exit 2 and an ``io_error`` manifest."""
     assert code in (0, 2, 3), (code, err)
+    assert blocked is None or code != 0, "an output that cannot be written was skipped"
     if code:
         assert len(err) == 1 and err[0].startswith("error: "), err
-        if code == 2:
-            assert any(names(err[0])), err[0]
-        else:
-            assert "round=" in err[0], err[0]
-    # a run that started, whether it finished or diverged, leaves its directory
-    assert out.exists() or code == 2
-    if out.exists():
+    io_error = code == 2 and blocked is not None and str(blocked) in err[0]
+    if code == 2:
+        assert io_error or any(names(err[0])), err[0]
+    elif code == 3:
+        assert "round=" in err[0], err[0]
+    # a run that started, whether it finished, diverged or could not write
+    # an output, leaves its manifest; a rejected one writes nothing
+    started = code != 2 or io_error
+    if blocked is None:
+        assert out.exists() == started
+    else:
+        assert (out / "manifest.json").exists() == started
+    if started:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["status"] == ("ok" if code == 0 else "numeric_abort")
+        assert manifest["status"] == {0: "ok", 2: "io_error", 3: "numeric_abort"}[code]
         for run_dir in filter(Path.is_dir, out.iterdir()):
-            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-            assert manifest["status"] in ("ok", "numeric_abort")
+            if run_dir != blocked:
+                manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+                assert manifest["status"] in ("ok", "numeric_abort")
+    return io_error
 
 
 def test_the_base_config_runs():
@@ -157,41 +173,63 @@ def _mutate(mutations) -> tuple[dict, list]:
 MUTATIONS = st.lists(mutation(), min_size=1, max_size=3, unique_by=lambda m: m[0])
 
 
+def blocked_output(*names):
+    """An output file name, drawn with probability 1/8, or None."""
+    return st.integers(0, 8 * len(names) - 1).map(
+        lambda i: names[i] if i < len(names) else None)
+
+
+def block(tmp: Path, name) -> Path | None:
+    """Make a directory where the output file ``name`` of ``invoke`` goes."""
+    if name is None:
+        return None
+    path = tmp / "out" / name
+    path.mkdir(parents=True)
+    return path
+
+
 def test_mutated_configs_keep_the_exit_code_contract():
-    codes = set()
+    codes, io_errors = set(), []
 
     @FUZZ
-    @given(MUTATIONS)
-    def check(mutations):
+    @given(MUTATIONS, blocked_output("rounds.csv", "summary.json"))
+    def check(mutations, name):
         cfg, overrides = _mutate(mutations)
         with tempfile.TemporaryDirectory() as tmp:
+            blocked = block(Path(tmp), name)
             code, err, out = invoke(Path(tmp), cfg, overrides)
-            check_contract(code, err, out,
-                           lambda line: (_names(line, key) for key, _, _ in mutations))
+            if check_contract(code, err, out,
+                              lambda line: (_names(line, key) for key, _, _ in mutations),
+                              blocked):
+                io_errors.append(name)
         codes.add(code)
 
     check()
     assert codes == {0, 2, 3}
+    assert set(io_errors) == {"rounds.csv", "summary.json"}
 
 
 def test_mutated_compare_keeps_the_exit_code_contract():
     # the file mutations reach the second config only, the --set ones both;
     # a second config whose data, model or schedule differs is named by path
-    codes = set()
+    codes, io_errors = set(), []
 
     @FUZZ
-    @given(MUTATIONS)
-    def check(mutations):
+    @given(MUTATIONS, blocked_output("cfg0_curve.csv"))
+    def check(mutations, name):
         cfg, overrides = _mutate(mutations)
         with tempfile.TemporaryDirectory() as tmp:
+            blocked = block(Path(tmp), name)
             code, err, out = invoke(Path(tmp), cfg, overrides, first=BASE)
             second = str(Path(tmp) / "cfg1.json")
-            check_contract(code, err, out, lambda line: (
-                second in line, *(_names(line, key) for key, _, _ in mutations)))
+            if check_contract(code, err, out, lambda line: (
+                    second in line, *(_names(line, key) for key, _, _ in mutations)),
+                    blocked):
+                io_errors.append(name)
         codes.add(code)
 
     check()
-    assert codes == {0, 2, 3}
+    assert codes == {0, 2, 3} and io_errors
 
 
 HEADER = ["f0", "f1", "f2", "label"]
