@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NumericError
 from .params import axpy, mean
+from .schema import RULES
 from .server import aggregate
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ def _fedcm_step(st, m, returns, ids, sent, local):
     return m, {"cm_momentum": (st.theta - m) / scale}
 
 
-REGISTRY: dict[str, Algorithm] = {
+REGISTRY: dict[str, Algorithm] = RULES  # the schema admits its names
+REGISTRY.update({
     "fedavg": Algorithm(),
     "fedprox": Algorithm(c=lambda cfg: cfg.prox_mu, trivial={"local": {"prox_mu": 0.0}}),
     "fedavgm": Algorithm(step=_fedavgm_step, buffers=_zeros("avgm_buf"),
@@ -167,7 +169,7 @@ REGISTRY: dict[str, Algorithm] = {
         a=lambda cfg: cfg.alpha, c=lambda cfg: cfg.beta, step=_fedagm_step,
         buffers=_zeros("delta"), payload=lambda st: (lookahead(st),), check=_fedagm_check,
         trivial={"local": {"alpha": 1.0, "beta": 0.0}, "server": {"lam": 0.0, "tau": 1.0}}),
-}
+})
 
 NAMES = tuple(REGISTRY)
 

@@ -3,18 +3,24 @@
 Configs are JSON objects; every key has a default, so a minimal file like
 ``{"algorithm": "fedagm", "rounds": 100}`` is complete. ``--set a.b=v``
 overrides any resolved key with a dotted path (values parse as JSON, with
-a bare-string fallback so ``--set algorithm=fedcm`` works unquoted). The
+a bare-string fallback so ``--set algorithm=fedcm`` works unquoted). Each
+key's default, type and bound come from :mod:`fedsim.schema`. The
 fully resolved config is hashed (sha256 over its canonical serialization)
 and echoed into manifest.json, so two runs with the same hash are
 byte-identical in rounds.csv and summary.json.
 
-Exit codes: 0 success, 2 config/input problem (parse errors carry
-line:column) or an output that cannot be written (the message names it;
-the manifest says ``status: "io_error"``), 3 numeric abort (message
+Exit codes: 0 success, 1 an unexpected exception, a fault of the program
+(one ``error:`` line with its type; the manifest says ``status:
+"crashed"``), or a selftest that FAILs, 2 config/input problem (parse
+errors carry line:column; a value out of bounds reads ``<key> must ...,
+got <value>``) or an output that cannot be written (the message names
+it; the manifest says ``status: "io_error"``), 3 numeric abort (message
 carries round/client; the partial rounds.csv written so far is kept),
 130 interrupted by SIGINT (the manifest of the run that was going says
 ``status: "interrupted"``). A manifest says ``status: "running"`` from
-the moment its directory exists, so a killed run leaves that.
+the moment its directory exists, so a killed run leaves that. A run or
+compare then deletes the outputs that the manifest it replaced listed,
+so no file of an earlier run is left beside its own.
 """
 
 from __future__ import annotations
@@ -27,61 +33,22 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .algorithms import REGISTRY
-from .client import UNBOUNDED_FIELDS, LocalConfig
+from .client import LocalConfig
 from .data import generate_synthetic, load_csv, split_stratified, take_per_class
 from .engine import RunConfig, run
 from .errors import ConfigError, NumericError, OutputError, StructuralError
 from .metrics import Saturated, rounds_to_target
 from .models import ModelSpec
+from .schema import DEFAULT_CONFIG, LEAVES, check_config, coerce
 from .selftest import run_selftest
 from .server import ServerHyper
 
 CSV_HEADER = "round,train_loss,test_accuracy,ema_accuracy,bytes_down,bytes_up\n"
-
-DEFAULT_CONFIG = {
-    "algorithm": "fedavg",
-    "seed": 0,
-    "rounds": 50,
-    "clients": 10,
-    "participation": 1.0,
-    "eval_every": 1,
-    "targets": [],
-    "model": {
-        "kind": "softmax_classifier",
-        "input_dim": 20,
-        "output_dim": 10,
-        "hidden_dims": [],
-        "l2_weight_decay": 0.001,
-    },
-    "data": {
-        "kind": "synthetic",
-        "classes": 10,
-        "train_per_class": 50,
-        "test_per_class": 20,
-        "input_dim": 20,
-        "spread": 1.0,
-        "path": None,
-        "label_column": None,
-        "test_fraction": 0.2,
-        "normalize": True,
-    },
-    "partition": {"kind": "iid", "concentration": 0.3},
-    "local": {f.name: f.default for f in fields(LocalConfig)},
-    # global_lr None: finalize_config fills in the rule's own default
-    "server": {**{f.name: f.default for f in fields(ServerHyper)}, "global_lr": None},
-}
-
-# The value type of each leaf whose default is None, and of each item of
-# each list leaf, as a default of that type for _coerce.
-_OPTIONAL = {"local.batch_size": 1, "server.global_lr": 1.0,
-             "data.path": "", "data.label_column": ""}
-_ITEMS = {"targets": 0.5, "model.hidden_dims": 1}
 
 # The most float64 values a synthetic data set may hold (512 MiB); the
 # train/test split and the engine's shard groups copy it again. A larger
@@ -94,62 +61,17 @@ MAX_SYNTHETIC_VALUES = 2 ** 26
 _COMPARE_FREE_KEYS = ("algorithm", "local", "server")
 
 
-def _coerce(default, value, keypath: str, path: str | None):
-    """Align a config value's type with the default's (ints promote to
-    floats, bools stay bools), item by item in a list. Only a leaf whose
-    default is None may be null; any other value it takes must have its
-    ``_OPTIONAL`` type. A float must be finite, except that a local
-    field in ``UNBOUNDED_FIELDS`` may be Infinity."""
-    if default is None:
-        if value is None:
-            return value
-        default = _OPTIONAL[keypath]
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{keypath} must be true or false", path=path)
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{keypath} must be a number", path=path)
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range is infinite, as 1e999 is
-            value = math.inf if value > 0 else -math.inf
-        section, _, name = keypath.rpartition(".")
-        unbounded = section == "local" and name in UNBOUNDED_FIELDS and value == math.inf
-        if not (math.isfinite(value) or unbounded):
-            where = f"{section}: {name}" if section else name
-            raise ConfigError(f"{where} must be a finite number", path=path)
-        return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{keypath} must be an integer", path=path)
-        return value
-    if isinstance(default, str) and not isinstance(value, str):
-        raise ConfigError(f"{keypath} must be a string", path=path)
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{keypath} must be a list", path=path)
-        return [_coerce(_ITEMS[keypath], v, f"{keypath}[{i}]", path)
-                for i, v in enumerate(value)]
-    return value
-
-
-def _merge(defaults: dict, raw: dict, prefix: str, path: str | None) -> dict:
-    for key in raw:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {prefix}{key}", path=path)
-    out = {}
-    for key, dv in defaults.items():
-        if key not in raw:
-            out[key] = copy.deepcopy(dv)
-        elif isinstance(dv, dict):
-            if not isinstance(raw[key], dict):
+def _merge(node: dict, raw: dict, prefix: str, path: str | None) -> None:
+    """Write the values of ``raw`` over the defaults in ``node``, in place."""
+    for key, value in raw.items():
+        if isinstance(node.get(key), dict):
+            if not isinstance(value, dict):
                 raise ConfigError(f"{prefix}{key} must be an object", path=path)
-            out[key] = _merge(dv, raw[key], f"{prefix}{key}.", path)
+            _merge(node[key], value, f"{prefix}{key}.", path)
+        elif key in node:  # node holds its section's defaults, so its own leaves
+            node[key] = coerce(prefix + key, value, path)
         else:
-            out[key] = _coerce(dv, raw[key], f"{prefix}{key}", path)
-    return out
+            raise ConfigError(f"unknown config key: {prefix}{key}", path=path)
 
 
 def load_config(path: str) -> dict:
@@ -172,7 +94,9 @@ def load_config(path: str) -> dict:
         raise ConfigError("invalid JSON: an integer has too many digits", path=path) from None
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object", path=path)
-    return _merge(DEFAULT_CONFIG, raw, "", path)
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    _merge(cfg, raw, "", path)
+    return cfg
 
 
 def apply_overrides(cfg: dict, pairs: list[str]) -> None:
@@ -181,29 +105,20 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> None:
         key, sep, text = item.partition("=")
         if not sep or not key:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        node, default = cfg, DEFAULT_CONFIG
-        parts = key.split(".")
-        for p in parts[:-1]:
-            if not isinstance(default.get(p), dict):
-                raise ConfigError(f"--set addresses unknown key: {key}")
-            node, default = node[p], default[p]
-        leaf = parts[-1]
-        if leaf not in default or isinstance(default[leaf], dict):
+        if key not in LEAVES:
             raise ConfigError(f"--set addresses unknown key: {key}")
         try:
             value = json.loads(text)
         except ValueError:  # not JSON, or an integer of too many digits
             value = text
-        node[leaf] = _coerce(default[leaf], value, key, None)
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = coerce(key, value)
 
 
 def finalize_config(cfg: dict) -> None:
     """Fill algorithm-dependent defaults: the rule's own ``global_lr``."""
-    algo = REGISTRY.get(cfg["algorithm"])
-    if algo is None:
-        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     if cfg["server"]["global_lr"] is None:
-        cfg["server"]["global_lr"] = algo.global_lr
+        cfg["server"]["global_lr"] = REGISTRY[cfg["algorithm"]].global_lr
 
 
 def config_hash(cfg: dict) -> str:
@@ -216,25 +131,9 @@ def resolve_config(path: str, overrides: list[str], seed: int | None) -> dict:
     apply_overrides(cfg, overrides)
     if seed is not None:
         cfg["seed"] = seed
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']}")
+    check_config(cfg)
     finalize_config(cfg)
     return cfg
-
-
-def build_model(cfg: dict) -> ModelSpec:
-    m = cfg["model"]
-    if m["kind"] == "linear_regression" and m["output_dim"] != 1:
-        raise ConfigError("model.output_dim must be 1 for linear_regression")
-    if m["kind"] == "mlp" and not m["hidden_dims"]:
-        raise ConfigError("model.hidden_dims must list at least one hidden layer for mlp")
-    try:
-        return ModelSpec(kind=m["kind"], input_dim=m["input_dim"],
-                         output_dim=m["output_dim"],
-                         hidden_dims=tuple(m["hidden_dims"]),
-                         l2_weight_decay=m["l2_weight_decay"])
-    except StructuralError as exc:
-        raise ConfigError(f"model: {exc}") from None
 
 
 def build_dataset(cfg: dict):
@@ -243,13 +142,6 @@ def build_dataset(cfg: dict):
     d = cfg["data"]
     seed = cfg["seed"]
     if d["kind"] == "synthetic":
-        if d["train_per_class"] < 1 or d["test_per_class"] < 1:
-            raise ConfigError("data.train_per_class and data.test_per_class "
-                              "must be positive")
-        if d["classes"] < 1 or d["input_dim"] < 1:
-            raise ConfigError("data.classes and data.input_dim must be positive")
-        if not 0 <= d["spread"] < math.inf:
-            raise ConfigError("data.spread must be a finite nonnegative number")
         size = d["classes"] * (d["train_per_class"] + d["test_per_class"]) * d["input_dim"]
         if size > MAX_SYNTHETIC_VALUES:
             raise ConfigError(
@@ -261,20 +153,19 @@ def build_dataset(cfg: dict):
                                   input_dim=d["input_dim"], spread=d["spread"])
         train, test = take_per_class(full, d["train_per_class"])
         meta = {"kind": "synthetic"}
-    elif d["kind"] == "csv":
+        source = "data.classes * data.train_per_class"
+    else:
         if not d["path"] or not d["label_column"]:
-            raise ConfigError("csv data needs data.path and data.label_column")
+            raise ConfigError("data.path and data.label_column must be set "
+                              "when data.kind is csv")
         ds = load_csv(d["path"], d["label_column"], normalize=d["normalize"])
-        if not 0 < d["test_fraction"] < 1:
-            raise ConfigError("data.test_fraction must lie in (0, 1)")
         try:
             train, test = split_stratified(ds, d["test_fraction"], seed)
         except StructuralError as exc:
             raise ConfigError(f"data.test_fraction {d['test_fraction']!r}: {exc}",
                               path=d["path"]) from None
         meta = {"kind": "csv", **ds.meta}
-    else:
-        raise ConfigError(f"unknown data kind: {d['kind']!r}")
+        source = d["path"]
     meta["train_examples"] = train.n
     meta["test_examples"] = test.n
 
@@ -285,32 +176,26 @@ def build_dataset(cfg: dict):
     if m["kind"] != "linear_regression" and train.class_count != m["output_dim"]:
         raise ConfigError(f"model.output_dim is {m['output_dim']} but the data "
                           f"has {train.class_count} classes")
-    if not 1 <= cfg["clients"] <= train.n:
-        raise ConfigError(f"clients is {cfg['clients']} but must lie between 1 and "
-                          f"the {train.n} examples of the training set")
+    if cfg["clients"] > train.n:
+        raise ConfigError(f"clients is {cfg['clients']} but must be at most the "
+                          f"{train.n} examples of the training set ({source})")
     return train, test, meta
 
 
 def build_run_config(cfg: dict) -> RunConfig:
+    if cfg["model"]["kind"] == "linear_regression" and cfg["model"]["output_dim"] != 1:
+        raise ConfigError("model.output_dim must be 1 when model.kind is linear_regression")
     try:
-        sections = {}
-        for key, cls in (("local", LocalConfig), ("server", ServerHyper)):
-            try:
-                sections[key] = cls(**cfg[key])
-            except StructuralError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-        return RunConfig(algorithm=cfg["algorithm"], model=build_model(cfg),
-                         n_clients=cfg["clients"], rounds=cfg["rounds"],
-                         participation=cfg["participation"], seed=cfg["seed"],
-                         eval_every=cfg["eval_every"],
-                         targets=tuple(cfg["targets"]),
-                         partition_kind=cfg["partition"]["kind"],
-                         concentration=cfg["partition"]["concentration"],
-                         **sections)
-    except StructuralError as exc:
+        model = ModelSpec(**cfg["model"])
+    except StructuralError as exc:  # a check across the model's keys
         raise ConfigError(str(exc)) from None
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    return RunConfig(algorithm=cfg["algorithm"], model=model,
+                     n_clients=cfg["clients"], rounds=cfg["rounds"],
+                     participation=cfg["participation"], seed=cfg["seed"],
+                     eval_every=cfg["eval_every"], targets=tuple(cfg["targets"]),
+                     partition_kind=cfg["partition"]["kind"],
+                     concentration=cfg["partition"]["concentration"],
+                     local=LocalConfig(**cfg["local"]), server=ServerHyper(**cfg["server"]))
 
 
 def _fmt(x: float) -> str:
@@ -340,8 +225,8 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
 
 
 # Strict JSON has no NaN or Infinity literal. A NaN (the accuracy of a
-# regression run) is written as null, and +Infinity, the value of an
-# unbounded local field (client.UNBOUNDED_FIELDS), as the number 1e999,
+# regression run) is written as null, and +Infinity, which only the
+# bound of local.clip_norm admits, as the number 1e999,
 # which IEEE-754 parsers (Python's json, JavaScript's JSON.parse) read
 # back as +Infinity; -Infinity raises.
 _INFINITY_MARK = "\0+Infinity"  # stands in for +Infinity until the text is built
@@ -387,20 +272,47 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _is_own_output(name) -> bool:
+    """Whether ``name``, an entry of an old manifest's ``output_paths``, is
+    the bare name, without a separator, of a file that a run or a compare
+    writes beside its manifest."""
+    return (isinstance(name, str) and "/" not in name and "\\" not in name
+            and (name in ("rounds.csv", "summary.json", "comparison.csv")
+                 or name.endswith("_curve.csv")))
+
+
+def _crash_text(exc: Exception) -> str:
+    """An exception that no exit status names, on one line: type and message."""
+    message = " ".join(str(exc).split())
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+
+
 @contextmanager
 def _run_dir(out_dir: Path, manifest: dict):
     """Create ``out_dir`` and write ``manifest`` into it, first as
-    ``running``, then stamped with how the block ends: ``ok``,
-    ``numeric_abort`` or ``io_error`` with the ``error``, or
-    ``interrupted``. A failure also gets the fields the caller put into
-    the dict this yields, and is raised again."""
+    ``running``, then stamped with how the block ends: ``ok``;
+    ``numeric_abort``, ``io_error`` or ``crashed`` with the ``error``; or
+    ``interrupted``. The outputs that the manifest it replaces lists (one
+    that does not parse is ignored) are deleted once the ``running``
+    manifest is written, so no manifest ever vouches for a missing file.
+    A failure also gets the fields the caller put into the dict this
+    yields, and is raised again."""
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        old = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        stale = [out_dir / name for name in old["output_paths"] if _is_own_output(name)]
+    except (OSError, ValueError, TypeError, KeyError):
+        stale = []
     manifest.update(started_at=_now(), status="running")
     _write(out_dir / "manifest.json", manifest)
     failure = {}
-    ending = None  # no status describes any other exception
+    ending = None  # SystemExit and other BaseExceptions leave it unstamped
     try:
+        for path in stale:
+            with _writing(path):
+                if path.is_file():
+                    path.unlink()
         yield failure
         ending = {"status": "ok"}
     except NumericError as exc:
@@ -411,6 +323,9 @@ def _run_dir(out_dir: Path, manifest: dict):
         raise
     except KeyboardInterrupt:
         ending = {"status": "interrupted", **failure}
+        raise
+    except Exception as exc:  # a fault of the program, not of its input
+        ending = {"status": "crashed", "error": _crash_text(exc), **failure}
         raise
     finally:
         if ending is not None:
@@ -518,6 +433,8 @@ def cmd_compare(args) -> int:
         "tool_version": __version__,
         "runs": [{"label": label, "config_hash": config_hash(cfg)}
                  for label, cfg in zip(labels, configs)],
+        "output_paths": [f"{label}_curve.csv" for label in labels]
+                        + ["comparison.csv", "manifest.json"],
     }
     table = [["label", "algorithm", f"ema_acc_round_{mid_round}",
               f"ema_acc_round_{total_rounds}"] + [f"rounds_to_{t}" for t in targets]]
@@ -582,13 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: main runs many times in one process under the tests
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.verb == "selftest":
             return run_selftest(perturb_lambda_sign=args.perturb_lambda_sign)
         if args.threads < 1:
-            raise ConfigError("--threads must be a positive integer")
+            raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
         if args.verb == "run":
             return cmd_run(args)
         return cmd_compare(args)
@@ -601,6 +522,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: {_crash_text(exc)}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

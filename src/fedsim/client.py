@@ -11,8 +11,7 @@ stay bit-identical to fedavg.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +19,12 @@ from .data import Dataset
 from .errors import NumericError, StructuralError
 from .models import ModelSpec, gradient_unchecked, layer_views, param_dim, targets
 from .params import sq_norms
+from .schema import check_fields
 # Not called here: they stay importable as ``fedsim.client.loss``,
 # ``.axpy``, ``.gradient`` and ``.l2_norm_sq``, names the benchmark's
 # traced run hooks.
 from .models import gradient, loss  # noqa: F401
 from .params import axpy, l2_norm_sq  # noqa: F401
-
-
-# The LocalConfig fields that may be +Infinity, meaning no bound at all
-# (clip_norm: no clipping); every other float field must be finite.
-UNBOUNDED_FIELDS = frozenset({"clip_norm"})
 
 
 @dataclass(frozen=True)
@@ -47,26 +42,7 @@ class LocalConfig:
     dyn_alpha: float = 0.01
 
     def __post_init__(self):
-        if self.k < 1:
-            raise StructuralError("k must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise StructuralError("batch_size must be positive when set")
-        if self.epochs < 1:
-            raise StructuralError("epochs must be positive")
-        if not 0 < self.lr_decay <= 1:
-            raise StructuralError("lr_decay must lie in (0, 1]")
-        if not self.clip_norm > 0:  # +inf: no clipping
-            raise StructuralError("clip_norm must be positive")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, float) and not math.isfinite(value)
-                    and not (f.name in UNBOUNDED_FIELDS and value == math.inf)):
-                raise StructuralError(f"{f.name} must be a finite number")
-        for name in ("lr0", "beta", "prox_mu", "dyn_alpha"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise StructuralError(f"{name} must be a finite nonnegative number")
-        if not 0 <= self.cm_alpha <= 1:
-            raise StructuralError("cm_alpha must lie in [0, 1]")
+        check_fields("local", self)
 
     def lr(self, round: int) -> float:
         """The local learning rate of ``round``."""

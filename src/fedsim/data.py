@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 from .models import Batch, make_batch
+from .schema import check
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,20 @@ def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
     """Gaussian-mixture classification data, one mixture mean per class.
 
     Class means are standard normal draws; examples scatter around their
-    mean with standard deviation ``spread``. Deterministic under ``seed``;
-    rows are grouped by class.
+    mean with standard deviation ``spread``, which may not be so large
+    that a feature overflows. Deterministic under ``seed``; rows are
+    grouped by class.
     """
     if min(clusters, per_class, input_dim) < 1 or spread < 0:
         raise StructuralError("synthetic generation parameters must be positive")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(clusters, input_dim))
-    features = np.concatenate(
-        [means[c] + spread * rng.normal(size=(per_class, input_dim))
-         for c in range(clusters)])
+    with np.errstate(over="ignore"):
+        features = np.concatenate(
+            [means[c] + spread * rng.normal(size=(per_class, input_dim))
+             for c in range(clusters)])
+    if not np.isfinite(features).all():
+        raise ConfigError(f"data.spread {spread!r} overflows the synthetic features")
     labels = np.repeat(np.arange(clusters, dtype=np.int64), per_class)
     return Dataset(features, labels, clusters)
 
@@ -162,8 +167,7 @@ def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
     """
     if N < 1 or N > dataset.n:
         raise StructuralError(f"need 1 <= N <= {dataset.n}, got {N}")
-    if concentration <= 0:
-        raise StructuralError("concentration must be positive")
+    check("partition.concentration", concentration)
     rng = np.random.default_rng(seed)
     C = dataset.class_count
     ratios = rng.dirichlet(np.full(C, concentration), size=N)
@@ -238,8 +242,7 @@ def split_stratified(dataset: Dataset, test_fraction: float,
     """Seeded train/test split keeping per-class proportions: round
     (test_fraction * class size) examples of every class go to the test
     set. Returns (train, test)."""
-    if not 0 < test_fraction < 1:
-        raise StructuralError("test_fraction must lie in (0, 1)")
+    check("data.test_fraction", test_fraction)
     rng = np.random.default_rng(seed)
     train, test = [], []
     for c in range(dataset.class_count):

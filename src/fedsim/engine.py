@@ -44,9 +44,10 @@ import numpy as np
 from .algorithms import REGISTRY
 from .client import LocalConfig, local_update, shard_groups
 from .data import Dataset, partition_dirichlet, partition_iid
-from .errors import NumericError, StructuralError
+from .errors import NumericError
 from .metrics import ema_update, global_loss
 from .models import ModelSpec, accuracy, check_inputs, init_params
+from .schema import check
 from .server import ServerHyper, ServerState, aggregate, init_state
 from .streams import client_states
 # Not called here: names the benchmark's traced run hooks (engine.broadcast,
@@ -91,23 +92,12 @@ class RunConfig:
     server: ServerHyper = field(default_factory=ServerHyper)
 
     def __post_init__(self):
-        if self.algorithm not in REGISTRY:
-            raise StructuralError(f"unknown algorithm {self.algorithm!r}")
-        if self.n_clients < 1:
-            raise StructuralError("n_clients must be positive")
-        if self.rounds < 0:
-            raise StructuralError("rounds must be nonnegative")
-        if not 0 < self.participation <= 1:
-            raise StructuralError("participation must lie in (0, 1]")
-        if self.eval_every < 1:
-            raise StructuralError("eval_every must be positive")
-        if self.partition_kind not in ("iid", "dirichlet"):
-            raise StructuralError(f"unknown partition kind {self.partition_kind!r}")
-        if self.partition_kind == "dirichlet" and not 0 < self.concentration < math.inf:
-            raise StructuralError("partition.concentration must be a finite "
-                                  "positive number")
-        if any(not 0 < t < 1 for t in self.targets):
-            raise StructuralError("accuracy targets must lie in (0, 1)")
+        for key, value in (("algorithm", self.algorithm), ("clients", self.n_clients),
+                           ("rounds", self.rounds), ("participation", self.participation),
+                           ("seed", self.seed), ("eval_every", self.eval_every),
+                           ("targets", self.targets), ("partition.kind", self.partition_kind),
+                           ("partition.concentration", self.concentration)):
+            check(key, value)
         object.__setattr__(self, "targets", tuple(self.targets))
 
 

@@ -3,7 +3,8 @@
 Four failure families map onto the CLI's exit codes: configuration or
 input-file problems and outputs that cannot be written (exit 2), numeric
 blow-ups during a run (exit 3), and structural misuse of the API, which
-is always a caller bug and is allowed to surface as a traceback.
+is always a caller bug: a library caller gets it raised, and the CLI
+reports it, as any exception outside these families, as a crash (exit 1).
 """
 
 from __future__ import annotations

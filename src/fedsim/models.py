@@ -27,15 +27,13 @@ takes a stack of clients instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, StructuralError
 from .params import sq_norms
-
-KINDS = ("linear_regression", "softmax_classifier", "mlp")
+from .schema import check_fields
 
 # The largest parameter count a spec may have: one float64 model of 2**24
 # parameters is 128 MiB, and a run holds several (the server state and its
@@ -53,22 +51,14 @@ class ModelSpec:
     l2_weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise StructuralError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise StructuralError("input_dim and output_dim must be positive")
+        check_fields("model", self)
         if self.kind == "mlp" and not self.hidden_dims:
-            raise StructuralError("mlp requires at least one hidden layer")
+            raise StructuralError("model.kind mlp needs a layer in model.hidden_dims")
         if self.kind != "mlp" and self.hidden_dims:
-            raise StructuralError(f"hidden_dims only apply to mlp, not {self.kind}")
-        if any(not isinstance(h, int) or isinstance(h, bool) or h < 1
-               for h in self.hidden_dims):
-            raise StructuralError("hidden dims must be positive integers")
-        if not 0 <= self.l2_weight_decay < math.inf:
-            raise StructuralError("l2_weight_decay must be a finite nonnegative number")
+            raise StructuralError("model.hidden_dims apply only to model.kind mlp")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if param_dim(self) > MAX_PARAM_DIM:
-            raise StructuralError(f"the model has {param_dim(self)} parameters, "
+            raise StructuralError(f"model: the model has {param_dim(self)} parameters, "
                                   f"more than the {MAX_PARAM_DIM} allowed")
 
 

@@ -9,13 +9,13 @@ then the rule's post-step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericError, StructuralError
 from .params import mean
+from .schema import check_fields
 # Not called here: it stays importable as ``fedsim.server.axpy``, a name
 # the benchmark's traced run hooks.
 from .params import axpy  # noqa: F401
@@ -30,16 +30,7 @@ class ServerHyper:
     adam_tau: float = 0.001
 
     def __post_init__(self):
-        if not 0 < self.tau <= 1:
-            raise StructuralError("tau must lie in (0, 1]")
-        if not 0 <= self.lam < 1:
-            raise StructuralError("lam must lie in [0, 1)")
-        if not 0 < self.global_lr < math.inf:
-            raise StructuralError("global_lr must be a finite positive number")
-        if not 0 <= self.avgm_beta < 1:
-            raise StructuralError("avgm_beta must lie in [0, 1)")
-        if not 0 < self.adam_tau < math.inf:
-            raise StructuralError("adam_tau must be a finite positive number")
+        check_fields("server", self)
 
 
 @dataclass(frozen=True)

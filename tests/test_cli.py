@@ -1,18 +1,25 @@
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from bounds import BOUNDED, edges
 from fedsim import cli
 from fedsim.cli import (DEFAULT_CONFIG, apply_overrides, config_hash, load_config,
                         main, resolve_config)
+from fedsim.client import LocalConfig
 from fedsim.errors import ConfigError
+from fedsim.models import ModelSpec
+from fedsim.schema import LEAVES
+from fedsim.server import ServerHyper
 
 SMALL = {
     "algorithm": "fedagm",
@@ -57,6 +64,11 @@ def test_unknown_keys_rejected_with_dotted_path(tmp_path):
         load_config(write_config(tmp_path, {"frobnicate": 1}))
     with pytest.raises(ConfigError, match="unknown config key: local.momentum"):
         load_config(write_config(tmp_path, {"local": {"momentum": 0.9}}))
+    # a dotted key names a leaf only through its section
+    for raw, key in (({"local.k": 2}, "local.k"), ({"model.kind": "mlp"}, "model.kind"),
+                     ({"local": {"k.x": 2}}, "local.k.x")):
+        with pytest.raises(ConfigError, match=f"unknown config key: {re.escape(key)} "):
+            load_config(write_config(tmp_path, raw))
 
 
 def test_scalar_type_checks(tmp_path):
@@ -126,8 +138,78 @@ def test_global_lr_default_depends_on_algorithm(tmp_path):
     assert resolve_config(path, [], None)["server"]["global_lr"] == 0.01
     assert resolve_config(path, ["algorithm=fedavgm"], None)["server"]["global_lr"] == 1.0
     assert resolve_config(path, ["server.global_lr=0.5"], None)["server"]["global_lr"] == 0.5
-    with pytest.raises(ConfigError, match="unknown algorithm 'sgd'"):
+    with pytest.raises(ConfigError, match="^algorithm must be one of fedavg, .*, got 'sgd'$"):
         resolve_config(path, ["algorithm=sgd"], None)
+
+
+# ---------------------------------------------------------------- schema
+
+
+def leaf_keys(node=DEFAULT_CONFIG, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_default_leaf_has_exactly_one_schema_entry():
+    keys = list(leaf_keys())
+    assert sorted(keys) == sorted(LEAVES) and len(set(keys)) == len(keys)
+    # the dataclasses check their fields as the leaves of their section
+    for section, cls in (("local", LocalConfig), ("server", ServerHyper), ("model", ModelSpec)):
+        assert sorted(f"{section}.{f.name}" for f in fields(cls)) == \
+            sorted(k for k in LEAVES if k.startswith(section + "."))
+    # and the library defaults of local and server are the config's, but
+    # for server.global_lr, which the config leaves null for the rule's own
+    for section, obj in (("local", LocalConfig()), ("server", ServerHyper())):
+        for f in fields(obj):
+            if f"{section}.{f.name}" != "server.global_lr":
+                assert getattr(obj, f.name) == LEAVES[f"{section}.{f.name}"].default, f.name
+
+
+def test_readme_config_reference_lists_each_key_once():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    reference = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", reference, re.MULTILINE)
+    assert sorted(keys) == sorted(LEAVES)
+
+
+# a run that trains nothing, on synthetic data split iid, so that the
+# bounds of the keys only csv data or a dirichlet partition reads are
+# probed where nothing reads them
+EDGE_BASE = {"rounds": 0, "clients": 4, "model": {"input_dim": 3, "output_dim": 2},
+             "data": {"classes": 2, "train_per_class": 6, "test_per_class": 3,
+                      "input_dim": 3}}
+
+
+@pytest.mark.parametrize("key,value,inside", [
+    (key, value, inside) for key in BOUNDED
+    for inside, values in zip((True, False), edges(key)) for value in values])
+def test_each_bound_admits_a_value_just_inside_and_rejects_one_just_outside(
+        tmp_path, capsys, key, value, inside):
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_config(tmp_path, EDGE_BASE),
+                 "--set", f"{key}={json.dumps(value)}", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    name, item = (f"{key}[0]", value[0]) if isinstance(value, list) else (key, value)
+    if inside:
+        assert code in (0, 2, 3) and not any(line.startswith(f"error: {name} must ")
+                                             for line in err), err
+    else:
+        assert code == 2 and len(err) == 1, err
+        assert err[0].startswith(f"error: {name} must ") and err[0].endswith(f", got {item!r}")
+        assert not out.exists()
+
+
+def test_a_bound_holds_whatever_the_kind(tmp_path, capsys):
+    # only csv data reads data.test_fraction, but synthetic data checks it too
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", "data.test_fraction=2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: data.test_fraction must lie in (0, 1), got 2.0"]
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- run
@@ -386,8 +468,8 @@ def test_non_finite_hyperparameter_exits_2_naming_the_key(tmp_path, capsys, key,
     assert main(["run", "--config", write_config(tmp_path), "--set", "algorithm=fedadam",
                  "--set", f"{key}={literal}", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    section, name = key.split(".")
-    assert len(err) == 1 and err[0].startswith(f"error: {section}: {name} ")
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must ")
+    assert err[0].endswith(f", got {float(literal)!r}")
     assert not out.exists()
 
 
@@ -397,7 +479,7 @@ def test_non_finite_literal_in_a_config_file_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: local: alpha ")
+    assert err == ["error: local.alpha must be a finite number, got nan"]
     assert not out.exists()
 
 
@@ -455,7 +537,9 @@ def test_non_finite_value_in_any_float_key_exits_2(tmp_path, capsys, overrides, 
         args += ["--set", item]
     assert main(args) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {named} must be a finite number")
+    key = named.replace(": ", ".")
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must ")
+    assert err[0].endswith((", got nan", ", got inf", ", got -inf"))
     assert not out.exists()
 
 
@@ -694,6 +778,104 @@ def test_aborted_compare_leaves_a_manifest_naming_the_failed_run(tmp_path, capsy
     assert strict_json((out / "c" / "manifest.json").read_text())["status"] == "numeric_abort"
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "MemoryError"),
+    (RuntimeError("boom\n  at step 2"), "RuntimeError: boom at step 2"),
+], ids=["MemoryError", "RuntimeError"])
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_unexpected_exception_exits_1_with_one_line_and_a_crashed_manifest(
+        tmp_path, capsys, monkeypatch, verb, exc, line):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "run", fail)
+    out = tmp_path / "out"
+    configs = ["--config", write_config(tmp_path, TINY, "a.json")] * (2 if verb == "compare" else 1)
+    assert main([verb, *configs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    for directory in [out] + ([out / "a"] if verb == "compare" else []):
+        manifest = strict_json((directory / "manifest.json").read_text())
+        assert manifest["status"] == "crashed" and manifest["error"] == line
+        assert "finished_at" in manifest
+    if verb == "compare":
+        assert strict_json((out / "manifest.json").read_text())["failed_label"] == "a"
+
+
+def test_rerun_into_a_finished_run_deletes_its_outputs_first(tmp_path, capsys):
+    # the rerun aborts, so a summary.json left from the first run would
+    # stand beside a manifest of another config
+    cfg = write_config(tmp_path, {"rounds": 2, "clients": 4, "local": {"k": 2}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()
+    assert main(["run", "--config", cfg, "--set", "local.lr0=1e300", "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "rounds.csv"]
+    assert strict_json((out / "manifest.json").read_text())["status"] == "numeric_abort"
+
+
+def test_compare_rerun_deletes_the_curve_of_a_dropped_label(tmp_path):
+    a, b, c = (write_config(tmp_path, TINY, f"{label}.json") for label in "abc")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", a, "--config", b, "--out", str(out)]) == 0
+    assert main(["compare", "--config", a, "--config", c, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a", "a_curve.csv", "b", "c", "c_curve.csv", "comparison.csv", "manifest.json"]
+    assert strict_json((out / "manifest.json").read_text())["output_paths"] == [
+        "a_curve.csv", "c_curve.csv", "comparison.csv", "manifest.json"]
+    # a directory is never deleted: b/ keeps the files of its own run
+    assert sorted(p.name for p in (out / "b").iterdir()) == [
+        "manifest.json", "rounds.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("listed", [
+    ["../victim"],
+    ["../victim", "../rounds.csv", "sub/rounds.csv", "sub\\rounds.csv", "..", ".",
+     "notes.txt", "old_curve.csv", "manifest.json", 7, None, ["rounds.csv"]],
+], ids=["parent", "crafted"])
+def test_an_old_manifest_deletes_nothing_but_bare_output_files(tmp_path, listed):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "old_curve.csv").mkdir()  # a directory
+    kept = [tmp_path / "victim", tmp_path / "rounds.csv", out / "sub" / "rounds.csv",
+            out / "sub\\rounds.csv", out / "notes.txt"]
+    for path in kept:
+        path.write_text("keep\n")
+    (out / "manifest.json").write_text(json.dumps({"output_paths": listed}))
+    assert main(["run", "--config", write_config(tmp_path, TINY), "--out", str(out)]) == 0
+    assert all(path.read_text() == "keep\n" for path in kept)
+    assert (out / "old_curve.csv").is_dir() and (out / "sub").is_dir()
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '{"output_paths": 7}', "\udcff"])
+def test_an_old_manifest_that_does_not_parse_is_ignored(tmp_path, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text, encoding="utf-8", errors="surrogateescape")
+    (out / "rounds.csv").write_text("old\n")
+    assert main(["run", "--config", write_config(tmp_path, TINY), "--out", str(out)]) == 0
+    assert strict_json((out / "manifest.json").read_text())["status"] == "ok"
+
+
+def test_stale_outputs_are_deleted_under_a_running_manifest(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    unlink, seen = Path.unlink, []
+
+    def refuse(path, *args, **kwargs):
+        if path.suffix == ".tmp":
+            return unlink(path, *args, **kwargs)
+        seen.append(strict_json((out / "manifest.json").read_text())["status"])
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(Path, "unlink", refuse)
+    # the old manifest, which lists the file, is replaced before its
+    # deletion is tried, and a deletion that fails is stamped io_error
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert seen == ["running"]
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert manifest["status"] == "io_error"
+    assert manifest["error"] == f"cannot write {out / 'rounds.csv'}: Permission denied"
+
+
 def start_long_run(tmp_path, verb):
     """Start ``fedsim run`` or ``compare`` on runs far too long to finish
     and wait until rounds.csv has a row; returns the process, the output
@@ -826,8 +1008,33 @@ def test_threads_default_to_1_and_must_be_positive(tmp_path, capsys):
     for bad in ("0", "-3"):
         assert main(["run", "--config", cfg, "--threads", bad,
                      "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == "error: --threads must be a positive integer\n"
+        assert capsys.readouterr().err == \
+            f"error: --threads must be a positive integer, got {bad}\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_blas_thread_count_never_changes_output(tmp_path):
+    # the training loss is evaluated over one shard group of 8 clients of
+    # 300 rows, so each matrix product of the mlp makes two full 1,024-row
+    # gemm blocks and a partial one
+    payload = {"algorithm": "fedagm", "rounds": 3, "clients": 8, "seed": 5,
+               "model": {"kind": "mlp", "input_dim": 16, "output_dim": 4, "hidden_dims": [32]},
+               "data": {"classes": 4, "train_per_class": 600, "test_per_class": 50,
+                        "input_dim": 16},
+               "local": {"k": 5}}
+    cfg = write_config(tmp_path, payload)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "fedsim", "run", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("rounds.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 # -------------------------------------------------------------- selftest

@@ -1,8 +1,9 @@
 """The CLI's exit-code contract as a fuzzed property.
 
 A tiny valid ``fedsim run`` is mutated, through the config file and
-through ``--set``, with values from a fixed pool, and its CSV data file
-is corrupted; a ``fedsim compare`` of two copies of it has its second
+through ``--set``, with values from a fixed pool and from the edges of
+each key's bound in the config schema, and its CSV data file is
+corrupted; a ``fedsim compare`` of two copies of it has its second
 config mutated the same way. About one invocation in eight finds a
 directory where one of its output files goes. Every invocation must:
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from bounds import BOUNDED, edges
 from fedsim.cli import DEFAULT_CONFIG, main
 
 BASE = {
@@ -68,6 +70,18 @@ def _is_size_key(key: str) -> bool:
     return key.startswith(("data.", "model.")) or key == "clients"
 
 
+def _values(key: str):
+    """A value from the pool (or a huge size for a size key), or, as
+    often, one just inside or just outside an end of the key's bound."""
+    pool = st.sampled_from(POOL + HUGE if _is_size_key(key) else POOL)
+    if key not in BOUNDED:
+        return pool
+    return st.one_of(pool, st.sampled_from(sum(edges(key), [])))
+
+
+VALUES = {key: _values(key) for key in KEYS}
+
+
 @st.composite
 def mutation(draw):
     # one mutation in four sets a diverging key to 1e300, so that a share
@@ -76,7 +90,7 @@ def mutation(draw):
         key, value = draw(st.sampled_from(DIVERGING_KEYS)), 1e300
     else:
         key = draw(st.sampled_from(KEYS))
-        value = draw(st.sampled_from(POOL + HUGE if _is_size_key(key) else POOL))
+        value = draw(VALUES[key])
     return key, value, draw(st.sampled_from(("file", "set")))
 
 

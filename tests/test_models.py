@@ -40,7 +40,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("hidden", [(1.5,), (True,), (3, 2.0), ("4",), (0,)])
 def test_spec_rejects_hidden_sizes_that_are_not_positive_ints(hidden):
-    with pytest.raises(StructuralError, match="hidden dims"):
+    with pytest.raises(StructuralError, match=r"^model\.hidden_dims\[\d\] must "):
         ModelSpec("mlp", input_dim=4, output_dim=3, hidden_dims=hidden)
 
 

@@ -255,6 +255,8 @@ def test_hyper_validation():
         ServerHyper(lam=1.0)
     with pytest.raises(StructuralError):
         ServerHyper(adam_tau=0.0)
+    with pytest.raises(StructuralError, match="global_lr"):  # null only in a config
+        ServerHyper(global_lr=None)
     for key in ("tau", "lam", "global_lr", "avgm_beta", "adam_tau"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(StructuralError, match=key):
