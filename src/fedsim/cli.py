@@ -31,10 +31,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .algorithms import REGISTRY
@@ -59,6 +62,9 @@ MAX_SYNTHETIC_VALUES = 2 ** 26
 # runs must see the same data, model, sampling schedule, and metrics so
 # only the optimizer differs.
 _COMPARE_FREE_KEYS = ("algorithm", "local", "server")
+
+# the variables that set the BLAS's thread count, echoed into the manifest
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _merge(node: dict, raw: dict, prefix: str, path: str | None) -> None:
@@ -228,8 +234,16 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
 # regression run) is written as null, and +Infinity, which only the
 # bound of local.clip_norm admits, as the number 1e999,
 # which IEEE-754 parsers (Python's json, JavaScript's JSON.parse) read
-# back as +Infinity; -Infinity raises.
-_INFINITY_MARK = "\0+Infinity"  # stands in for +Infinity until the text is built
+# back as +Infinity; -Infinity raises. A string literal is matched whole,
+# so text inside one is never taken for a bare token.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity')
+
+
+def _strict_token(match) -> str:
+    token = match.group()
+    if token == "-Infinity":
+        raise ValueError("-Infinity has no strict JSON form")
+    return "1e999" if token == "Infinity" else token
 
 
 @contextmanager
@@ -246,17 +260,15 @@ def _write(path: Path, content) -> None:
     ``path``; every output but the streamed rounds.csv goes through here.
     The text goes to a temporary file beside ``path`` that then replaces
     it, so a reader sees the old file or the new one, never part of one."""
-    def mark(value):
+    def nulled(value):
         if isinstance(value, dict):
-            return {k: mark(v) for k, v in value.items()}
+            return {k: nulled(v) for k, v in value.items()}
         if isinstance(value, list):
-            return [mark(v) for v in value]
-        if isinstance(value, float) and math.isnan(value):
-            return None
-        return _INFINITY_MARK if isinstance(value, float) and value == math.inf else value
+            return [nulled(v) for v in value]
+        return None if isinstance(value, float) and math.isnan(value) else value
     if isinstance(content, dict):
-        text = json.dumps(mark(content), indent=2, sort_keys=True, allow_nan=False)
-        text = text.replace(json.dumps(_INFINITY_MARK), "1e999") + "\n"
+        text = json.dumps(nulled(content), indent=2, sort_keys=True)
+        text = _JSON_TOKEN.sub(_strict_token, text) + "\n"
     else:
         text = "".join(",".join(map(str, row)) + "\n" for row in content)
     tmp = path.with_name(path.name + ".tmp")
@@ -270,6 +282,23 @@ def _write(path: Path, content) -> None:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def environment() -> dict:
+    """The interpreter, numpy, BLAS, CPUs and BLAS thread variables of this
+    process, for the manifest; a value numpy or the OS does not report is
+    None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # a numpy whose show_config has no mode
+        blas = {}
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # an OS without CPU affinity
+        cpus = os.cpu_count()
+    return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "cpu_count": cpus, **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
 def _is_own_output(name) -> bool:
@@ -345,6 +374,7 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int)
         "config_hash": digest,
         "config": cfg,
         "data_meta": meta,
+        "environment": environment(),
         "threads": threads,
         "output_paths": ["rounds.csv", "summary.json", "manifest.json"],
     }
@@ -433,6 +463,7 @@ def cmd_compare(args) -> int:
         "tool_version": __version__,
         "runs": [{"label": label, "config_hash": config_hash(cfg)}
                  for label, cfg in zip(labels, configs)],
+        "environment": environment(),
         "output_paths": [f"{label}_curve.csv" for label in labels]
                         + ["comparison.csv", "manifest.json"],
     }

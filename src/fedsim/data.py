@@ -143,27 +143,27 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     return Dataset(features, labels, len(label_names), meta)
 
 
-def _finish(parts: list[list[int]]) -> tuple:
-    return tuple(np.array(sorted(p), dtype=np.int64) for p in parts)
-
-
 def partition_iid(dataset: Dataset, N: int, seed: int) -> tuple:
     """Random permutation dealt into N near-equal contiguous chunks."""
     if N < 1 or N > dataset.n:
         raise StructuralError(f"need 1 <= N <= {dataset.n}, got {N}")
     perm = np.random.default_rng(seed).permutation(dataset.n)
-    return _finish([c.tolist() for c in np.array_split(perm, N)])
+    return tuple(np.sort(c) for c in np.array_split(perm, N))
 
 
 def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
                         seed: int) -> tuple:
     """Label-skewed split: per-client class ratios drawn from a symmetric
     Dirichlet, examples dealt per class proportionally to the ratio
-    columns, then greedily rebalanced to the equal-size invariant.
+    columns, then rebalanced to the equal-size invariant.
 
-    Rebalancing moves one example at a time from the largest client
-    (taking from its most-populous class) to the smallest, which preserves
-    the skew direction while enforcing floor/ceil sizes.
+    Rebalancing is one shed-then-deal pass. Each donor (largest surplus
+    first, lowest id on ties) sheds its surplus one example at a time from
+    its most-populous class (lowest class on ties), last dealt example
+    first; the shed examples are then dealt, in that order, to the
+    receivers (largest deficit first, lowest id on ties), each taking a
+    contiguous run. A donor's shedding depends on its own examples alone,
+    so every donor can shed before any receiver is dealt to.
     """
     if N < 1 or N > dataset.n:
         raise StructuralError(f"need 1 <= N <= {dataset.n}, got {N}")
@@ -210,30 +210,20 @@ def partition_dirichlet(dataset: Dataset, N: int, concentration: float,
                     key=lambda i: (targets[i] - sizes[i], i))
     receivers = sorted((i for i in range(N) if sizes[i] < targets[i]),
                        key=lambda i: (sizes[i] - targets[i], i))
-    # Each donor sheds contiguous runs of its currently most-populous class
+    # Each donor sheds runs of its currently most-populous class, dealt
     # into one receiver at a time, so receivers stay nearly as label-skewed
     # as organic shards.
-    donor_lists: dict[int, list[list[int]]] = {}
-    di = 0
-    for rec in receivers:
-        while sizes[rec] < targets[rec]:
-            d = donors[di]
-            if sizes[d] <= targets[d]:
-                di += 1
-                continue
-            if d not in donor_lists:
-                lists = [[] for _ in range(C)]
-                for ix in by_client[starts[d]:starts[d + 1]].tolist():
-                    lists[labels[ix]].append(ix)
-                donor_lists[d] = lists
-            lists = donor_lists[d]
-            donor_class = max(range(C), key=lambda c: (len(lists[c]), -c))
-            owner[lists[donor_class].pop()] = rec
-            sizes[d] -= 1
-            sizes[rec] += 1
+    shed = []
+    for d in donors:
+        lists = [[] for _ in range(C)]
+        for ix in by_client[starts[d]:starts[d + 1]].tolist():
+            lists[labels[ix]].append(ix)
+        for _ in range(sizes[d] - targets[d]):
+            shed.append(max(lists, key=len).pop())
+    owner[shed] = np.repeat(receivers, [targets[r] - sizes[r] for r in receivers])
     # every client's examples in index order, one slice each
     by_owner = np.argsort(owner, kind="stable")
-    ends = list(itertools.accumulate(sizes))
+    ends = list(itertools.accumulate(targets))
     return tuple(by_owner[a:b] for a, b in zip([0, *ends[:-1]], ends))
 
 

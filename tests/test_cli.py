@@ -9,6 +9,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bounds import BOUNDED, edges
@@ -575,6 +576,49 @@ def test_manifest_of_an_infinite_clip_norm_is_strict_json(tmp_path):
     manifest = strict_json(text)
     assert manifest["config"]["local"]["clip_norm"] == math.inf
     assert manifest["config_hash"] == config_hash(manifest["config"])
+
+
+def test_a_string_that_reads_like_infinity_stays_a_string(tmp_path):
+    # a label that spells a bare token, or NUL and +Infinity, must read
+    # back as the string it was
+    names = ["a", "\0+Infinity", "-Infinity", "Infinity"]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(["f0,label"] + [f"{i},{names[i % 4]}" for i in range(40)])
+                    + "\n", encoding="utf-8")
+    cfg = {"rounds": 1, "clients": 2, "local": {"k": 1},
+           "model": {"input_dim": 1, "output_dim": 4},
+           "data": {"kind": "csv", "path": str(data), "label_column": "label"}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert manifest["data_meta"]["label_names"] == names
+
+
+def test_negative_infinity_has_no_strict_json_form(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write(tmp_path / "x.json", {"x": -math.inf})
+    assert not list(tmp_path.iterdir())
+
+
+def test_manifests_record_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_config(tmp_path),
+                 "--config", write_config(tmp_path, name="b.json"), "--out", str(out)]) == 0
+    for path in (out / "manifest.json", out / "cfg" / "manifest.json"):
+        env = json.loads(path.read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "cpu_count",
+                            *cli.BLAS_THREAD_VARS}
+        assert env["OPENBLAS_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
+        assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+    run_manifest = json.loads((out / "cfg" / "manifest.json").read_text())
+    assert run_manifest["config_hash"] == config_hash(run_manifest["config"])
+    # a numpy whose show_config takes no mode reports no BLAS
+    monkeypatch.setattr(cli.np, "show_config", lambda: None)
+    assert cli.environment()["blas"] is None and cli.environment()["blas_version"] is None
 
 
 def test_model_over_the_parameter_bound_exits_2_before_writing(tmp_path, capsys):

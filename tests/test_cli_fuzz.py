@@ -28,7 +28,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from bounds import BOUNDED, edges
 from fedsim.cli import DEFAULT_CONFIG, main
@@ -205,8 +205,12 @@ def block(tmp: Path, name) -> Path | None:
 def test_mutated_configs_keep_the_exit_code_contract():
     codes, io_errors = set(), []
 
+    # the examples reach each asserted outcome whatever the draws do
     @FUZZ
     @given(MUTATIONS, blocked_output("rounds.csv", "summary.json"))
+    @example([("rounds", 1, "set")], "summary.json")
+    @example([("rounds", 1, "set")], "rounds.csv")
+    @example([("local.lr0", 1e300, "set")], None)
     def check(mutations, name):
         cfg, overrides = _mutate(mutations)
         with tempfile.TemporaryDirectory() as tmp:
@@ -230,6 +234,7 @@ def test_mutated_compare_keeps_the_exit_code_contract():
 
     @FUZZ
     @given(MUTATIONS, blocked_output("cfg0_curve.csv"))
+    @example([("local.k", 1, "file")], "cfg0_curve.csv")
     def check(mutations, name):
         cfg, overrides = _mutate(mutations)
         with tempfile.TemporaryDirectory() as tmp:
