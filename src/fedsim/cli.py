@@ -29,7 +29,6 @@ import argparse
 import copy
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -51,7 +50,8 @@ from .schema import DEFAULT_CONFIG, LEAVES, check_config, coerce
 from .selftest import run_selftest
 from .server import ServerHyper
 
-CSV_HEADER = "round,train_loss,test_accuracy,ema_accuracy,bytes_down,bytes_up\n"
+# The RoundRecord fields that make rounds.csv's header and rows, in order
+COLUMNS = ("round", "train_loss", "test_accuracy", "ema_accuracy", "bytes_down", "bytes_up")
 
 # The most float64 values a synthetic data set may hold (512 MiB); the
 # train/test split and the engine's shard groups copy it again. A larger
@@ -204,15 +204,11 @@ def build_run_config(cfg: dict) -> RunConfig:
                      local=LocalConfig(**cfg["local"]), server=ServerHyper(**cfg["server"]))
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest decimal that round-trips, so reruns of the
-    # same config produce byte-identical files
-    return repr(float(x))
-
-
-def _csv_row(rec) -> str:
-    return (f"{rec.round},{_fmt(rec.train_loss)},{_fmt(rec.test_accuracy)},"
-            f"{_fmt(rec.ema_accuracy)},{rec.bytes_down},{rec.bytes_up}\n")
+def _csv_line(row) -> str:
+    """One CSV line of ``row``'s values. Each is an int, a str or a float,
+    and ``str`` of a float is the shortest decimal that round-trips, so
+    reruns of the same config write byte-identical files."""
+    return ",".join(map(str, row)) + "\n"
 
 
 def _targets_report(records, targets, total_rounds: int) -> dict:
@@ -222,11 +218,8 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
     report = {}
     smoothed = [r.ema_accuracy for r in records]
     for t in targets:
-        hit = rounds_to_target(smoothed, t, max(len(smoothed), 1))
-        if isinstance(hit, Saturated):
-            report[_fmt(t)] = str(Saturated(total_rounds))
-        else:
-            report[_fmt(t)] = records[hit - 1].round
+        hit = rounds_to_target(smoothed, t, total_rounds)
+        report[str(t)] = str(hit) if isinstance(hit, Saturated) else records[hit - 1].round
     return report
 
 
@@ -236,14 +229,14 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
 # which IEEE-754 parsers (Python's json, JavaScript's JSON.parse) read
 # back as +Infinity; -Infinity raises. A string literal is matched whole,
 # so text inside one is never taken for a bare token.
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity')
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
 
 
 def _strict_token(match) -> str:
     token = match.group()
     if token == "-Infinity":
         raise ValueError("-Infinity has no strict JSON form")
-    return "1e999" if token == "Infinity" else token
+    return {"NaN": "null", "Infinity": "1e999"}.get(token, token)
 
 
 @contextmanager
@@ -260,17 +253,11 @@ def _write(path: Path, content) -> None:
     ``path``; every output but the streamed rounds.csv goes through here.
     The text goes to a temporary file beside ``path`` that then replaces
     it, so a reader sees the old file or the new one, never part of one."""
-    def nulled(value):
-        if isinstance(value, dict):
-            return {k: nulled(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [nulled(v) for v in value]
-        return None if isinstance(value, float) and math.isnan(value) else value
     if isinstance(content, dict):
-        text = json.dumps(nulled(content), indent=2, sort_keys=True)
+        text = json.dumps(content, indent=2, sort_keys=True)
         text = _JSON_TOKEN.sub(_strict_token, text) + "\n"
     else:
-        text = "".join(",".join(map(str, row)) + "\n" for row in content)
+        text = "".join(map(_csv_line, content))
     tmp = path.with_name(path.name + ".tmp")
     with _writing(path):
         try:
@@ -310,20 +297,41 @@ def _is_own_output(name) -> bool:
                  or name.endswith("_curve.csv")))
 
 
-def _crash_text(exc: Exception) -> str:
-    """An exception that no exit status names, on one line: type and message."""
-    message = " ".join(str(exc).split())
-    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+# How each family of exception ends a command: its exit status and the
+# status stamped into the manifest of each run directory it leaves. The
+# first family that matches wins; a BaseException that none names
+# (SystemExit) ends the process as Python ends it, with no stamp.
+_ENDINGS = (
+    (NumericError, 3, "numeric_abort"),
+    (OutputError, 2, "io_error"),
+    (ConfigError, 2, "config_error"),
+    (KeyboardInterrupt, 130, "interrupted"),
+    (Exception, 1, "crashed"),  # a fault of the program, not of its input
+)
+
+
+def _ending(exc: BaseException):
+    """``(exit status, manifest status, error text)`` for ``exc``, or None
+    when no family of :data:`_ENDINGS` names it. The text is what follows
+    ``error:``: the message, and for a crash also the type, folded onto
+    one line; an interrupt has none."""
+    for family, code, status in _ENDINGS:
+        if isinstance(exc, family):
+            text = "" if code == 130 else str(exc)
+            if code == 1:
+                text = ": ".join(filter(None, [type(exc).__name__, " ".join(text.split())]))
+            return code, status, text
+    return None
 
 
 @contextmanager
 def _run_dir(out_dir: Path, manifest: dict):
     """Create ``out_dir`` and write ``manifest`` into it, first as
-    ``running``, then stamped with how the block ends: ``ok``;
-    ``numeric_abort``, ``io_error`` or ``crashed`` with the ``error``; or
-    ``interrupted``. The outputs that the manifest it replaces lists (one
-    that does not parse is ignored) are deleted once the ``running``
-    manifest is written, so no manifest ever vouches for a missing file.
+    ``running``, then stamped with how the block ends: ``ok``, or the
+    status and ``error`` text that :func:`_ending` gives the exception.
+    The outputs that the manifest it replaces lists (one that does not
+    parse is ignored) are deleted once the ``running`` manifest is
+    written, so no manifest ever vouches for a missing file.
     A failure also gets the fields the caller put into the dict this
     yields, and is raised again."""
     with _writing(out_dir):
@@ -335,8 +343,7 @@ def _run_dir(out_dir: Path, manifest: dict):
         stale = []
     manifest.update(started_at=_now(), status="running")
     _write(out_dir / "manifest.json", manifest)
-    failure = {}
-    ending = None  # SystemExit and other BaseExceptions leave it unstamped
+    failure, ending = {}, None
     try:
         for path in stale:
             with _writing(path):
@@ -344,17 +351,10 @@ def _run_dir(out_dir: Path, manifest: dict):
                     path.unlink()
         yield failure
         ending = {"status": "ok"}
-    except NumericError as exc:
-        ending = {"status": "numeric_abort", "error": str(exc), **failure}
-        raise
-    except OutputError as exc:
-        ending = {"status": "io_error", "error": str(exc), **failure}
-        raise
-    except KeyboardInterrupt:
-        ending = {"status": "interrupted", **failure}
-        raise
-    except Exception as exc:  # a fault of the program, not of its input
-        ending = {"status": "crashed", "error": _crash_text(exc), **failure}
+    except BaseException as exc:
+        if (found := _ending(exc)) is not None:
+            _, status, text = found
+            ending = {"status": status, **({"error": text} if text else {}), **failure}
         raise
     finally:
         if ending is not None:
@@ -382,9 +382,9 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int)
     with _run_dir(out_dir, manifest):
         with (_writing(rounds_path),
               rounds_path.open("w", encoding="utf-8", newline="") as fh):
-            fh.write(CSV_HEADER)
-            result = run(rc, train, test,
-                         on_record=lambda rec: (fh.write(_csv_row(rec)), fh.flush()))
+            fh.write(_csv_line(COLUMNS))
+            result = run(rc, train, test, on_record=lambda rec: (
+                fh.write(_csv_line(getattr(rec, c) for c in COLUMNS)), fh.flush()))
         records = result.records
         summary = {
             "algorithm": cfg["algorithm"],
@@ -458,7 +458,7 @@ def cmd_compare(args) -> int:
     labels = _unique_labels(args.configs)
     total_rounds = configs[0]["rounds"]
     mid_round = max(1, total_rounds // 2)
-    targets = [_fmt(t) for t in configs[0]["targets"]]
+    targets = [str(t) for t in configs[0]["targets"]]
     manifest = {
         "tool_version": __version__,
         "runs": [{"label": label, "config_hash": config_hash(cfg)}
@@ -474,11 +474,11 @@ def cmd_compare(args) -> int:
             failure["failed_label"] = label
             records, summary = _execute(cfg, rc, data, out_dir / label, args.threads)
             _write(out_dir / f"{label}_curve.csv", [["round", "ema_accuracy"]]
-                   + [[rec.round, _fmt(rec.ema_accuracy)] for rec in records])
+                   + [[rec.round, rec.ema_accuracy] for rec in records])
             at_mid = next((r.ema_accuracy for r in reversed(records)
                            if r.round <= mid_round), float("nan"))
             at_end = summary["final"]["ema_accuracy"] if records else float("nan")
-            table.append([label, cfg["algorithm"], _fmt(at_mid), _fmt(at_end)]
+            table.append([label, cfg["algorithm"], at_mid, at_end]
                          + [summary["rounds_to_target"][t] for t in targets])
         failure.clear()  # comparison.csv belongs to no one run
         _write(out_dir / "comparison.csv", table)
@@ -544,18 +544,12 @@ def main(argv=None) -> int:
         if args.verb == "run":
             return cmd_run(args)
         return cmd_compare(args)
-    except (ConfigError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    except Exception as exc:  # a fault of the program, not of its input
-        print(f"error: {_crash_text(exc)}", file=sys.stderr)
-        return 1
+    except BaseException as exc:
+        if (found := _ending(exc)) is None:
+            raise
+        code, status, text = found
+        print(f"error: {text or status}", file=sys.stderr)  # an interrupt names its status
+        return code
 
 
 if __name__ == "__main__":
