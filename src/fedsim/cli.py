@@ -13,14 +13,16 @@ Exit codes: 0 success, 1 an unexpected exception, a fault of the program
 (one ``error:`` line with its type; the manifest says ``status:
 "crashed"``), or a selftest that FAILs, 2 config/input problem (parse
 errors carry line:column; a value out of bounds reads ``<key> must ...,
-got <value>``) or an output that cannot be written (the message names
-it; the manifest says ``status: "io_error"``), 3 numeric abort (message
-carries round/client; the partial rounds.csv written so far is kept),
-130 interrupted by SIGINT (the manifest of the run that was going says
-``status: "interrupted"``). A manifest says ``status: "running"`` from
-the moment its directory exists, so a killed run leaves that. A run or
-compare then deletes the outputs that the manifest it replaced listed,
-so no file of an earlier run is left beside its own.
+got <value>``; a manifest says ``status: "config_error"``) or an output
+that cannot be written (the message names it; the manifest says
+``status: "io_error"``), 3 numeric abort (message carries round/client;
+the partial rounds.csv written so far is kept; ``numeric_abort``), 130
+interrupted by SIGINT (``interrupted``). One table, ``_ENDINGS``, gives
+each exception its exit code and its manifest status, so the two always
+agree. A manifest says ``status: "running"`` from the moment its
+directory exists, so a killed run leaves that. A run or compare then
+deletes the outputs that the manifest it replaced listed, so no file of
+an earlier run is left beside its own.
 """
 
 from __future__ import annotations
@@ -430,11 +432,17 @@ def cmd_run(args) -> int:
 
 
 def _unique_labels(paths: list[str]) -> list[str]:
-    labels, seen = [], {}
+    """Each config's file stem, or, when an earlier config took that
+    label, the stem with the first free ``#n`` (n = 2, 3, ...), so no two
+    runs share a directory or a curve."""
+    labels = []
     for p in paths:
-        stem = Path(p).stem
-        seen[stem] = seen.get(stem, 0) + 1
-        labels.append(stem if seen[stem] == 1 else f"{stem}#{seen[stem]}")
+        label = stem = Path(p).stem
+        n = 1
+        while label in labels:
+            n += 1
+            label = f"{stem}#{n}"
+        labels.append(label)
     return labels
 
 

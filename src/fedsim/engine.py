@@ -147,8 +147,9 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     """Execute ``config.rounds`` federated rounds.
 
     A RoundRecord is appended (and passed to ``on_record``, if given) on
-    every evaluated round; its byte counters cover all rounds since the
-    previous record so the totals telescope for any eval_every. For
+    every evaluated round: every ``eval_every``-th round and the last.
+    Its byte counters cover all rounds since the previous record, so the
+    totals telescope to every byte sent for any eval_every. For
     regression models the accuracy columns are NaN.
 
     Numeric failures abort with (round, client) context after every
@@ -207,7 +208,7 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
         acc_up += returns.nbytes
         del returns, before  # no client model of round t lives into round t+1
 
-        if (t + 1) % config.eval_every == 0:
+        if (t + 1) % config.eval_every == 0 or t + 1 == config.rounds:
             try:
                 train_loss = global_loss(spec, state.theta, groups)
             except NumericError as exc:

@@ -1,10 +1,12 @@
 """Exception taxonomy shared by every fedsim module.
 
-Four failure families map onto the CLI's exit codes: configuration or
-input-file problems and outputs that cannot be written (exit 2), numeric
-blow-ups during a run (exit 3), and structural misuse of the API, which
-is always a caller bug: a library caller gets it raised, and the CLI
-reports it, as any exception outside these families, as a crash (exit 1).
+Four failure families map onto the CLI's exit codes and manifest
+statuses (one table, ``fedsim.cli._ENDINGS``): configuration or
+input-file problems (exit 2, ``config_error``), outputs that cannot be
+written (exit 2, ``io_error``), numeric blow-ups during a run (exit 3,
+``numeric_abort``), and structural misuse of the API, which is always a
+caller bug: a library caller gets it raised, and the CLI reports it, as
+any exception outside these families, as a crash (exit 1, ``crashed``).
 """
 
 from __future__ import annotations

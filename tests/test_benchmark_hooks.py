@@ -3,6 +3,7 @@ name. A name that stops resolving nulls its per-layer metrics and fails
 the benchmark's own smoke test, which lies outside this suite and takes
 minutes; this test reads the same hook table and fails fast instead."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,7 @@ from fedsim.data import Dataset
 from fedsim.models import ModelSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "fedsim"
 
 
 def load_child(monkeypatch):
@@ -46,3 +48,27 @@ def test_local_update_result_can_be_watched(monkeypatch):
         LocalConfig(k=2), 0, [np.random.default_rng(s) for s in (0, 1)])
     assert out.shape == (2, 1)
     assert use.report() is not None
+
+
+def unread_imports(path: Path) -> set:
+    """The names that the module at ``path`` imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_import_that_is_never_read_is_a_benchmark_hook(monkeypatch):
+    """A module may import a name it never reads only so that the traced
+    run can wrap it there; any other such import is left over."""
+    hooks = {}
+    for module_name, attr, _ in load_child(monkeypatch).HOOKS:
+        hooks.setdefault(module_name, set()).add(attr.split(".")[0])
+    for path in sorted(SRC.glob("*.py")):
+        unread = unread_imports(path) - hooks.get(path.stem, set())
+        assert not unread, f"{path.name} imports {sorted(unread)} but never reads them"

@@ -17,7 +17,7 @@ from fedsim import cli
 from fedsim.cli import (DEFAULT_CONFIG, apply_overrides, config_hash, load_config,
                         main, resolve_config)
 from fedsim.client import LocalConfig
-from fedsim.errors import ConfigError
+from fedsim.errors import ConfigError, NumericError, OutputError, StructuralError
 from fedsim.models import ModelSpec
 from fedsim.schema import LEAVES
 from fedsim.server import ServerHyper
@@ -273,6 +273,30 @@ def test_eval_every_controls_row_count(tmp_path):
           "--set", "eval_every=4", "--out", str(out)])
     rows = read_rows(out)
     assert [int(r[0]) for r in rows] == [4, 8]
+
+
+def test_the_rounds_after_the_last_evaluated_one_are_reported(tmp_path):
+    # 7 rounds at eval_every 3: round 7 gets a row, its bytes reach the
+    # totals, and summary.json's final is the model that trained 7 rounds
+    payload = {"rounds": 7, "eval_every": 3, "clients": 4, "local": {"k": 2}}
+    cfg = write_config(tmp_path, payload)
+    sparse, dense = tmp_path / "sparse", tmp_path / "dense"
+    assert main(["run", "--config", cfg, "--out", str(sparse)]) == 0
+    assert main(["run", "--config", cfg, "--set", "eval_every=1", "--out", str(dense)]) == 0
+    assert [int(r[0]) for r in read_rows(sparse)] == [3, 6, 7]
+    # the same model as the dense run's round 7; only the smoothing, which
+    # sees fewer evaluations, differs
+    assert read_rows(sparse)[-1][:3] == read_rows(dense)[-1][:3]
+    summary, every = (json.loads((d / "summary.json").read_text()) for d in (sparse, dense))
+    assert summary["totals"] == every["totals"]
+    for key in ("round", "train_loss", "test_accuracy"):
+        assert summary["final"][key] == every["final"][key]
+
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--config", cfg, "--out", str(out)]) == 0
+    header, row, _ = (out / "comparison.csv").read_text().splitlines()
+    assert header.split(",")[3] == "ema_acc_round_7"
+    assert row.split(",")[3] == read_rows(sparse)[-1][3]
 
 
 def test_regression_model_logs_nan_accuracy(tmp_path):
@@ -743,6 +767,23 @@ def test_compare_identical_configs_produce_identical_rows(tmp_path):
     assert (out / "cfg" / "rounds.csv").exists()
 
 
+def test_compare_labels_never_collide(tmp_path):
+    # the second a.json takes a#2, so a#2.json takes the next free a#2#2
+    (tmp_path / "d").mkdir()
+    paths = [write_config(tmp_path, TINY, name) for name in ("a.json", "d/a.json", "a#2.json")]
+    out = tmp_path / "cmp"
+    assert main(["compare", *(a for p in paths for a in ("--config", p)),
+                 "--out", str(out)]) == 0
+    labels = ["a", "a#2", "a#2#2"]
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert [run["label"] for run in manifest["runs"]] == labels
+    rows = (out / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == labels
+    for label in labels:
+        assert (out / f"{label}_curve.csv").is_file()
+        assert strict_json((out / label / "manifest.json").read_text())["status"] == "ok"
+
+
 def test_compare_renders_unreached_target_with_plus(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"
@@ -842,6 +883,44 @@ def test_unexpected_exception_exits_1_with_one_line_and_a_crashed_manifest(
         assert "finished_at" in manifest
     if verb == "compare":
         assert strict_json((out / "manifest.json").read_text())["failed_label"] == "a"
+
+
+@pytest.mark.parametrize("exc, code, status, text", [
+    (NumericError("loss is not finite", round=1), 3, "numeric_abort",
+     "loss is not finite (round=1)"),
+    (OutputError("cannot write x.csv: No space left on device"), 2, "io_error",
+     "cannot write x.csv: No space left on device"),
+    (ConfigError("checkpoint is damaged", path="ckpt.npz"), 2, "config_error",
+     "checkpoint is damaged [ckpt.npz]"),
+    (KeyboardInterrupt(), 130, "interrupted", None),
+    (RuntimeError("boom"), 1, "crashed", "RuntimeError: boom"),
+    (StructuralError("shapes differ"), 1, "crashed", "StructuralError: shapes differ"),
+], ids=["NumericError", "OutputError", "ConfigError", "KeyboardInterrupt",
+        "RuntimeError", "StructuralError"])
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_each_ending_gives_one_exit_code_one_line_and_one_manifest_status(
+        tmp_path, capsys, monkeypatch, verb, exc, code, status, text):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "run", fail)
+    out = tmp_path / "out"
+    configs = ["--config", write_config(tmp_path, TINY, "a.json")] * (2 if verb == "compare" else 1)
+    assert main([verb, *configs, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {text or status}"]
+    for directory in [out] + ([out / "a"] if verb == "compare" else []):
+        manifest = strict_json((directory / "manifest.json").read_text())
+        assert manifest["status"] == status and manifest.get("error") == text
+        assert "finished_at" in manifest
+
+
+def test_system_exit_passes_through_and_leaves_the_manifest_running(tmp_path, monkeypatch):
+    def leave(*args, **kwargs):
+        raise SystemExit(5)
+    monkeypatch.setattr(cli, "run", leave)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        main(["run", "--config", write_config(tmp_path, TINY), "--out", str(out)])
+    assert strict_json((out / "manifest.json").read_text())["status"] == "running"
 
 
 def test_rerun_into_a_finished_run_deletes_its_outputs_first(tmp_path, capsys):

@@ -124,6 +124,25 @@ def test_eval_every_controls_rows_not_bytes():
         assert r.test_accuracy == dense[r.round].test_accuracy
 
 
+def test_the_last_round_is_evaluated_whatever_eval_every():
+    # 7 rounds at eval_every 3: rounds 3 and 6, and round 7, the last,
+    # whose bytes would otherwise go uncounted
+    train, test = small_task()
+    every = run(config("fedagm", rounds=7), train, test)
+    sparse = run(config("fedagm", rounds=7, eval_every=3), train, test)
+    assert [r.round for r in sparse.records] == [3, 6, 7]
+    for side in ("bytes_down", "bytes_up"):
+        assert sum(getattr(r, side) for r in sparse.records) == \
+            sum(getattr(r, side) for r in every.records)
+    last, dense_last = sparse.records[-1], every.records[-1]
+    assert (last.train_loss, last.test_accuracy) == (dense_last.train_loss,
+                                                     dense_last.test_accuracy)
+    # an eval_every beyond the run evaluates the last round alone
+    once = run(config("fedagm", rounds=7, eval_every=10 ** 6), train, test)
+    assert [r.round for r in once.records] == [7]
+    assert once.records[0].bytes_down == sum(r.bytes_down for r in every.records)
+
+
 def test_ema_column_follows_recurrence():
     train, test = small_task()
     out = run(config("fedavg", rounds=5), train, test)
