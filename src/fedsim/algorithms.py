@@ -4,12 +4,14 @@ Every rule runs the same round. The server sends its ``payload``, whose
 first array is the model ``init`` the clients start from; each sampled
 client takes K clipped SGD steps along ``g = a·∇f(θ) + v + c·(θ − init)``,
 evaluated in that order, with ``a`` and ``c`` taken from the local
-hyperparameters and ``v`` fixed for the round; the server then applies
-the rule's ``step`` to the mean of the returned models, the rows of one
-(S, d) matrix in ascending client id order. A zero term is skipped, not
-multiplied by zero (``0.0*x`` can be ``-0.0``), and a = 1 multiplies
-nothing, so each rule at its ``trivial`` setting reproduces fedavg bit
-for bit. A new rule is one more entry in ``REGISTRY``.
+hyperparameters and ``v`` fixed for the round. The server folds the
+returned models in as they arrive, in ascending client id order, into
+their mean and the rule's own running sums (its ``fold``; see
+:class:`fedsim.server.Round`), then applies the rule's ``step`` to the
+mean. A zero term is skipped, not multiplied by zero (``0.0*x`` can be
+``-0.0``), and a = 1 multiplies nothing, so each rule at its ``trivial``
+setting reproduces fedavg bit for bit. A new rule is one more entry in
+``REGISTRY``.
 """
 
 from __future__ import annotations
@@ -20,19 +22,24 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .params import axpy, mean
+from .params import Mean, axpy
 from .schema import RULES
 from .server import aggregate
 
 @dataclass(frozen=True)
 class Algorithm:
     """One rule. ``buffers(theta0, n_clients)`` are the only buffers its
-    state holds; ``check(before, returns, after)``, if set, raises on a
-    broken invariant and returns the residual, whose maximum the run
-    reports; ``trivial`` holds the ``local``/``server`` settings under
-    which the rule is fedavg (None: there are none)."""
+    state holds. ``fold(sums, state, ids, rows, sent, local)`` folds each
+    block of returned models, in ascending id order, into the round's
+    running ``sums`` (a dict, empty when the round starts); then
+    ``step(state, mean, sums, local)`` gives the new model and the buffers
+    it changed. ``check(before, sums, after)``, if set, raises on a broken
+    invariant and returns the residual, whose maximum the run reports;
+    ``trivial`` holds the ``local``/``server`` settings under which the
+    rule is fedavg (None: there are none)."""
 
     step: Callable = lambda st, m, *_: (m, {})
+    fold: Callable = lambda *_: None
     a: Callable = lambda cfg: 1.0
     c: Callable = lambda cfg: 0.0
     v: Callable = lambda st, cfg, ids: None
@@ -70,23 +77,33 @@ def _fedagm_step(st, m, *_):
     return theta, {"delta": st.theta - theta}
 
 
-def momentum_residual(before, returns, after) -> float:
+def _fedagm_fold(sums, st, ids, rows, sent, local):
+    # the check's mean client displacement from the broadcast point
+    sums.setdefault("drift", Mean()).add(rows - sent)
+
+
+def _residual(before, drift: Mean, after) -> float:
     """Max-norm residual of fedagm's momentum identity
     delta' = tau*gradbar + lam*delta, where gradbar is the negated mean
-    client displacement from the broadcast point."""
+    client displacement ``drift`` from the broadcast point."""
     hy = before.hyper
-    bc = lookahead(before)
-    gradbar = -mean(returns - bc)
+    gradbar = -drift.result()
     predicted = axpy(hy.lam, before.buffers["delta"], hy.tau * gradbar)
     return float(np.max(np.abs(after.buffers["delta"] - predicted)))
+
+
+def momentum_residual(before, returns, after) -> float:
+    """The residual of the momentum identity over the client models
+    ``returns``, an (S, d) matrix, folded as one block."""
+    return _residual(before, Mean().add(returns - lookahead(before)), after)
 
 
 def momentum_residual_bound(after, rel: float = 1e-12) -> float:
     return rel * (1.0 + float(np.max(np.abs(after.buffers["delta"]))))
 
 
-def _fedagm_check(before, returns, after) -> float:
-    residual = momentum_residual(before, returns, after)
+def _fedagm_check(before, sums, after) -> float:
+    residual = _residual(before, sums["drift"], after)
     if residual > momentum_residual_bound(after):
         raise NumericError(f"momentum identity violated: residual {residual:.3e}",
                            round=before.round)
@@ -121,23 +138,41 @@ def feddyn_updated_state(h: np.ndarray, final_params: np.ndarray,
     return h - dyn_alpha * (final_params - init)
 
 
-def _feddyn_step(st, m, returns, ids, sent, local):
+def _feddyn_fold(sums, st, ids, rows, sent, local):
     # the client correctors h (one row per client) are refreshed in place,
-    # so a round holds one copy of them; the server corrector averages
-    # over all N clients, not only the sampled ones
+    # h_i - dyn_alpha*(theta_i - sent) as feddyn_updated_state takes it, so
+    # a round holds one copy of them; the displacements from the server
+    # model are summed row by row. A chunk takes one scratch of its shape:
+    # with two such temporaries live at once, glibc gave both back to the
+    # system and faulted them in again on every chunk (a 100-client round
+    # of d = 7,210 in chunks of 4: 3,453 minor faults and 9.6 ms, against
+    # 30 and 2.3 ms with one)
+    alpha = local.dyn_alpha
+    if alpha == 0.0:
+        return
+    h = st.buffers["h"]
+    scratch = rows - sent
+    scratch *= alpha
+    for cid, step in zip(ids, scratch):
+        h[cid] -= step
+    disp = sums.get("disp")
+    if disp is None:
+        disp = sums["disp"] = np.zeros_like(st.theta)
+    for row in np.subtract(rows, st.theta, out=scratch):
+        disp += row
+
+
+def _feddyn_step(st, m, sums, local):
+    # the server corrector averages over all N clients, not only the
+    # sampled ones
     alpha = local.dyn_alpha
     if alpha == 0.0:
         return m, {}
-    h = st.buffers["h"]
-    disp = np.zeros_like(st.theta)
-    for cid, r in zip(ids, returns):
-        h[cid] = feddyn_updated_state(h[cid], r, sent, alpha)
-        disp += r - st.theta
-    dyn_h = st.buffers["dyn_h"] - alpha * disp / h.shape[0]
+    dyn_h = st.buffers["dyn_h"] - alpha * sums["disp"] / st.buffers["h"].shape[0]
     return m - dyn_h / alpha, {"dyn_h": dyn_h}
 
 
-def _fedcm_step(st, m, returns, ids, sent, local):
+def _fedcm_step(st, m, sums, local):
     # K*eta turns the round's displacement back into a per-step gradient
     scale = local.k * local.lr(st.round)
     if scale == 0.0:
@@ -156,7 +191,7 @@ REGISTRY.update({
                          global_lr=0.01, trivial=None),
     "feddyn": Algorithm(
         c=lambda cfg: cfg.dyn_alpha, v=lambda st, cfg, ids: -st.buffers["h"][ids],
-        step=_feddyn_step, trivial={"local": {"dyn_alpha": 0.0}},
+        step=_feddyn_step, fold=_feddyn_fold, trivial={"local": {"dyn_alpha": 0.0}},
         buffers=lambda theta0, n: {"dyn_h": np.zeros_like(theta0),
                                    "h": np.zeros((n, theta0.size))}),
     "fedcm": Algorithm(
@@ -167,7 +202,8 @@ REGISTRY.update({
         trivial={"local": {"cm_alpha": 1.0}}),
     "fedagm": Algorithm(
         a=lambda cfg: cfg.alpha, c=lambda cfg: cfg.beta, step=_fedagm_step,
-        buffers=_zeros("delta"), payload=lambda st: (lookahead(st),), check=_fedagm_check,
+        buffers=_zeros("delta"), payload=lambda st: (lookahead(st),),
+        fold=_fedagm_fold, check=_fedagm_check,
         trivial={"local": {"alpha": 1.0, "beta": 0.0}, "server": {"lam": 0.0, "tau": 1.0}}),
 })
 
@@ -175,6 +211,7 @@ NAMES = tuple(REGISTRY)
 
 
 def aggregate_fedagm(state, returns):
-    """One fedagm server round; its step reads only the state and the mean."""
-    return aggregate(state, _fedagm_step, returns)
+    """One fedagm server round over the (S, d) client models ``returns``;
+    its step reads only the state and the mean."""
+    return aggregate(state, Algorithm(step=_fedagm_step), returns)
 

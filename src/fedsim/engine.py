@@ -2,10 +2,13 @@
 aggregate, meter communication, and log per-round metrics.
 
 One loop serves every rule; what differs comes from the rule's entry in
-:data:`fedsim.algorithms.REGISTRY`. A round's returns are one (S, d)
-matrix, a row per sampled client in ascending id order, released before
-the next round starts. The downlink is metered from the payload, the
-uplink from that matrix.
+:data:`fedsim.algorithms.REGISTRY`. A round never holds all of its
+client models: each chunk that the local updates return is folded into
+the server's :class:`fedsim.server.Round` at once, in ascending client
+id order, so a round's memory is one chunk (and the rows that wait in
+the round's reorder map), not S·d. Nothing of round t, neither a client
+model nor the state before it, lives into round t+1. The downlink is
+metered from the payload, the uplink as one model per sampled client.
 
 The client data is built once per run: the training set is checked
 against the model, and the shards of each shard size (the partitioners
@@ -27,10 +30,10 @@ generators is re-seated with those states chunk by chunk, so each client
 draws exactly what its own ``default_rng`` would. Sampled clients of one
 shard group step together in chunks capped at ``STACK_BYTES`` of
 parameters, bit-identical to running them one at a time, and each chunk
-is written to its clients' rows, so the aggregate folds them in
-ascending id order and outputs are byte-identical for a fixed config. A
-numeric failure is raised after every chunk of its round has run, for
-the lowest failing client id at its first failing step, as
+is folded in ascending id order whatever the order of the chunks, so
+outputs are byte-identical for a fixed config. A numeric failure stops
+the folding, but every chunk of its round still runs, and the failure is
+raised for the lowest failing client id at its first failing step, as
 one-at-a-time execution would report it.
 """
 
@@ -48,7 +51,7 @@ from .errors import NumericError
 from .metrics import ema_update, global_loss
 from .models import ModelSpec, accuracy, check_inputs, init_params
 from .schema import check
-from .server import ServerHyper, ServerState, aggregate, init_state
+from .server import Round, ServerHyper, ServerState, init_state
 from .streams import client_states
 # Not called here: names the benchmark's traced run hooks (engine.broadcast,
 # .aggregate_fedagm, .aggregate_baseline, .momentum_residual, .feddyn_updated_state).
@@ -180,7 +183,7 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
 
         sampled = np.zeros(config.n_clients, dtype=bool)
         sampled[ids] = True
-        returns, failure = np.empty((len(ids), theta0.size)), None
+        rnd, failure = Round(state, algo, ids, payload[0], cfg), None
         for group in groups:
             members = np.flatnonzero(sampled[group.ids])
             for lo in range(0, len(members), rows_per_chunk):
@@ -192,21 +195,23 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
                 for rng, j in zip(pool, pos.tolist()):
                     rng.bit_generator.state = states[j]
                 try:
-                    returns[pos] = local_update(
-                        spec, payload[0], group, rows, cfg, t, pool[:len(chunk)],
-                        **algo.terms(state, cfg, chunk))
+                    models = local_update(spec, payload[0], group, rows, cfg, t,
+                                          pool[:len(chunk)], **algo.terms(state, cfg, chunk))
                 except NumericError as exc:
                     if failure is None or exc.client < failure.client:
                         failure = exc
+                    continue
+                if failure is None:
+                    rnd.add(chunk, models)
         if failure is not None:
             raise failure
 
-        before, state = state, aggregate(state, algo.step, returns, ids, payload[0], cfg)
+        before, state = state, rnd.finish()
         if algo.check is not None:
-            max_residual = max(max_residual, algo.check(before, returns, state))
+            max_residual = max(max_residual, algo.check(before, rnd.sums, state))
         acc_down += len(ids) * 8 * sum(p.size for p in payload)
-        acc_up += returns.nbytes
-        del returns, before  # no client model of round t lives into round t+1
+        acc_up += len(ids) * 8 * theta0.size
+        del rnd, before, models  # no client model of round t lives into round t+1
 
         if (t + 1) % config.eval_every == 0 or t + 1 == config.rounds:
             try:

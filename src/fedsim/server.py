@@ -2,9 +2,12 @@
 
 A state holds the global model, the round counter, the server
 hyperparameters and only the buffers its rule declares (see
-:mod:`fedsim.algorithms`). :func:`aggregate` is the server round all
-rules share: the fixed-order mean of the round's (S, d) returns matrix,
-then the rule's post-step.
+:mod:`fedsim.algorithms`). :class:`Round` is the server round all rules
+share: it folds the client models in as they arrive, in ascending client
+id order, into the fixed-order mean and the rule's own running sums, so
+no round holds a matrix of all its client models, then applies the
+rule's post-step to the mean. :func:`aggregate` is the same round over
+one (S, d) matrix.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, StructuralError
-from .params import mean
+from .params import Mean
 from .schema import check_fields
-# Not called here: it stays importable as ``fedsim.server.axpy``, a name
-# the benchmark's traced run hooks.
-from .params import axpy  # noqa: F401
+# Not called here: they stay importable as ``fedsim.server.axpy`` and
+# ``.mean``, names the benchmark's traced run hooks.
+from .params import axpy, mean  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -45,23 +48,75 @@ def init_state(theta0: np.ndarray, hyper: ServerHyper, **buffers) -> ServerState
     return ServerState(theta=theta0, round=0, hyper=hyper, buffers=buffers)
 
 
-def aggregate(state: ServerState, step, returns: np.ndarray, ids=(), sent=None,
+class Round:
+    """One server round of ``rule`` from ``state``, over the models of the
+    clients ``ids`` (ascending), who started from the model ``sent``.
+
+    :meth:`add` takes the models of any of the clients, a block of rows at
+    a time, in any order of blocks. A row is folded once every lower id
+    has been; until then it waits in the reorder map, which never holds
+    more rows than the round has clients. Each run of rows that is next in
+    id order is folded as one block: into the mean, then through
+    ``rule.fold(sums, state, ids, rows, sent, local)`` into the rule's
+    running ``sums``. :meth:`finish` gives the new state.
+    """
+
+    def __init__(self, state: ServerState, rule, ids, sent=None, local=None):
+        self.state, self.rule, self.sent, self.local = state, rule, sent, local
+        self.ids = list(ids)
+        self.sums = {}
+        self._mean = Mean()
+        self._position = {cid: p for p, cid in enumerate(self.ids)}
+        self._waiting = {}  # the reorder map: position -> (block, row)
+        self._folded = 0
+
+    def add(self, ids, rows: np.ndarray) -> None:
+        """Fold in ``rows``, the models of the clients ``ids`` (ascending)."""
+        # a view as a base ndarray: an ndarray subclass in the mean would
+        # make the next model, and every step on it, that subclass
+        rows = np.asarray(rows)
+        if rows.shape[1:] != self.state.theta.shape or len(rows) != len(ids):
+            raise StructuralError(f"client returns of shape {rows.shape} are not a stack "
+                                  f"of {len(ids)} models of shape {self.state.theta.shape}")
+        waiting = self._waiting
+        waiting.update((self._position[cid], (rows, i)) for i, cid in enumerate(ids))
+        while self._folded in waiting:
+            at = self._folded
+            block, lo = waiting.pop(at)
+            n = 1  # a block's rows arrive ascending, so its run is a slice of it
+            while (entry := waiting.get(at + n)) and entry[0] is block:
+                del waiting[at + n]
+                n += 1
+            run = block[lo:lo + n]
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._mean.add(run)
+                self.rule.fold(self.sums, self.state, self.ids[at:at + n], run,
+                               self.sent, self.local)
+            self._folded = at + n
+
+    def finish(self) -> ServerState:
+        """The state after the round: ``rule.step(state, mean, sums,
+        local)`` gives the new model and the buffers it changed. A model
+        that is not finite, or whose squared norm overflows, ends the run
+        with its round."""
+        state = self.state
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                theta, changed = self.rule.step(state, self._mean.result(), self.sums,
+                                                self.local)
+            except NumericError as exc:
+                raise NumericError(exc.base_message, round=state.round) from None
+            if not np.isfinite(np.dot(theta, theta)):
+                raise NumericError("server model is not finite", round=state.round)
+        return replace(state, theta=theta, round=state.round + 1,
+                       buffers={**state.buffers, **changed})
+
+
+def aggregate(state: ServerState, rule, returns: np.ndarray, ids=None, sent=None,
               local=None) -> ServerState:
-    """One server round over the client models ``returns``, an (S, d)
-    matrix with a row per client, ids ascending.
-    ``step(state, mean, returns, ids, sent, local)`` gives the new model
-    and the buffers it changed; ``sent`` is the model the clients started
-    from. A model that is not finite, or whose squared norm overflows,
-    ends the run with its round."""
-    if returns.shape[1:] != state.theta.shape:  # mean rejects an empty stack
-        raise StructuralError(f"client returns of shape {returns.shape} are not "
-                              f"a stack of models of shape {state.theta.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            theta, changed = step(state, mean(returns), returns, ids, sent, local)
-        except NumericError as exc:
-            raise NumericError(exc.base_message, round=state.round) from None
-        if not np.isfinite(np.dot(theta, theta)):
-            raise NumericError("server model is not finite", round=state.round)
-    return replace(state, theta=theta, round=state.round + 1,
-                   buffers={**state.buffers, **changed})
+    """One :class:`Round` over the client models ``returns``, an (S, d)
+    matrix with a row per client, folded as one block; ``ids`` default to
+    0..S-1."""
+    rnd = Round(state, rule, range(len(returns)) if ids is None else ids, sent, local)
+    rnd.add(rnd.ids, returns)
+    return rnd.finish()

@@ -2,14 +2,15 @@
 computes in fused form, for the tests to compare against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from fedsim.algorithms import REGISTRY
+from fedsim.algorithms import REGISTRY, feddyn_updated_state, lookahead
 from fedsim.client import combine
 from fedsim.errors import NumericError
 from fedsim.models import gradient
-from fedsim.params import l2_norm_sq
+from fedsim.params import axpy, l2_norm_sq
 
 
 def clip_by_norm(g: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -109,3 +110,57 @@ def take_per_class_by_scan(dataset, count_per_class: int) -> tuple:
         else:
             second.append(i)
     return first, second
+
+
+def mean_by_rows(stack: np.ndarray) -> np.ndarray:
+    """The row mean of an (S, d) matrix as the server took it while a round
+    stacked its client models: a zero vector, plus each row's deviation
+    from the first row, top to bottom, divided by S, plus the first row.
+    Inputs and results are not checked."""
+    base = stack[0]
+    out = np.zeros_like(base)
+    dev = np.empty_like(base)
+    for row in stack[1:]:
+        out += np.subtract(row, base, out=dev)
+    out /= len(stack)
+    out += base
+    return out
+
+
+def feddyn_step_by_rows(st, m, returns, ids, sent, local):
+    """feddyn's server step over the (S, d) matrix ``returns``, one client
+    at a time: each corrector ``h[cid]`` is refreshed in place and each
+    displacement ``row - theta`` added to a zero vector, in row order."""
+    alpha = local.dyn_alpha
+    if alpha == 0.0:
+        return m, {}
+    h = st.buffers["h"]
+    disp = np.zeros_like(st.theta)
+    for cid, r in zip(ids, returns):
+        h[cid] = feddyn_updated_state(h[cid], r, sent, alpha)
+        disp += r - st.theta
+    dyn_h = st.buffers["dyn_h"] - alpha * disp / h.shape[0]
+    return m - dyn_h / alpha, {"dyn_h": dyn_h}
+
+
+def momentum_residual_by_rows(before, returns, after) -> float:
+    """fedagm's momentum-identity residual over the (S, d) matrix
+    ``returns``, with the mean client displacement taken as
+    ``mean_by_rows(returns - bc)``."""
+    hy = before.hyper
+    gradbar = -mean_by_rows(returns - lookahead(before))
+    predicted = axpy(hy.lam, before.buffers["delta"], hy.tau * gradbar)
+    return float(np.max(np.abs(after.buffers["delta"] - predicted)))
+
+
+def server_round_by_rows(state, name, returns, ids, sent, local):
+    """One server round of rule ``name`` over the (S, d) matrix ``returns``
+    of the clients ``ids``, with the matrix code above; the new model is
+    not checked."""
+    m = mean_by_rows(returns)
+    if name == "feddyn":
+        theta, changed = feddyn_step_by_rows(state, m, returns, ids, sent, local)
+    else:
+        theta, changed = REGISTRY[name].step(state, m, {}, local)
+    return replace(state, theta=theta, round=state.round + 1,
+                   buffers={**state.buffers, **changed})

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bounds import BOUNDED, edges
+from children import CAN_TIE, running, tied
 from fedsim import cli
 from fedsim.cli import (DEFAULT_CONFIG, apply_overrides, config_hash, load_config,
                         main, resolve_config)
@@ -1000,9 +1001,12 @@ def test_stale_outputs_are_deleted_under_a_running_manifest(tmp_path, monkeypatc
 
 
 def start_long_run(tmp_path, verb):
-    """Start ``fedsim run`` or ``compare`` on runs far too long to finish
-    and wait until rounds.csv has a row; returns the process, the output
-    directory and the directory of the run that is going."""
+    """Start ``fedsim run`` or ``compare`` on runs far too long to finish,
+    tied to this process, and wait until rounds.csv has a row; returns the
+    process, the output directory and the directory of the run that is
+    going."""
+    if not CAN_TIE:
+        pytest.skip("a run that never ends needs PR_SET_PDEATHSIG to die with the test")
     long = dict(SMALL, rounds=10 ** 6, targets=[])
     configs = [write_config(tmp_path, long, f"{label}.json") for label in "ab"]
     out = tmp_path / "out"
@@ -1013,7 +1017,7 @@ def start_long_run(tmp_path, verb):
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "fedsim", verb, *args, "--out", str(out)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=env, cwd=tmp_path)
+                            env=env, cwd=tmp_path, preexec_fn=tied())
     try:
         deadline = time.monotonic() + 60
         csv = run_dir / "rounds.csv"
@@ -1025,6 +1029,36 @@ def start_long_run(tmp_path, verb):
         proc.communicate()
         raise
     return proc, out, run_dir
+
+
+@pytest.mark.skipif(not CAN_TIE, reason="PR_SET_PDEATHSIG is Linux only")
+def test_a_tied_child_dies_with_the_process_that_started_it():
+    # a helper starts a tied child that would sleep for ten minutes and
+    # prints its pid; SIGKILL on the helper must take the child with it
+    helper_code = ("import subprocess, sys, time\n"
+                   "from children import tied\n"
+                   "child = subprocess.Popen([sys.executable, '-c', 'import time; "
+                   "time.sleep(600)'], stdout=subprocess.DEVNULL, preexec_fn=tied())\n"
+                   "print(child.pid, flush=True)\n"
+                   "time.sleep(600)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent)}
+    helper = subprocess.Popen([sys.executable, "-c", helper_code], stdout=subprocess.PIPE,
+                              text=True, env=env, preexec_fn=tied())
+    try:
+        pid = int(helper.stdout.readline())
+    finally:
+        helper.kill()
+        helper.wait()
+        helper.stdout.close()
+    assert helper.returncode == -signal.SIGKILL
+    try:
+        deadline = time.monotonic() + 10
+        while running(pid):
+            assert time.monotonic() < deadline, "the child outlived its killed parent"
+            time.sleep(0.01)
+    finally:
+        if running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("verb", ["run", "compare"])

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from fedsim.algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
                                momentum_residual_bound)
 from fedsim.client import LocalConfig
 from fedsim.errors import NumericError, StructuralError
-from fedsim.server import ServerHyper, aggregate, init_state
+from fedsim.server import Round, ServerHyper, aggregate, init_state
+from oracles import momentum_residual_by_rows, server_round_by_rows
 
 
 def vec(*xs):
@@ -24,7 +27,7 @@ def state_with(theta, hyper=None, algorithm="fedagm", n_clients=4, **buffers):
 def server_round(st, returns, algorithm, local=None, ids=None):
     """One server round of ``algorithm`` from ``st``, as the engine runs it."""
     ids = list(range(len(returns))) if ids is None else ids
-    return aggregate(st, REGISTRY[algorithm].step, returns, ids, st.theta,
+    return aggregate(st, REGISTRY[algorithm], returns, ids, st.theta,
                      local or LocalConfig())
 
 
@@ -274,3 +277,67 @@ def test_server_model_overflow_names_its_round(algorithm, hyper):
     with pytest.raises(NumericError, match="server model is not finite") as ei:
         server_round(st, np.array([vec(0.25, 0.0), vec(0.5, -0.5)]), algorithm)
     assert ei.value.round == 1
+
+
+# entries of client models and server states: signed zeros, often
+values = hs.sampled_from([0.0, -0.0]) | hs.floats(-4.0, 4.0, allow_nan=False)
+
+
+@hs.composite
+def arrivals(draw):
+    """A round's client count N, its sampled ids, their models (S, d), and
+    the blocks of positions in which the models arrive: the ids split into
+    two shard groups, each cut into ascending chunks, the first group's
+    chunks first, as the engine runs them."""
+    S, d = draw(hs.integers(1, 8)), draw(hs.integers(1, 5))
+    N = S + draw(hs.integers(0, 4))
+    ids = sorted(draw(hs.lists(hs.integers(0, N - 1), min_size=S, max_size=S, unique=True)))
+    returns = draw(hnp.arrays(np.float64, (S, d), elements=values))
+    second = draw(hs.lists(hs.booleans(), min_size=S, max_size=S))
+    blocks = []
+    for group in ([p for p in range(S) if not second[p]], [p for p in range(S) if second[p]]):
+        cuts = draw(hs.lists(hs.booleans(), min_size=len(group), max_size=len(group)))
+        chunk = []
+        for p, cut in zip(group, cuts):
+            chunk.append(p)
+            if cut or p == group[-1]:
+                blocks.append(chunk)
+                chunk = []
+    return N, ids, returns, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrived=arrivals(), data=hs.data())
+def test_the_fold_equals_the_matrix_code_bit_for_bit(arrived, data):
+    # every rule's new model, buffers and check residual, folded block by
+    # block (through the reorder map when the groups' ids interleave), are
+    # the bits of the round computed over the whole (S, d) matrix
+    N, ids, returns, blocks = arrived
+    theta = data.draw(hnp.arrays(np.float64, returns.shape[1], elements=values))
+    hyper = ServerHyper(**{key: data.draw(hs.sampled_from(choices)) for key, choices in (
+        ("tau", [1.0, 0.5]), ("lam", [0.0, 0.85]), ("avgm_beta", [0.0, 0.6]),
+        ("global_lr", [1.0, 0.5]))})
+    local = LocalConfig(dyn_alpha=data.draw(hs.sampled_from([0.0, 0.01, 0.5])))
+    for name, rule in REGISTRY.items():
+        buffers = {key: data.draw(hnp.arrays(np.float64, b.shape, elements=values))
+                   for key, b in rule.buffers(theta, N).items()}
+        if "adam_v" in buffers:  # a second moment is never negative
+            buffers["adam_v"] = np.abs(buffers["adam_v"])
+
+        def fresh():
+            return init_state(theta, hyper, **{k: b.copy() for k, b in buffers.items()})
+
+        before = fresh()
+        sent = rule.payload(before)[0]
+        rnd = Round(before, rule, ids, sent, local)
+        for block in blocks:
+            rnd.add([ids[p] for p in block], returns[block])
+        after = rnd.finish()
+        expected = server_round_by_rows(fresh(), name, returns, ids, sent, local)
+        assert after.theta.tobytes() == expected.theta.tobytes(), name
+        assert after.buffers.keys() == expected.buffers.keys()
+        for key, b in after.buffers.items():
+            assert b.tobytes() == expected.buffers[key].tobytes(), (name, key)
+        if rule.check is not None:
+            residual = momentum_residual_by_rows(fresh(), returns, after)
+            assert rule.check(before, rnd.sums, after) == residual
