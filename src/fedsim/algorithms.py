@@ -162,6 +162,12 @@ def _feddyn_fold(sums, st, ids, rows, sent, local):
         disp += row
 
 
+def _feddyn_v(st, cfg, ids):
+    # -h of the clients ids, negated in place in the copy the gather makes
+    v = st.buffers["h"][ids]
+    return np.negative(v, out=v)
+
+
 def _feddyn_step(st, m, sums, local):
     # the server corrector averages over all N clients, not only the
     # sampled ones
@@ -190,7 +196,7 @@ REGISTRY.update({
     "fedadam": Algorithm(step=_fedadam_step, buffers=_zeros("adam_m", "adam_v"),
                          global_lr=0.01, trivial=None),
     "feddyn": Algorithm(
-        c=lambda cfg: cfg.dyn_alpha, v=lambda st, cfg, ids: -st.buffers["h"][ids],
+        c=lambda cfg: cfg.dyn_alpha, v=_feddyn_v,
         step=_feddyn_step, fold=_feddyn_fold, trivial={"local": {"dyn_alpha": 0.0}},
         buffers=lambda theta0, n: {"dyn_h": np.zeros_like(theta0),
                                    "h": np.zeros((n, theta0.size))}),

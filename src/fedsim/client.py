@@ -100,16 +100,18 @@ def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
 
 
 def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
-            v: np.ndarray | None, c: float) -> np.ndarray:
+            v: np.ndarray | None, c: float, scratch: np.ndarray | None = None) -> np.ndarray:
     """The step direction a*grad + v + c*(theta - init), in that order,
-    built in place in ``grad``, which is returned. A skipped term (a = 1,
-    v None, c = 0) is not computed at all."""
+    built in place in ``grad``, which is returned; c*(theta - init) is
+    built in ``scratch``, an array of ``grad``'s shape (a new one by
+    default). A skipped term (a = 1, v None, c = 0) is not computed at
+    all."""
     if a != 1.0:
         grad *= a
     if v is not None:
         grad += v
     if c != 0.0:
-        grad += c * (theta - init)
+        grad += np.multiply(c, np.subtract(theta, init, out=scratch), out=scratch)
     return grad
 
 
@@ -128,7 +130,8 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     labels as one-hot :func:`fedsim.models.targets`, are gathered once and
     each step's batch is a slice of them. Every step writes its gradient
     into one (S, d) buffer, through layer views of it and of the models
-    built once per call. Each step goes along
+    built once per call, and its decay and ``c`` terms into one (S, d)
+    scratch, so a step makes no (S, d) temporary. Each step goes along
     :func:`combine` with ``a``, ``v`` ((d,) or one row per client) and
     ``c``, and is clipped only when some row leaves the clip ball.
 
@@ -156,6 +159,7 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     theta = np.tile(init, (S, 1))
     g = np.empty_like(theta)  # every step's gradient, then its update, in place
     views = (layer_views(spec, theta), layer_views(spec, g))
+    scratch = np.empty_like(theta)  # the decay term, then c*(theta - init)
     first_bad_step = np.full(S, -1)
     shard_rows, order = np.arange(n), np.empty((S, n), dtype=np.intp)  # each epoch's shuffle
     pos = n  # the first step shuffles
@@ -170,8 +174,8 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
                 y = targets(spec, group.labels[rows[:, None], order])
                 pos = 0
             batch = slice(pos, pos + bs)
-            combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch], g, views),
-                    theta, init, a, v, c)
+            combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch], g, views, scratch),
+                    theta, init, a, v, c, scratch)
             pos += bs
             norm = np.sqrt(sq_norms(g))
             if not (norm <= ball).all():

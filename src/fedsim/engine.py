@@ -17,7 +17,11 @@ with each row's client id and finiteness flag. These groups are the only
 record of which client owns which row, and the only copy of the training
 features that the clients and the evaluation read: a round's local
 updates take the rows of its sampled ids, and the training loss is
-evaluated from them.
+evaluated from them, :data:`fedsim.models.EVAL_BLOCK_ROWS` rows at a time
+through every layer, so an evaluation holds one block of the model's
+widest layers and the (C, rows) logits of its head, whatever the widths.
+The test accuracy stays one unblocked pass (see
+:func:`fedsim.models.accuracy`).
 
 Reproducibility contract: every random stream is derived from the run
 seed — model init from (seed, 0), the round sampler from (seed, 1, round),

@@ -19,10 +19,10 @@ vector (biases included) is added inside both loss and gradient.
 
 Evaluation has one path, :func:`example_losses`, which :func:`loss` and
 :func:`fedsim.metrics.global_loss` both call: one model over any number of
-rows, with the gemm calls blocked and the classifier head computed
-class-major, once over all the rows, equal bit for bit to the row-major
-log-softmax. Training steps go through :func:`gradient_unchecked`, which
-takes a stack of clients instead.
+rows, run through every layer one block of rows at a time, with the
+classifier head computed class-major, once over all the rows, equal bit
+for bit to the row-major log-softmax. Training steps go through
+:func:`gradient_unchecked`, which takes a stack of clients instead.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .schema import check_fields
 
 # The largest parameter count a spec may have: one float64 model of 2**24
 # parameters is 128 MiB, and a run holds several (the server state and its
-# buffers) plus each round's (S, d) matrix of client models. A larger model
+# buffers) plus the models and step buffers of a chunk of clients. A larger model
 # is rejected when the spec is made, before any array of its size exists.
 MAX_PARAM_DIM = 2 ** 24
 
@@ -190,7 +190,7 @@ def targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
     return (labels[..., None] == np.arange(spec.output_dim)).astype(np.float64)
 
 
-# Rows per gemm call in example_losses. Evaluation reads the rows of a
+# Rows per block in example_losses. Evaluation reads the rows of a
 # shard group, in client order rather than the training set's, so a row's
 # loss must not depend on where its gemm block starts. With this OpenBLAS
 # (0.3.31, one thread) a row's logits are the same bits in any block of at
@@ -198,23 +198,11 @@ def targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
 # remainder kernel computes and which can differ in the last bit. With
 # 2,000-row blocks the MLP's second-layer gemm changes the bits of most
 # rows. So the constant stays 1,024, and rows may be reordered only within
-# that bound. It governs the gemm calls alone: everything after them runs
-# once over all the rows.
+# that bound. A block runs through every layer before the next starts, so
+# the pass holds one block of its widest layers, not a (rows, width)
+# matrix per layer; the classifier head after the last gemm runs once over
+# all the rows, in (C, rows) logits.
 EVAL_BLOCK_ROWS = 1024
-
-
-def _blocked_matmul(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``A @ W`` for A (rows, k) and W (k, m), as one gemm per block of
-    ``EVAL_BLOCK_ROWS`` rows of A and one for the tail."""
-    rows, k = A.shape
-    out = np.empty((rows, W.shape[1]))
-    full = rows - rows % EVAL_BLOCK_ROWS
-    if full:
-        np.matmul(A[:full].reshape(-1, EVAL_BLOCK_ROWS, k), W,
-                  out=out[:full].reshape(-1, EVAL_BLOCK_ROWS, W.shape[1]))
-    if full < rows:
-        np.matmul(A[full:], W, out=out[full:])
-    return out
 
 
 def _pairwise_sum(E: np.ndarray) -> np.ndarray:
@@ -270,24 +258,32 @@ def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     input_dim) and labels y (rows,), decay term excluded, shape (rows,).
     Unchecked: the caller has validated the inputs against ``spec``.
 
-    Only the gemm calls are blocked (:data:`EVAL_BLOCK_ROWS`); each
-    hidden layer's bias and tanh run in place over all the rows, and the
-    classifier head runs once, class-major: the last bias add writes the
-    transposed logits (C, rows), so that the max, the shift, the gather,
-    the exp and the class sum each run over all the rows at once, with no
-    per-row reduction over the few classes."""
+    One block of at most :data:`EVAL_BLOCK_ROWS` rows at a time runs
+    through every layer: each hidden layer's gemm, bias and in-place
+    tanh, then the last gemm, whose transposed sum with the bias fills
+    the block's columns of the class-major logits (C, rows) (for
+    regression, the block's residuals). The classifier head then runs
+    once over all the rows, so that the max, the shift, the gather, the
+    exp and the class sum make no per-row reduction over the few
+    classes. Beyond its result, the pass holds one block of its widest
+    layers and the (C, rows) logits, never a (rows, width) matrix."""
+    rows = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "linear_regression":
-            r = _blocked_matmul(X, params[:, None])[:, 0]
-            r -= y
+            r = np.empty(rows)
+            for lo in range(0, rows, EVAL_BLOCK_ROWS):
+                block = slice(lo, lo + EVAL_BLOCK_ROWS)
+                np.subtract(np.matmul(X[block], params[:, None])[:, 0], y[block], out=r[block])
             return 0.5 * (r * r)
         *hidden, (W, b) = [(W[0], b[0, 0]) for W, b in layer_views(spec, params[None])]
-        for Wh, bh in hidden:
-            X = _blocked_matmul(X, Wh)
-            X += bh
-            np.tanh(X, out=X)
-        logits = np.empty((spec.output_dim, X.shape[0]))
-        np.add(_blocked_matmul(X, W).T, b[:, None], out=logits)
+        logits = np.empty((spec.output_dim, rows))
+        for lo in range(0, rows, EVAL_BLOCK_ROWS):
+            A = X[lo:lo + EVAL_BLOCK_ROWS]
+            for Wh, bh in hidden:
+                A = np.matmul(A, Wh)
+                A += bh
+                np.tanh(A, out=A)
+            np.add(np.matmul(A, W).T, b[:, None], out=logits[:, lo:lo + EVAL_BLOCK_ROWS])
         return _cross_entropy(logits, y)
 
 
@@ -300,12 +296,14 @@ def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
 
 def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                        y: np.ndarray, out: np.ndarray | None = None,
-                       views=None) -> np.ndarray:
+                       views=None, scratch: np.ndarray | None = None) -> np.ndarray:
     """:func:`gradient` of each client of the stack, written into ``out``
     (S, d), a new array by default, which is returned. ``y`` holds the
     batch's labels in the form :func:`targets` gives. ``views`` is
     ``(layer_views(spec, params), layer_views(spec, out))``, which a
-    caller that steps the same two arrays many times builds once."""
+    caller that steps the same two arrays many times builds once, and
+    ``scratch``, an (S, d) array the decay term is written into (a new
+    one by default)."""
     n = X.shape[1]
     if out is None:
         out = np.empty_like(params)
@@ -327,7 +325,7 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                 W, _ = layers[li]
                 upstream = (upstream @ W.transpose(0, 2, 1)) * (1.0 - acts[li] ** 2)
     if spec.l2_weight_decay:
-        out += spec.l2_weight_decay * params
+        out += np.multiply(params, spec.l2_weight_decay, out=scratch)
     return out
 
 
@@ -374,7 +372,11 @@ def fd_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
 
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class
-    index. Structural error on a regression spec."""
+    index. Structural error on a regression spec.
+
+    The logits come from one unblocked gemm per layer over the whole test
+    set: cutting a set of more than :data:`EVAL_BLOCK_ROWS` rows into
+    blocks could change logit bits and flip a near-tied argmax."""
     if spec.kind == "linear_regression":
         raise StructuralError("accuracy is undefined for regression models")
     check_inputs(spec, params, batch.features, batch.labels)

@@ -686,9 +686,11 @@ def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys, how):
     assert not out.exists()
 
 
-def test_evaluation_overflow_exits_3_naming_its_round(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 2])
+def test_evaluation_overflow_exits_3_naming_its_round(tmp_path, capsys, seed):
     # one huge step leaves a regression model whose squared norm is still
-    # finite but whose residuals overflow when squared
+    # finite but whose residuals overflow when squared; at seed 2 the
+    # squares are finite and their per-client sums overflow
     payload = {"rounds": 3, "clients": 4,
                "model": {"kind": "linear_regression", "input_dim": 4, "output_dim": 1,
                          "l2_weight_decay": 0.0},
@@ -696,7 +698,8 @@ def test_evaluation_overflow_exits_3_naming_its_round(tmp_path, capsys):
                         "input_dim": 4, "spread": 5.0},
                "local": {"k": 1, "lr0": 3e153, "clip_norm": 1e300}}
     out = tmp_path / "out"
-    assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+    assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out),
+                 "--seed", str(seed)]) == 3
     assert capsys.readouterr().err.splitlines() == ["error: loss is not finite (round=0)"]
 
 

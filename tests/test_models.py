@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,12 +298,16 @@ def test_init_params_deterministic_and_shaped():
                                   np.zeros(param_dim(SOFTMAX_3)))
 
 
-@pytest.mark.parametrize("spec", [QUAD, SOFTMAX_3, MLP_4325], ids=lambda s: s.kind)
-def test_evaluation_gemms_take_at_most_eval_block_rows(monkeypatch, spec):
-    # 2,051 rows: two full blocks and a tail of 3; every layer's gemms
+MLP_96_64 = ModelSpec("mlp", input_dim=64, output_dim=10, hidden_dims=(96, 64))
+
+
+@pytest.mark.parametrize("rows", [2 * EVAL_BLOCK_ROWS + 3, 2 * EVAL_BLOCK_ROWS])
+@pytest.mark.parametrize("spec", [QUAD, SOFTMAX_3, MLP_4325, MLP_96_64],
+                         ids=["linear_regression", "softmax_classifier", "mlp", "mlp_96_64"])
+def test_evaluation_gemms_take_at_most_eval_block_rows(monkeypatch, spec, rows):
+    # two full blocks, with a tail of 3 rows or none; every layer's gemms
     # must cover the rows once, none of them wider than the bound
     rng = np.random.default_rng(8)
-    rows = 2 * EVAL_BLOCK_ROWS + 3
     params = rng.normal(size=param_dim(spec))
     X = rng.normal(size=(rows, spec.input_dim))
     y = (rng.normal(size=rows) if spec.kind == "linear_regression"
@@ -322,3 +327,26 @@ def test_evaluation_gemms_take_at_most_eval_block_rows(monkeypatch, spec):
     blocks = [example_losses(spec, params, X[lo:lo + EVAL_BLOCK_ROWS], y[lo:lo + EVAL_BLOCK_ROWS])
               for lo in range(0, rows, EVAL_BLOCK_ROWS)]
     assert got.tobytes() == np.concatenate(blocks).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(512,), (96, 64)])
+def test_evaluation_memory_grows_with_the_rows_by_the_logits_alone(hidden):
+    # Beyond one block of its layers, the pass holds the (C, rows) logits
+    # and a few (rows,) vectors, so from 2,048 to 8,192 rows its traced
+    # peak may grow by at most C + 2 float64 a row. Measured with numpy
+    # 2.4: 80 (96-64) and 88 bytes (512) a row; a pass that holds each
+    # layer's (rows, width) output reads 1,280 and 4,235.
+    spec = ModelSpec("mlp", input_dim=64, output_dim=10, hidden_dims=hidden)
+    params = init_params(spec, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    peaks = []
+    for rows in (2048, 8192):
+        X = rng.normal(size=(rows, spec.input_dim))
+        y = rng.integers(0, spec.output_dim, size=rows)
+        tracemalloc.start()
+        try:
+            example_losses(spec, params, X, y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (spec.output_dim + 2) * 8 * (8192 - 2048)
