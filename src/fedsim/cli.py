@@ -7,7 +7,10 @@ a bare-string fallback so ``--set algorithm=fedcm`` works unquoted). Each
 key's default, type and bound come from :mod:`fedsim.schema`. The
 fully resolved config is hashed (sha256 over its canonical serialization)
 and echoed into manifest.json, so two runs with the same hash are
-byte-identical in rounds.csv and summary.json.
+byte-identical in rounds.csv and summary.json. Each command builds its
+data set and prepares one :class:`fedsim.engine.Task` from it, which a
+compare's rules share, then drops the ungrouped training set before its
+first round; it calls the engine's ``run`` once per config.
 
 Exit codes: 0 success, 1 an unexpected exception, a fault of the program
 (one ``error:`` line with its type; the manifest says ``status:
@@ -44,7 +47,7 @@ from . import __version__
 from .algorithms import REGISTRY
 from .client import LocalConfig
 from .data import generate_synthetic, load_csv, split_stratified, take_per_class
-from .engine import RunConfig, run
+from .engine import RunConfig, Task, prepare, run
 from .errors import ConfigError, NumericError, OutputError, StructuralError
 from .metrics import Saturated, rounds_to_target
 from .models import ModelSpec
@@ -62,7 +65,7 @@ MAX_SYNTHETIC_VALUES = 2 ** 26
 
 # keys that cmd_compare requires to be identical across its configs: the
 # runs must see the same data, model, sampling schedule, and metrics so
-# only the optimizer differs.
+# only the optimizer differs, and so one prepared task serves them all.
 _COMPARE_FREE_KEYS = ("algorithm", "local", "server")
 
 # the variables that set the BLAS's thread count, echoed into the manifest
@@ -364,13 +367,13 @@ def _run_dir(out_dir: Path, manifest: dict):
             _write(out_dir / "manifest.json", manifest)
 
 
-def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int):
-    """Run one resolved config, already built into ``rc`` and ``data`` (the
-    (train, test, meta) of :func:`build_dataset`), into ``out_dir``;
-    returns its records and summary. Writes rounds.csv incrementally so an
-    aborted run keeps the rounds finished before the failure."""
+def _execute(cfg: dict, rc: RunConfig, task: Task, meta: dict, out_dir: Path, threads: int):
+    """Run one resolved config, already built into ``rc``, on ``task``
+    into ``out_dir``, with the ``meta`` of :func:`build_dataset` in its
+    manifest; returns its records and summary. Writes rounds.csv
+    incrementally so an aborted run keeps the rounds finished before the
+    failure."""
     digest = config_hash(cfg)
-    train, test, meta = data
     manifest = {
         "tool_version": __version__,
         "config_hash": digest,
@@ -385,7 +388,7 @@ def _execute(cfg: dict, rc: RunConfig, data: tuple, out_dir: Path, threads: int)
         with (_writing(rounds_path),
               rounds_path.open("w", encoding="utf-8", newline="") as fh):
             fh.write(_csv_line(COLUMNS))
-            result = run(rc, train, test, on_record=lambda rec: (
+            result = run(rc, task, on_record=lambda rec: (
                 fh.write(_csv_line(getattr(rec, c) for c in COLUMNS)), fh.flush()))
         records = result.records
         summary = {
@@ -424,9 +427,11 @@ def _out_dir(out: str) -> Path:
 def cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
     cfg = resolve_config(args.config, args.overrides, args.seed)
-    data = build_dataset(cfg)
+    train, test, meta = build_dataset(cfg)
     rc = build_run_config(cfg)
-    records, _ = _execute(cfg, rc, data, out_dir, args.threads)
+    task = prepare(rc, train, test)
+    del train, test  # the task holds the training features once, as its shard groups
+    records, _ = _execute(cfg, rc, task, meta, out_dir, args.threads)
     print(f"run complete: {len(records)} evaluated rounds written to {out_dir}")
     return 0
 
@@ -458,10 +463,12 @@ def cmd_compare(args) -> int:
             raise ConfigError("compare configs may differ only in algorithm and "
                               f"hyperparameters; {path} changes the data/model/"
                               f"schedule relative to {args.configs[0]}")
-    # the configs share the data section, the model, the seed and the
-    # client count, so one dataset serves them all
-    data = build_dataset(configs[0])
+    # the configs share the data section, the model, the seed, the client
+    # count and the partition, so one task serves them all
+    train, test, meta = build_dataset(configs[0])
     run_configs = [build_run_config(cfg) for cfg in configs]
+    task = prepare(run_configs[0], train, test)
+    del train, test  # the task holds the training features once, as its shard groups
 
     labels = _unique_labels(args.configs)
     total_rounds = configs[0]["rounds"]
@@ -480,7 +487,7 @@ def cmd_compare(args) -> int:
     with _run_dir(out_dir, manifest) as failure:
         for label, cfg, rc in zip(labels, configs, run_configs):
             failure["failed_label"] = label
-            records, summary = _execute(cfg, rc, data, out_dir / label, args.threads)
+            records, summary = _execute(cfg, rc, task, meta, out_dir / label, args.threads)
             _write(out_dir / f"{label}_curve.csv", [["round", "ema_accuracy"]]
                    + [[rec.round, rec.ema_accuracy] for rec in records])
             at_mid = next((r.ema_accuracy for r in reversed(records)

@@ -135,8 +135,8 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     :func:`combine` with ``a``, ``v`` ((d,) or one row per client) and
     ``c``, and is clipped only when some row leaves the clip ball.
 
-    The caller has validated ``group`` against ``spec`` (the engine does,
-    once per run); here only ``init``'s shape is checked. Each step guards
+    The caller has validated ``group`` against ``spec`` (``prepare`` does,
+    once per task); here only ``init``'s shape is checked. Each step guards
     only the squared gradient norm that clipping needs, and the returned
     models are checked once. A client that fails keeps stepping with the
     others; afterwards the failure of the first failing row is raised,

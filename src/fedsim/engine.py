@@ -10,12 +10,15 @@ the round's reorder map), not S·d. Nothing of round t, neither a client
 model nor the state before it, lives into round t+1. The downlink is
 metered from the payload, the uplink as one model per sampled client.
 
-The client data is built once per run: the training set is checked
-against the model, and the shards of each shard size (the partitioners
-allow at most two) are stacked into one :class:`fedsim.client.ShardGroup`
-with each row's client id and finiteness flag. These groups are the only
-record of which client owns which row, and the only copy of the training
-features that the clients and the evaluation read: a round's local
+The client data is built once per invocation, by :func:`prepare`, into
+a :class:`Task` that every run over the same partition reads: the
+training set is partitioned and checked against the model, and the
+shards of each shard size (the partitioners allow at most two) are
+stacked into one :class:`fedsim.client.ShardGroup` with each row's
+client id and finiteness flag. These groups are the only record of which
+client owns which row, and the only copy of the training features that
+the clients and the evaluation read (the CLI drops the ungrouped set
+before round 0): a round's local
 updates take the rows of its sampled ids, and the training loss is
 evaluated from them, :data:`fedsim.models.EVAL_BLOCK_ROWS` rows at a time
 through every layer, so an evaluation holds one block of the model's
@@ -51,9 +54,9 @@ import numpy as np
 from .algorithms import REGISTRY
 from .client import LocalConfig, local_update, shard_groups
 from .data import Dataset, partition_dirichlet, partition_iid
-from .errors import NumericError
+from .errors import NumericError, StructuralError
 from .metrics import ema_update, global_loss
-from .models import ModelSpec, accuracy, check_inputs, init_params
+from .models import Batch, ModelSpec, accuracy, check_inputs, init_params
 from .schema import check
 from .server import Round, ServerHyper, ServerState, init_state
 from .streams import client_states
@@ -149,9 +152,52 @@ def _client_streams(config: RunConfig):
         t = stop
 
 
-def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
-        on_record=None) -> RunResult:
-    """Execute ``config.rounds`` federated rounds.
+@dataclass(frozen=True, eq=False)
+class Task:
+    """What every run over one partition reads, built once by
+    :func:`prepare`: the initial model ``theta0`` (read-only, so the runs
+    that share it cannot change it), the training set as its shard
+    ``groups``, and the ``test_batch`` (None for a regression model). The
+    other fields record what it was built for."""
+
+    model: ModelSpec
+    n_clients: int
+    partition_kind: str
+    concentration: float
+    seed: int
+    theta0: np.ndarray
+    groups: tuple
+    test_batch: Batch | None
+
+
+# The RunConfig fields a Task is built for, named alike in both
+TASK_FIELDS = ("model", "n_clients", "partition_kind", "concentration", "seed")
+
+
+def prepare(config: RunConfig, train: Dataset, test: Dataset) -> Task:
+    """Partition ``train`` among ``config.n_clients`` clients, check it
+    against the model, and stack the shards into groups; the groups copy
+    the training features, so the caller may drop ``train`` once this
+    returns. Every run whose config agrees with ``config`` on
+    :data:`TASK_FIELDS` can then share the task."""
+    spec = config.model
+    if config.partition_kind == "dirichlet":
+        assignments = partition_dirichlet(train, config.n_clients,
+                                          config.concentration, config.seed)
+    else:
+        assignments = partition_iid(train, config.n_clients, config.seed)
+    test_batch = test.to_batch() if spec.kind != "linear_regression" else None
+    theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
+    theta0.flags.writeable = False
+    check_inputs(spec, theta0, train.features, train.labels)
+    return Task(**{name: getattr(config, name) for name in TASK_FIELDS}, theta0=theta0,
+                groups=tuple(shard_groups(train, assignments)), test_batch=test_batch)
+
+
+def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
+    """Execute ``config.rounds`` federated rounds on ``task``, which must
+    have been prepared for a config that agrees with ``config`` on
+    :data:`TASK_FIELDS`.
 
     A RoundRecord is appended (and passed to ``on_record``, if given) on
     every evaluated round: every ``eval_every``-th round and the last.
@@ -162,19 +208,13 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
     Numeric failures abort with (round, client) context after every
     previously completed record has been delivered to ``on_record``.
     """
+    differ = [name for name in TASK_FIELDS if getattr(config, name) != getattr(task, name)]
+    if differ:
+        raise StructuralError(f"the task was prepared for another {', '.join(differ)}")
     spec, cfg = config.model, config.local
     algo = REGISTRY[config.algorithm]
-    if config.partition_kind == "dirichlet":
-        assignments = partition_dirichlet(dataset, config.n_clients,
-                                          config.concentration, config.seed)
-    else:
-        assignments = partition_iid(dataset, config.n_clients, config.seed)
     classifier = spec.kind != "linear_regression"
-    test_batch = test_set.to_batch() if classifier else None
-
-    theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
-    check_inputs(spec, theta0, dataset.features, dataset.labels)
-    groups = shard_groups(dataset, assignments)
+    theta0, groups = task.theta0, task.groups
     state = init_state(theta0, config.server, **algo.buffers(theta0, config.n_clients))
     rows_per_chunk = max(1, STACK_BYTES // (8 * theta0.size))
     ema = None  # the smoothed test accuracy
@@ -223,7 +263,7 @@ def run(config: RunConfig, dataset: Dataset, test_set: Dataset, *,
             except NumericError as exc:
                 raise NumericError(exc.base_message, round=t) from None
             if classifier:
-                acc = accuracy(spec, state.theta, test_batch)
+                acc = accuracy(spec, state.theta, task.test_batch)
                 ema = ema_update(ema, acc)
             else:
                 acc = ema = math.nan

@@ -24,7 +24,7 @@ from .algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
                          momentum_residual_bound)
 from .client import LocalConfig, local_update, shard_group
 from .data import Dataset, generate_synthetic, partition_dirichlet
-from .engine import RunConfig, run
+from .engine import RunConfig, prepare, run
 from .models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from .server import ServerHyper, init_state
 from .streams import client_states
@@ -114,7 +114,9 @@ def _degenerations() -> bool:
                   partition_kind="dirichlet", concentration=0.5)
     base_local = LocalConfig(k=10)
     ref = local_update(spec, init, shard, [0], base_local, 0, [np.random.default_rng(42)])
-    base = run(RunConfig(algorithm="fedavg", local=base_local, **common), train, test)
+    base_config = RunConfig(algorithm="fedavg", local=base_local, **common)
+    task = prepare(base_config, train, test)  # every rule's run shares it
+    base = run(base_config, task)
     for name, algo in REGISTRY.items():
         if algo.trivial is None:
             continue
@@ -125,8 +127,7 @@ def _degenerations() -> bool:
                            **algo.terms(state, local, [0]))
         if one.tobytes() != ref.tobytes():
             return False
-        res = run(RunConfig(algorithm=name, local=local, server=server, **common),
-                  train, test)
+        res = run(RunConfig(algorithm=name, local=local, server=server, **common), task)
         if not _records_identical(base.records, res.records, len(algo.payload(state))):
             return False
         if res.final_state.theta.tobytes() != base.final_state.theta.tobytes():

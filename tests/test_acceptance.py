@@ -18,7 +18,7 @@ from fedsim.cli import main
 from fedsim.algorithms import aggregate_fedagm, momentum_residual, momentum_residual_bound
 from fedsim.client import LocalConfig
 from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, take_per_class
-from fedsim.engine import RunConfig, run
+from fedsim.engine import RunConfig, prepare, run
 from fedsim.metrics import Saturated, ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from fedsim.server import ServerHyper, ServerState, init_state
@@ -91,7 +91,7 @@ def test_c1_momentum_identity_over_randomized_runs():
     worst = 0.0
     while total_rounds < 1000:
         cfg, ds = _random_fedagm_config(rng)
-        result = run(cfg, ds, ds)
+        result = run(cfg, prepare(cfg, ds, ds))
         total_rounds += cfg.rounds
         worst = max(worst, result.max_momentum_residual)
 
@@ -296,12 +296,14 @@ def test_c6_downlink_byte_accounting():
                      l2_weight_decay=0.001)
     d = param_dim(spec)
     ds = generate_synthetic(seed=7, clusters=3, per_class=30, input_dim=4, spread=1.0)
+    task = None  # every rule's run shares one partition, as a compare does
     for algo in ("fedavg", "fedprox", "fedavgm", "fedadam", "feddyn", "fedcm",
                  "fedagm"):
         cfg = RunConfig(algorithm=algo, model=spec, n_clients=9, rounds=30,
                         participation=0.37, seed=5, partition_kind="dirichlet",
                         concentration=0.5, local=LocalConfig(k=3, epochs=1))
-        result = run(cfg, ds, ds)
+        task = task or prepare(cfg, ds, ds)
+        result = run(cfg, task)
         sampled = sum(len(r.sampled_clients) for r in result.records)
         expected = d * 8 * sampled * (2 if algo == "fedcm" else 1)
         got = sum(r.bytes_down for r in result.records)
@@ -375,7 +377,7 @@ def test_c8_fedagm_reaches_loss_target_faster():
                             rounds=ROUND_BUDGET, participation=0.05, seed=seed,
                             partition_kind="dirichlet", concentration=0.3,
                             local=local, server=ServerHyper(tau=1.0, lam=0.85))
-            result = run(cfg, train, test)
+            result = run(cfg, prepare(cfg, train, test))
             hit = next((r.round for r in result.records
                         if r.train_loss <= LOSS_TARGET), None)
             assert hit is not None, \

@@ -336,9 +336,9 @@ def test_local_update_rejects_bad_inputs_on_entry(monkeypatch):
     stepped = []
     monkeypatch.setattr(engine, "local_update", lambda *a, **kw: stepped.append(a))
     bad_labels = Dataset(shard.features, shard.labels + 3, 3)
+    cfg = RunConfig(algorithm="fedavg", model=SPEC3, n_clients=2, rounds=1)
     with pytest.raises(StructuralError, match="labels"):
-        engine.run(RunConfig(algorithm="fedavg", model=SPEC3, n_clients=2, rounds=1),
-                   bad_labels, bad_labels)
+        engine.run(cfg, engine.prepare(cfg, bad_labels, bad_labels))
     assert not stepped
     features = shard.features.copy()
     features[7, 1] = np.nan

@@ -12,14 +12,14 @@ from fedsim.algorithms import NAMES, REGISTRY, Algorithm
 from fedsim.cli import main
 from fedsim.client import LocalConfig, local_update, shard_group
 from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, take_per_class
-from fedsim.engine import RunConfig, RoundRecord, run, sample_clients
+from fedsim.engine import RunConfig, RoundRecord, prepare, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params, param_dim
 from fedsim.server import Round, ServerHyper, aggregate, init_state
 from fedsim.streams import client_states
 
 
-def small_task(seed=0):
+def small_data(seed=0):
     ds = generate_synthetic(seed=seed, clusters=3, per_class=40, input_dim=4, spread=1.0)
     return take_per_class(ds, 30)  # 90 train / 30 test
 
@@ -34,6 +34,11 @@ def config(algorithm, rounds=5, **kw):
                     server=ServerHyper(lam=0.85, tau=1.0))
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def small_task(**kw):
+    """The task of ``config(..., **kw)`` on :func:`small_data`."""
+    return prepare(config("fedavg", **kw), *small_data())
 
 
 def test_sample_clients_full_participation():
@@ -55,16 +60,14 @@ def test_sample_clients_deterministic():
 
 
 def test_zero_rounds_returns_nothing_and_keeps_model():
-    train, test = small_task()
-    out = run(config("fedavg", rounds=0), train, test)
+    out = run(config("fedavg", rounds=0), small_task())
     assert out.records == []
     np.testing.assert_array_equal(out.final_state.theta, np.zeros_like(out.final_state.theta))
 
 
 def test_runs_are_reproducible():
-    train, test = small_task()
-    a = run(config("fedagm"), train, test)
-    b = run(config("fedagm"), train, test)
+    a = run(config("fedagm"), small_task())
+    b = run(config("fedagm"), small_task())
     assert a.records == b.records
     assert a.final_state.theta.tobytes() == b.final_state.theta.tobytes()
 
@@ -92,19 +95,19 @@ def test_thread_count_does_not_change_results(tmp_path):
 
 
 def test_fedagm_degenerates_to_fedavg_bitwise():
-    train, test = small_task()
     agm = config("fedagm", rounds=8,
                  local=LocalConfig(k=6, lr0=0.1, alpha=1.0, beta=0.0),
                  server=ServerHyper(lam=0.0, tau=1.0))
     avg = config("fedavg", rounds=8, local=LocalConfig(k=6, lr0=0.1))
-    assert run(agm, train, test).records == run(avg, train, test).records
+    task = small_task()
+    assert run(agm, task).records == run(avg, task).records
 
 
 def test_byte_accounting_telescopes():
-    train, test = small_task()
+    task = small_task()
     d = 4 * 3 + 3
     for algo, factor in (("fedavg", 1), ("fedagm", 1), ("fedcm", 2)):
-        out = run(config(algo, rounds=6), train, test)
+        out = run(config(algo, rounds=6), task)
         expected_participants = sum(
             len(sample_clients(9, 1 / 3, t, 0)) for t in range(6))
         assert sum(r.bytes_down for r in out.records) == factor * 8 * d * expected_participants
@@ -112,9 +115,9 @@ def test_byte_accounting_telescopes():
 
 
 def test_eval_every_controls_rows_not_bytes():
-    train, test = small_task()
-    every = run(config("fedavg", rounds=6), train, test)
-    sparse = run(config("fedavg", rounds=6, eval_every=3), train, test)
+    task = small_task()
+    every = run(config("fedavg", rounds=6), task)
+    sparse = run(config("fedavg", rounds=6, eval_every=3), task)
     assert [r.round for r in sparse.records] == [3, 6]
     assert sum(r.bytes_down for r in sparse.records) == \
         sum(r.bytes_down for r in every.records)
@@ -128,9 +131,9 @@ def test_eval_every_controls_rows_not_bytes():
 def test_the_last_round_is_evaluated_whatever_eval_every():
     # 7 rounds at eval_every 3: rounds 3 and 6, and round 7, the last,
     # whose bytes would otherwise go uncounted
-    train, test = small_task()
-    every = run(config("fedagm", rounds=7), train, test)
-    sparse = run(config("fedagm", rounds=7, eval_every=3), train, test)
+    task = small_task()
+    every = run(config("fedagm", rounds=7), task)
+    sparse = run(config("fedagm", rounds=7, eval_every=3), task)
     assert [r.round for r in sparse.records] == [3, 6, 7]
     for side in ("bytes_down", "bytes_up"):
         assert sum(getattr(r, side) for r in sparse.records) == \
@@ -139,14 +142,13 @@ def test_the_last_round_is_evaluated_whatever_eval_every():
     assert (last.train_loss, last.test_accuracy) == (dense_last.train_loss,
                                                      dense_last.test_accuracy)
     # an eval_every beyond the run evaluates the last round alone
-    once = run(config("fedagm", rounds=7, eval_every=10 ** 6), train, test)
+    once = run(config("fedagm", rounds=7, eval_every=10 ** 6), task)
     assert [r.round for r in once.records] == [7]
     assert once.records[0].bytes_down == sum(r.bytes_down for r in every.records)
 
 
 def test_ema_column_follows_recurrence():
-    train, test = small_task()
-    out = run(config("fedavg", rounds=5), train, test)
+    out = run(config("fedavg", rounds=5), small_task())
     sm = out.records[0].test_accuracy
     assert out.records[0].ema_accuracy == sm
     for rec in out.records[1:]:
@@ -155,9 +157,8 @@ def test_ema_column_follows_recurrence():
 
 
 def test_momentum_residual_tracked_and_small():
-    train, test = small_task()
-    out = run(config("fedagm", rounds=10,
-                     server=ServerHyper(lam=0.9, tau=0.2)), train, test)
+    out = run(config("fedagm", rounds=10, server=ServerHyper(lam=0.9, tau=0.2)),
+              small_task())
     assert 0.0 <= out.max_momentum_residual <= 1e-12 * (
         1 + float(np.max(np.abs(out.final_state.buffers["delta"]))))
 
@@ -174,9 +175,9 @@ def test_live_momentum_check_aborts_a_broken_fedagm_step(monkeypatch, tmp_path, 
         return theta, {"delta": buffers["delta"] + 1e-6}
 
     monkeypatch.setitem(REGISTRY, "fedagm", replace(fedagm, step=nudged))
-    train, test = small_task()
+    task = small_task()
     with pytest.raises(NumericError, match="momentum identity violated") as ei:
-        run(config("fedagm"), train, test)
+        run(config("fedagm"), task)
     assert ei.value.round == 0
 
     path = tmp_path / "fedagm.json"
@@ -195,10 +196,10 @@ def test_live_momentum_check_aborts_a_broken_fedagm_step(monkeypatch, tmp_path, 
     assert manifest["error"] == err[0][len("error: "):]
 
 def test_feddyn_state_changes_trajectory():
-    train, test = small_task()
-    plain = run(config("fedavg", rounds=6), train, test)
-    dyn = run(config("feddyn", rounds=6,
-                     local=LocalConfig(k=6, lr0=0.1, dyn_alpha=0.1)), train, test)
+    task = small_task()
+    plain = run(config("fedavg", rounds=6), task)
+    dyn = run(config("feddyn", rounds=6, local=LocalConfig(k=6, lr0=0.1, dyn_alpha=0.1)),
+              task)
     assert dyn.records[-1].train_loss != plain.records[-1].train_loss
 
 
@@ -207,7 +208,7 @@ def test_regression_runs_report_nan_accuracy():
     ds = generate_synthetic(seed=1, clusters=2, per_class=20, input_dim=2, spread=0.5)
     cfg = RunConfig(algorithm="fedavg", model=spec, n_clients=4, rounds=3,
                     local=LocalConfig(k=3, lr0=0.01))
-    out = run(cfg, ds, ds)
+    out = run(cfg, prepare(cfg, ds, ds))
     assert math.isnan(out.records[-1].test_accuracy)
     assert math.isnan(out.records[-1].ema_accuracy)
     assert math.isfinite(out.records[-1].train_loss)
@@ -222,7 +223,7 @@ def test_numeric_abort_carries_round_and_client():
                     local=LocalConfig(k=10, lr0=1e150, clip_norm=1e300, batch_size=4))
     delivered = []
     with pytest.raises(NumericError) as ei:
-        run(cfg, ds, ds, on_record=delivered.append)
+        run(cfg, prepare(cfg, ds, ds), on_record=delivered.append)
     assert ei.value.round is not None
     assert ei.value.client is not None
     # every record completed before the abort was already streamed out
@@ -231,7 +232,7 @@ def test_numeric_abort_carries_round_and_client():
 
 def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
     # 90 examples over 7 clients: shards of 13 and 12, two size groups
-    train, test = small_task()
+    task = small_task(n_clients=7, partition_kind="dirichlet")
     calls = []
 
     def spy(spec, init, group, rows, *args, **kwargs):
@@ -245,12 +246,12 @@ def test_stacked_chunks_equal_one_client_at_a_time(monkeypatch):
                      local=LocalConfig(k=6, lr0=0.1, dyn_alpha=0.1))
         monkeypatch.setattr(engine, "STACK_BYTES", default)
         calls.clear()
-        stacked = run(cfg, train, test)
+        stacked = run(cfg, task)
         assert sorted(map(len, calls[:2])) == [1, 6]  # one call per size group
         assert all(len(set(sizes)) == 1 for sizes in calls)
         monkeypatch.setattr(engine, "STACK_BYTES", 1)
         calls.clear()
-        serial = run(cfg, train, test)
+        serial = run(cfg, task)
         assert all(len(sizes) == 1 for sizes in calls)
         assert stacked.records == serial.records
         assert stacked.final_state.theta.tobytes() == serial.final_state.theta.tobytes()
@@ -261,7 +262,7 @@ def test_each_sampled_client_steps_on_its_own_shard():
     # of 13 and 12 examples fall in both size groups (client 2 alone holds
     # 12, so the other group's rows are not its client ids): the new model
     # is the mean of each sampled client stepped alone on its own shard
-    train, test = small_task()
+    train, test = small_data()
     cfg = config("fedavg", rounds=1, n_clients=7, participation=4 / 7, seed=2,
                  partition_kind="dirichlet")
     ids = sample_clients(7, cfg.participation, 0, cfg.seed)
@@ -273,7 +274,7 @@ def test_each_sampled_client_steps_on_its_own_shard():
                      cfg.local, 0, [np.random.default_rng([cfg.seed, 2, 0, cid])])
         for cid in ids])
     expected = aggregate(init_state(theta0, cfg.server), REGISTRY["fedavg"], alone)
-    out = run(cfg, train, test)
+    out = run(cfg, prepare(cfg, train, test))
     assert out.records[0].sampled_clients == tuple(ids)
     assert out.final_state.theta.tobytes() == expected.theta.tobytes()
     # a plain ndarray, not local_update's subclass, which would slow every
@@ -318,7 +319,7 @@ def test_round_returns_die_before_the_next_round(monkeypatch):
     # fold, step and check; both are released before round t evaluates its
     # new model. With two shard groups, client 6's row waits in the reorder
     # map until client 5's arrives.
-    train, test = small_task()
+    task = small_task(n_clients=7, partition_kind="dirichlet")
     global_loss = engine.global_loss
     refs, alive = [], []  # (round, weak reference); live references per call
 
@@ -344,7 +345,7 @@ def test_round_returns_die_before_the_next_round(monkeypatch):
         refs.clear()
         alive.clear()
         run(config(name, rounds=3, n_clients=7, participation=1.0,
-                   partition_kind="dirichlet"), train, test)
+                   partition_kind="dirichlet"), task)
         # a state and two shard-size groups a round, one evaluation a round
         assert len(refs) == 9 and len(alive) == 9
         assert not any(alive), name
@@ -371,7 +372,7 @@ def test_a_round_holds_less_than_one_matrix_of_its_client_models(name):
     buffers = sum(b.nbytes for b in REGISTRY[name].buffers(np.zeros(d), 100).values())
     tracemalloc.start()
     try:
-        run(cfg, train, test)
+        run(cfg, prepare(cfg, train, test))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,13 +390,28 @@ def test_numeric_abort_names_the_same_client_as_one_at_a_time(monkeypatch):
     cfg = RunConfig(algorithm="fedavg", model=ModelSpec("linear_regression", input_dim=1),
                     n_clients=7, rounds=1, seed=75, partition_kind="dirichlet",
                     local=LocalConfig(k=40, lr0=1e4, clip_norm=1e300, batch_size=2))
+    task = prepare(cfg, ds, ds)
     with pytest.raises(NumericError) as stacked:
-        run(cfg, ds, ds)
+        run(cfg, task)
     assert (stacked.value.round, stacked.value.client, stacked.value.step) == (0, 3, 37)
     monkeypatch.setattr(engine, "STACK_BYTES", 1)
     with pytest.raises(NumericError) as serial:
-        run(cfg, ds, ds)
+        run(cfg, task)
     assert str(stacked.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=1), dict(n_clients=8), dict(partition_kind="dirichlet"),
+    dict(concentration=0.5),
+    dict(model=ModelSpec("softmax_classifier", input_dim=4, output_dim=3)),
+], ids=["seed", "n_clients", "partition_kind", "concentration", "model"])
+def test_run_refuses_a_task_prepared_for_another_config(change):
+    task = small_task()
+    with pytest.raises(StructuralError, match=f"prepared for another {next(iter(change))}"):
+        run(config("fedavg", **change), task)
+    # the rule, the schedule and the hyperparameters may differ
+    run(config("fedagm", rounds=2, participation=1.0, eval_every=2,
+               local=LocalConfig(k=2, lr0=0.3), server=ServerHyper(lam=0.5)), task)
 
 
 def test_config_validation():
@@ -417,11 +433,11 @@ def test_trivial_setting_runs_like_fedavg(name):
     trivial = REGISTRY[name].trivial
     if trivial is None:
         pytest.skip(f"{name} declares no setting that reduces it to fedavg")
-    train, test = small_task()
+    task = small_task()
     local = replace(LocalConfig(k=6, lr0=0.1), **trivial.get("local", {}))
     server = replace(ServerHyper(lam=0.85, tau=0.5), **trivial.get("server", {}))
-    base = run(config("fedavg", rounds=6, local=local), train, test)
-    out = run(config(name, rounds=6, local=local, server=server), train, test)
+    base = run(config("fedavg", rounds=6, local=local), task)
+    out = run(config(name, rounds=6, local=local, server=server), task)
     arrays = len(REGISTRY[name].payload(out.final_state))
     assert out.records == [replace(r, bytes_down=arrays * r.bytes_down) for r in base.records]
     assert out.final_state.theta.tobytes() == base.final_state.theta.tobytes()
@@ -432,13 +448,13 @@ def test_a_new_rule_touches_only_the_registry(monkeypatch):
     # halfway to the client mean
     halfway = Algorithm(step=lambda st, m, *_: (st.theta + 0.5 * (m - st.theta), {}))
     monkeypatch.setitem(REGISTRY, "halfway", halfway)
-    train, test = small_task()
-    one = run(config("halfway", rounds=1), train, test)
-    avg = run(config("fedavg", rounds=1), train, test)
+    task = small_task()
+    one = run(config("halfway", rounds=1), task)
+    avg = run(config("fedavg", rounds=1), task)
     theta0 = init_params(SPEC, np.random.default_rng([0, 0]))
     expected = theta0 + 0.5 * (avg.final_state.theta - theta0)
     assert one.final_state.theta.tobytes() == expected.tobytes()
-    two = run(config("halfway", rounds=2), train, test)
+    two = run(config("halfway", rounds=2), task)
     assert [r.round for r in two.records] == [1, 2]
     assert two.records[0] == one.records[0]
     assert two.final_state.round == 2 and two.max_momentum_residual is None
