@@ -213,7 +213,6 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
         raise StructuralError(f"the task was prepared for another {', '.join(differ)}")
     spec, cfg = config.model, config.local
     algo = REGISTRY[config.algorithm]
-    classifier = spec.kind != "linear_regression"
     theta0, groups = task.theta0, task.groups
     state = init_state(theta0, config.server, **algo.buffers(theta0, config.n_clients))
     rows_per_chunk = max(1, STACK_BYTES // (8 * theta0.size))
@@ -262,7 +261,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
                 train_loss = global_loss(spec, state.theta, groups)
             except NumericError as exc:
                 raise NumericError(exc.base_message, round=t) from None
-            if classifier:
+            if task.test_batch is not None:
                 acc = accuracy(spec, state.theta, task.test_batch)
                 ema = ema_update(ema, acc)
             else:
