@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericError, StructuralError
 from .models import ModelSpec, gradient_unchecked, layer_views, param_dim, targets
-from .params import sq_norms
+from .params import finite_checked, sq_norms
 from .schema import check_fields
 # Not called here: they stay importable as ``fedsim.client.loss``,
 # ``.axpy``, ``.gradient`` and ``.l2_norm_sq``, names the benchmark's
@@ -115,6 +115,7 @@ def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
     return grad
 
 
+@finite_checked
 def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
                  cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
                  a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0) -> Rows:
@@ -163,31 +164,30 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     first_bad_step = np.full(S, -1)
     shard_rows, order = np.arange(n), np.empty((S, n), dtype=np.intp)  # each epoch's shuffle
     pos = n  # the first step shuffles
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.k):
-            if pos >= n:
-                # the draws of rng.permutation(n), which shuffles arange(n)
-                order[:] = shard_rows
-                for rng, row in zip(rngs, order):
-                    rng.shuffle(row)
-                X = group.features[rows[:, None], order]
-                y = targets(spec, group.labels[rows[:, None], order])
-                pos = 0
-            batch = slice(pos, pos + bs)
-            combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch], g, views, scratch),
-                    theta, init, a, v, c, scratch)
-            pos += bs
-            norm = np.sqrt(sq_norms(g))
-            if not (norm <= ball).all():
-                # some row is outside the ball or its norm is not finite
-                # (under an infinite clip_norm too); rows inside the ball
-                # keep g, and the max keeps their unused quotients off zero
-                first_bad_step[~np.isfinite(norm) & (first_bad_step < 0)] = step
-                g *= np.where(norm <= cfg.clip_norm, 1.0,
-                              cfg.clip_norm / np.maximum(norm, cfg.clip_norm))[:, None]
-            g *= -eta
-            theta += g
-        finite_rows = np.isfinite(theta).all(axis=1)
+    for step in range(cfg.k):
+        if pos >= n:
+            # the draws of rng.permutation(n), which shuffles arange(n)
+            order[:] = shard_rows
+            for rng, row in zip(rngs, order):
+                rng.shuffle(row)
+            X = group.features[rows[:, None], order]
+            y = targets(spec, group.labels[rows[:, None], order])
+            pos = 0
+        batch = slice(pos, pos + bs)
+        combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch], g, views, scratch),
+                theta, init, a, v, c, scratch)
+        pos += bs
+        norm = np.sqrt(sq_norms(g))
+        if not (norm <= ball).all():
+            # some row is outside the ball or its norm is not finite
+            # (under an infinite clip_norm too); rows inside the ball
+            # keep g, and the max keeps their unused quotients off zero
+            first_bad_step[~np.isfinite(norm) & (first_bad_step < 0)] = step
+            g *= np.where(norm <= cfg.clip_norm, 1.0,
+                          cfg.clip_norm / np.maximum(norm, cfg.clip_norm))[:, None]
+        g *= -eta
+        theta += g
+    finite_rows = np.isfinite(theta).all(axis=1)
     finite_features = group.finite[rows]
     ids = group.ids[rows].tolist()
     for row in range(S):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 from .models import Batch, make_batch
+from .params import finite_checked
 from .schema import check
 
 
@@ -40,6 +41,7 @@ class Dataset:
         return make_batch(self.features, self.labels)
 
 
+@finite_checked
 def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
                        spread: float) -> Dataset:
     """Gaussian-mixture classification data, one mixture mean per class.
@@ -53,16 +55,15 @@ def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
         raise StructuralError("synthetic generation parameters must be positive")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(clusters, input_dim))
-    with np.errstate(over="ignore"):
-        features = np.concatenate(
-            [means[c] + spread * rng.normal(size=(per_class, input_dim))
-             for c in range(clusters)])
+    features = np.concatenate([means[c] + spread * rng.normal(size=(per_class, input_dim))
+                               for c in range(clusters)])
     if not np.isfinite(features).all():
         raise ConfigError(f"data.spread {spread!r} overflows the synthetic features")
     labels = np.repeat(np.arange(clusters, dtype=np.int64), per_class)
     return Dataset(features, labels, clusters)
 
 
+@finite_checked
 def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
@@ -128,9 +129,8 @@ def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     meta = {"label_names": label_names, "feature_names": feature_names,
             "normalized": bool(normalize)}
     if normalize:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = features.mean(axis=0)
-            std = features.std(axis=0)
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
         finite = np.isfinite(mean) & np.isfinite(std)
         if not finite.all():
             column = feature_names[int(np.argmin(finite))]

@@ -57,6 +57,7 @@ from .data import Dataset, partition_dirichlet, partition_iid
 from .errors import NumericError, StructuralError
 from .metrics import ema_update, global_loss
 from .models import Batch, ModelSpec, accuracy, check_inputs, init_params
+from .params import finite_checked
 from .schema import check
 from .server import Round, ServerHyper, ServerState, init_state
 from .streams import client_states
@@ -194,6 +195,7 @@ def prepare(config: RunConfig, train: Dataset, test: Dataset) -> Task:
                 groups=tuple(shard_groups(train, assignments)), test_batch=test_batch)
 
 
+@finite_checked
 def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
     """Execute ``config.rounds`` federated rounds on ``task``, which must
     have been prepared for a config that agrees with ``config`` on

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import NumericError, StructuralError
 from .models import ModelSpec, decay_term, example_losses
+from .params import finite_checked
 # Not called here: it stays importable as ``fedsim.metrics.loss``, the name
 # the benchmark's traced run hooks.
 from .models import loss  # noqa: F401
@@ -53,6 +54,7 @@ def rounds_to_target(smoothed, target: float, limit: int):
     return Saturated(limit)
 
 
+@finite_checked
 def global_loss(spec: ModelSpec, params: np.ndarray, groups) -> float:
     """Mean over clients of the client's mean loss on its shard.
 
@@ -62,23 +64,22 @@ def global_loss(spec: ModelSpec, params: np.ndarray, groups) -> float:
     :func:`fedsim.models.example_losses` pass over all its rows, which
     runs them through the model :data:`fedsim.models.EVAL_BLOCK_ROWS`
     rows at a time; each client's sum starts at a fixed multiple of its
-    group's shard size. An overflow warns nothing: a client mean that is
-    not finite raises :class:`fedsim.errors.NumericError`. ``math.fsum``
-    is exact, so the order of the groups does not
-    change the result. With the equal-size shards the partitioners
+    group's shard size. Under :func:`fedsim.params.finite_checked`, a
+    client mean that is not finite raises :class:`fedsim.errors.NumericError`
+    and warns nothing. ``math.fsum`` is exact, so the order of the groups
+    does not change the result. With the equal-size shards the partitioners
     guarantee, this matches the plain whole-dataset loss up to reduction
     rounding.
     """
     client_means = []
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean raises below
-        for group in groups:
-            G, n = group.labels.shape
-            per_example = example_losses(spec, params, group.features.reshape(G * n, -1),
-                                         group.labels.reshape(G * n))
-            client_means.append(np.add.reduceat(per_example, np.arange(0, G * n, n)) / n)
-        client_means = np.concatenate(client_means)
-        if spec.l2_weight_decay:
-            client_means = client_means + decay_term(spec, params[None])[0]
+    for group in groups:
+        G, n = group.labels.shape
+        per_example = example_losses(spec, params, group.features.reshape(G * n, -1),
+                                     group.labels.reshape(G * n))
+        client_means.append(np.add.reduceat(per_example, np.arange(0, G * n, n)) / n)
+    client_means = np.concatenate(client_means)
+    if spec.l2_weight_decay:
+        client_means = client_means + decay_term(spec, params[None])[0]
     if not np.all(np.isfinite(client_means)):
         raise NumericError("loss is not finite")
     return math.fsum(client_means.tolist()) / len(client_means)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StructuralError
-from .params import sq_norms
+from .params import finite_checked, sq_norms
 from .schema import check_fields
 
 # The largest parameter count a spec may have: one float64 model of 2**24
@@ -174,11 +174,11 @@ def _residuals(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (X @ params[:, :, None])[:, :, 0] - np.asarray(y, dtype=np.float64)
 
 
+@finite_checked
 def decay_term(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     """The L2 penalty ``(l2_weight_decay/2)*||params||**2`` of each row
     of an (S, d) stack."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * spec.l2_weight_decay * sq_norms(params)
+    return 0.5 * spec.l2_weight_decay * sq_norms(params)
 
 
 def targets(spec: ModelSpec, labels: np.ndarray) -> np.ndarray:
@@ -252,6 +252,7 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.negative(loss, out=loss)
 
 
+@finite_checked
 def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     """Per-example loss of the model ``params`` (d,) on features X (rows,
@@ -268,23 +269,22 @@ def example_losses(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     classes. Beyond its result, the pass holds one block of its widest
     layers and the (C, rows) logits, never a (rows, width) matrix."""
     rows = X.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "linear_regression":
-            r = np.empty(rows)
-            for lo in range(0, rows, EVAL_BLOCK_ROWS):
-                block = slice(lo, lo + EVAL_BLOCK_ROWS)
-                np.subtract(np.matmul(X[block], params[:, None])[:, 0], y[block], out=r[block])
-            return 0.5 * (r * r)
-        *hidden, (W, b) = [(W[0], b[0, 0]) for W, b in layer_views(spec, params[None])]
-        logits = np.empty((spec.output_dim, rows))
+    if spec.kind == "linear_regression":
+        r = np.empty(rows)
         for lo in range(0, rows, EVAL_BLOCK_ROWS):
-            A = X[lo:lo + EVAL_BLOCK_ROWS]
-            for Wh, bh in hidden:
-                A = np.matmul(A, Wh)
-                A += bh
-                np.tanh(A, out=A)
-            np.add(np.matmul(A, W).T, b[:, None], out=logits[:, lo:lo + EVAL_BLOCK_ROWS])
-        return _cross_entropy(logits, y)
+            block = slice(lo, lo + EVAL_BLOCK_ROWS)
+            np.subtract(np.matmul(X[block], params[:, None])[:, 0], y[block], out=r[block])
+        return 0.5 * (r * r)
+    *hidden, (W, b) = [(W[0], b[0, 0]) for W, b in layer_views(spec, params[None])]
+    logits = np.empty((spec.output_dim, rows))
+    for lo in range(0, rows, EVAL_BLOCK_ROWS):
+        A = X[lo:lo + EVAL_BLOCK_ROWS]
+        for Wh, bh in hidden:
+            A = np.matmul(A, Wh)
+            A += bh
+            np.tanh(A, out=A)
+        np.add(np.matmul(A, W).T, b[:, None], out=logits[:, lo:lo + EVAL_BLOCK_ROWS])
+    return _cross_entropy(logits, y)
 
 
 # The kernels below take a stack of S clients: params (S, d), features
@@ -308,9 +308,8 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     if out is None:
         out = np.empty_like(params)
     if spec.kind == "linear_regression":
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = _residuals(params, X, y)
-            np.divide((X.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0], n, out=out)
+        r = _residuals(params, X, y)
+        np.divide((X.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0], n, out=out)
     else:
         layers, grads = views or (layer_views(spec, params), layer_views(spec, out))
         acts, logits = _forward(layers, X)
@@ -329,6 +328,7 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     return out
 
 
+@finite_checked
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean per-example loss plus the L2 decay term."""
     check_inputs(spec, params, batch.features, batch.labels)
@@ -341,6 +341,7 @@ def loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return value
 
 
+@finite_checked
 def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Exact analytic gradient of :func:`loss`, decay term included."""
     check_inputs(spec, params, batch.features, batch.labels)
@@ -370,6 +371,7 @@ def fd_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
     return out
 
 
+@finite_checked
 def accuracy(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class
     index. Structural error on a regression spec.

@@ -9,7 +9,9 @@ of rows into its own sums as they arrive, so that no caller has to
 stack every row first.
 
 All reductions use a fixed, data-independent evaluation order so that a
-seeded run produces bit-identical results.
+seeded run produces bit-identical results. :func:`finite_checked` declares
+the package's one floating-point policy: entry points warn nothing, and
+their finiteness checks raise :class:`fedsim.errors.NumericError`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ import numpy as np
 from .errors import NumericError, StructuralError
 
 
+def finite_checked(fn):
+    """``fn`` with no overflow or invalid-value warning, in a context made
+    for it alone: numpy 1.x's kept the caller's state on the instance."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
+
+
 def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape:
         raise StructuralError(f"dimension mismatch: {x.shape} vs {y.shape}")
 
 
+@finite_checked
 def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Return ``a*x + y`` elementwise.
 
@@ -33,19 +42,18 @@ def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     _check_pair(x, y)
     if not np.isfinite(a):
         raise NumericError(f"non-finite scale factor {a!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a * x + y
+    out = a * x + y
     if not np.all(np.isfinite(out)):
         raise NumericError("axpy produced non-finite entries")
     return out
 
 
+@finite_checked
 def l2_norm_sq(x: np.ndarray) -> float:
     """Return the squared Euclidean norm of ``x``."""
     if not np.all(np.isfinite(x)):
         raise NumericError("l2_norm_sq of non-finite vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(x, x))
+    return float(np.dot(x, x))
 
 
 def sq_norms(stack: np.ndarray) -> np.ndarray:

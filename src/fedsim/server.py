@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, StructuralError
-from .params import Mean
+from .params import Mean, finite_checked
 from .schema import check_fields
 # Not called here: they stay importable as ``fedsim.server.axpy`` and
 # ``.mean``, names the benchmark's traced run hooks.
@@ -70,6 +70,7 @@ class Round:
         self._waiting = {}  # the reorder map: position -> (block, row)
         self._folded = 0
 
+    @finite_checked
     def add(self, ids, rows: np.ndarray) -> None:
         """Fold in ``rows``, the models of the clients ``ids`` (ascending)."""
         # a view as a base ndarray: an ndarray subclass in the mean would
@@ -88,26 +89,24 @@ class Round:
                 del waiting[at + n]
                 n += 1
             run = block[lo:lo + n]
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._mean.add(run)
-                self.rule.fold(self.sums, self.state, self.ids[at:at + n], run,
-                               self.sent, self.local)
+            self._mean.add(run)
+            self.rule.fold(self.sums, self.state, self.ids[at:at + n], run,
+                           self.sent, self.local)
             self._folded = at + n
 
+    @finite_checked
     def finish(self) -> ServerState:
         """The state after the round: ``rule.step(state, mean, sums,
         local)`` gives the new model and the buffers it changed. A model
         that is not finite, or whose squared norm overflows, ends the run
         with its round."""
         state = self.state
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                theta, changed = self.rule.step(state, self._mean.result(), self.sums,
-                                                self.local)
-            except NumericError as exc:
-                raise NumericError(exc.base_message, round=state.round) from None
-            if not np.isfinite(np.dot(theta, theta)):
-                raise NumericError("server model is not finite", round=state.round)
+        try:
+            theta, changed = self.rule.step(state, self._mean.result(), self.sums, self.local)
+        except NumericError as exc:
+            raise NumericError(exc.base_message, round=state.round) from None
+        if not np.isfinite(np.dot(theta, theta)):
+            raise NumericError("server model is not finite", round=state.round)
         return replace(state, theta=theta, round=state.round + 1,
                        buffers={**state.buffers, **changed})
 

@@ -706,19 +706,37 @@ def test_evaluation_overflow_exits_3_naming_its_round(tmp_path, capsys, seed):
     assert capsys.readouterr().err.splitlines() == ["error: loss is not finite (round=0)"]
 
 
+def accuracy_overflow(tmp_path):
+    """Two classes around -3 and +3, plus one row whose logits overflow.
+    When the split puts that row in the test set, the run completes with
+    an overflowing accuracy pass; in the training set, it ends in exit 3."""
+    lines = ["a,b,label"]
+    for i in range(40):
+        s = 3.0 if i % 2 else -3.0
+        lines.append(f"{s + i % 5 / 10},{s - i % 7 / 10},{i % 2}")
+    data_file = tmp_path / "accuracy_overflow.csv"
+    data_file.write_text("\n".join([*lines, "1.5e308,1.5e308,0", ""]))
+    return {"algorithm": "fedavg", "rounds": 30, "clients": 4,
+            "model": {"kind": "softmax_classifier", "input_dim": 2, "output_dim": 2},
+            "data": {"kind": "csv", "path": str(data_file), "label_column": "label",
+                     "normalize": False, "test_fraction": 0.3},
+            "local": {"lr0": 1.0}}
+
+
 @pytest.mark.parametrize("payload, overrides", [
     (EVAL_OVERFLOW, []),
     (SMALL, ["local.lr0=1e300"]),
     (EVAL_OVERFLOW, ["local.lr0=1e300"]),
     (SMALL, ["algorithm=fedadam", "server.global_lr=1e300"]),
     (SMALL, ["algorithm=fedavgm", "server.global_lr=1e308"]),
+    (accuracy_overflow, []),
 ], ids=["evaluation_overflow", "softmax_huge_lr0", "regression_huge_lr0",
-        "fedadam_server_overflow", "fedavgm_server_overflow"])
+        "fedadam_server_overflow", "fedavgm_server_overflow", "accuracy_overflow"])
 def test_numeric_edges_end_in_one_line_at_every_seed(tmp_path, capsys, payload, overrides):
     # seeds 0-39 of each numeric-edge config: each run completes or ends in
     # exit 3 with its one error line, and no numpy warning reaches stderr
     # (under this suite's filter a warning would end the run in exit 1)
-    path = write_config(tmp_path, payload)
+    path = write_config(tmp_path, payload(tmp_path) if callable(payload) else payload)
     argv = ["run", "--config", path]
     for item in overrides:
         argv += ["--set", item]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fedsim.client import shard_groups
 from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, partition_iid
-from fedsim.errors import StructuralError
+from fedsim.errors import NumericError, StructuralError
 from fedsim.metrics import Saturated, ema_update, global_loss, rounds_to_target
 from fedsim.models import (EVAL_BLOCK_ROWS, ModelSpec, _forward, decay_term, layer_views,
                            loss, param_dim)
@@ -156,6 +156,21 @@ def test_global_loss_matches_per_shard_loop_across_blocks(spec):
         params = rng.normal(size=param_dim(spec))
         ref = math.fsum(loss(spec, params, ds.subset(a).to_batch()) for a in part) / N
         assert abs(global_loss(spec, params, groups_of(ds, part)) - ref) <= 1e-12 * abs(ref)
+
+
+def test_global_loss_leaves_the_callers_floating_point_state():
+    # global_loss nests example_losses and decay_term, each under the
+    # policy; the caller's state holds after a return and after a raise
+    ds, spec, params = _task()
+    groups = groups_of(ds, partition_iid(ds, 4, seed=0))
+    with np.errstate(over="raise"):
+        assert math.isfinite(global_loss(spec, params, groups))
+        assert np.geterr()["over"] == "raise"
+        with pytest.raises(NumericError, match="loss is not finite"):
+            global_loss(spec, params * 1e300, groups)
+        assert np.geterr()["over"] == "raise"
+        with pytest.raises(FloatingPointError):
+            np.float64(1e308) * 10.0
 
 
 def test_global_loss_zero_softmax_is_log_k():

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedsim.errors import StructuralError
+from fedsim.errors import NumericError, StructuralError
 from fedsim.models import (EVAL_BLOCK_ROWS, MAX_PARAM_DIM, Batch, ModelSpec, _cross_entropy,
                            _forward,
                            accuracy, class_sum, example_losses, fd_gradient, gradient,
@@ -120,6 +121,15 @@ def test_zero_model_zero_targets_zero_loss():
     batch = make_batch([[1.0, 2.0], [0.5, -1.0]], [0.0, 0.0])
     spec = ModelSpec("linear_regression", input_dim=2)
     assert loss(spec, np.zeros(2), batch) == 0.0
+
+
+def test_loss_whose_mean_overflows_raises_and_warns_nothing():
+    # each squared residual, 5e307, is finite; the sum of four overflows
+    batch = make_batch([[1e154]] * 4, [0.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="loss is not finite"):
+            loss(QUAD, np.ones(1), batch)
 
 
 def test_zero_softmax_loss_is_log_k():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim.errors import NumericError, StructuralError
-from fedsim.params import axpy, l2_norm_sq, mean
+from fedsim.params import axpy, finite_checked, l2_norm_sq, mean
 
 
 def vec(*xs):
@@ -50,6 +50,27 @@ def test_axpy_nonfinite():
         axpy(1e308, vec(1e308), vec(0))
     with pytest.raises(NumericError):
         axpy(math.nan, vec(1), vec(1))
+
+
+def test_finite_checked_restores_the_callers_state_through_nesting_and_raises():
+    @finite_checked
+    def inner():
+        """Overflow, then fail."""
+        assert np.geterr()["over"] == np.geterr()["invalid"] == "ignore"
+        np.float64(1e308) * 10.0
+        raise NumericError("inner")
+
+    @finite_checked
+    def outer():
+        np.float64(1e308) * 10.0
+        inner()
+
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(NumericError, match="inner"):
+            outer()
+        assert np.geterr()["over"] == np.geterr()["invalid"] == "raise"
+    assert inner.__name__ == "inner" and inner.__doc__.startswith("Overflow")
+    assert inner.__wrapped__.__name__ == "inner"
 
 
 def test_axpy_does_not_mutate_inputs():
