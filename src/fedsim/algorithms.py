@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .params import Mean, axpy
+from .params import Mean, axpy, finite_checked
 from .schema import RULES
 from .server import aggregate
 
@@ -92,6 +92,7 @@ def _residual(before, drift: Mean, after) -> float:
     return float(np.max(np.abs(after.buffers["delta"] - predicted)))
 
 
+@finite_checked
 def momentum_residual(before, returns, after) -> float:
     """The residual of the momentum identity over the client models
     ``returns``, an (S, d) matrix, folded as one block."""
@@ -129,6 +130,7 @@ def _fedadam_step(st, m, *_):
     return theta, {"adam_m": m1, "adam_v": v1}
 
 
+@finite_checked
 def feddyn_updated_state(h: np.ndarray, final_params: np.ndarray,
                          init: np.ndarray, dyn_alpha: float) -> np.ndarray:
     """Post-round refresh of a client's persistent drift corrector:

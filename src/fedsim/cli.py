@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from .algorithms import REGISTRY
 from .client import LocalConfig
-from .data import generate_synthetic, load_csv, split_stratified, take_per_class
+from .data import load_csv, split_stratified, synthetic_split
 from .engine import RunConfig, Task, prepare, run
 from .errors import ConfigError, NumericError, OutputError, StructuralError
 from .metrics import Saturated, rounds_to_target
@@ -159,10 +159,8 @@ def build_dataset(cfg: dict):
                 f"data: the synthetic set has {size} values (data.classes * "
                 "(data.train_per_class + data.test_per_class) * data.input_dim), "
                 f"more than the {MAX_SYNTHETIC_VALUES} allowed")
-        full = generate_synthetic(seed=seed, clusters=d["classes"],
-                                  per_class=d["train_per_class"] + d["test_per_class"],
-                                  input_dim=d["input_dim"], spread=d["spread"])
-        train, test = take_per_class(full, d["train_per_class"])
+        train, test = synthetic_split(seed, d["classes"], d["train_per_class"],
+                                      d["test_per_class"], d["input_dim"], d["spread"])
         meta = {"kind": "synthetic"}
         source = "data.classes * data.train_per_class"
     else:

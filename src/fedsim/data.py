@@ -42,25 +42,40 @@ class Dataset:
 
 
 @finite_checked
-def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
-                       spread: float) -> Dataset:
-    """Gaussian-mixture classification data, one mixture mean per class.
+def synthetic_split(seed: int, clusters: int, train_per_class: int, test_per_class: int,
+                    input_dim: int, spread: float) -> tuple[Dataset, Dataset]:
+    """Gaussian-mixture classification data, one mixture mean per class,
+    as a (train, test) pair.
 
-    Class means are standard normal draws; examples scatter around their
-    mean with standard deviation ``spread``, which may not be so large
-    that a feature overflows. Deterministic under ``seed``; rows are
-    grouped by class.
+    Class means are standard normal draws; each class's examples are one
+    draw of ``train_per_class + test_per_class`` rows that scatter around
+    its mean with standard deviation ``spread``, which may not be so large
+    that a feature overflows. The first ``train_per_class`` rows of each
+    draw are training examples and the rest test examples, so the two sets
+    never overlap. Deterministic under ``seed``; rows are grouped by class.
     """
-    if min(clusters, per_class, input_dim) < 1 or spread < 0:
+    if min(clusters, train_per_class, input_dim) < 1 or test_per_class < 0 or spread < 0:
         raise StructuralError("synthetic generation parameters must be positive")
+    per_class = train_per_class + test_per_class
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(clusters, input_dim))
-    features = np.concatenate([means[c] + spread * rng.normal(size=(per_class, input_dim))
-                               for c in range(clusters)])
-    if not np.isfinite(features).all():
+    train = np.empty((clusters, train_per_class, input_dim))
+    test = np.empty((clusters, test_per_class, input_dim))
+    for c in range(clusters):
+        block = means[c] + spread * rng.normal(size=(per_class, input_dim))
+        train[c], test[c] = block[:train_per_class], block[train_per_class:]
+    if not (np.isfinite(train).all() and np.isfinite(test).all()):
         raise ConfigError(f"data.spread {spread!r} overflows the synthetic features")
-    labels = np.repeat(np.arange(clusters, dtype=np.int64), per_class)
-    return Dataset(features, labels, clusters)
+    labels = np.arange(clusters, dtype=np.int64)
+    return tuple(Dataset(x.reshape(-1, input_dim), labels.repeat(x.shape[1]), clusters)
+                 for x in (train, test))
+
+
+def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
+                       spread: float) -> Dataset:
+    """The one set of :func:`synthetic_split` with ``per_class`` training
+    examples of each class and no test examples."""
+    return synthetic_split(seed, clusters, per_class, 0, input_dim, spread)[0]
 
 
 @finite_checked
@@ -245,19 +260,3 @@ def split_stratified(dataset: Dataset, test_fraction: float,
         raise StructuralError("split produced an empty train or test set")
     return dataset.subset(sorted(train)), dataset.subset(sorted(test))
 
-
-def take_per_class(dataset: Dataset, count_per_class: int) -> tuple[Dataset, Dataset]:
-    """Split off the first ``count_per_class`` examples of every class into
-    the first dataset; the remainder forms the second. Positional, so a
-    single random generation can be split without a second rng."""
-    labels = dataset.labels
-    by_class = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=dataset.class_count)
-    # rank[i]: how many examples of i's class come before i
-    rank = np.empty(labels.size, dtype=np.int64)
-    rank[by_class] = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    taken = rank < count_per_class
-    first, second = np.flatnonzero(taken), np.flatnonzero(~taken)
-    if not second.size:
-        raise StructuralError("count_per_class consumed the entire dataset")
-    return dataset.subset(first), dataset.subset(second)

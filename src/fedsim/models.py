@@ -87,8 +87,6 @@ def make_batch(features, labels) -> Batch:
 
 
 def _layer_dims(spec: ModelSpec) -> list[int]:
-    if spec.kind == "softmax_classifier":
-        return [spec.input_dim, spec.output_dim]
     return [spec.input_dim, *spec.hidden_dims, spec.output_dim]
 
 

@@ -105,6 +105,7 @@ class Mean:
         return out
 
 
+@finite_checked
 def mean(stack: np.ndarray) -> np.ndarray:
     """Row mean of a non-empty (S, d) stack: one :class:`Mean` block."""
     if stack.ndim != 2 or not len(stack):

@@ -9,9 +9,11 @@ were made with, since the bytes depend on numpy's streams and kernels.
 
 ``CASES`` is the fast corpus: the 56-config matrix (7 rules × softmax or
 mlp × iid or Dirichlet × ``eval_every`` 1 or 3, as 8 compares of 7 rules)
-and one case for each path the matrix misses. ``workload_cases()`` adds
-the three benchmark workloads of ``perfbench/workloads.py`` at seeds 11
-and 23, which take seconds.
+and one case for each path the matrix misses. Every case runs in this
+directory, so a config's relative data path, which its hash covers, reads
+the same in every checkout. ``workload_cases()`` adds the three benchmark
+workloads of ``perfbench/workloads.py`` at seeds 11 and 23, which take
+seconds.
 
     python tests/golden/rewrite.py
 
@@ -26,6 +28,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -98,6 +101,13 @@ def _extras() -> list[Case]:
             local__lr0=0.02),
         run("clipping", algorithm="fedagm", local__lr0=2.0, local__clip_norm=0.05),
         run("lr-decay", algorithm="feddyn", local__lr_decay=0.7, eval_every=2),
+        # 48 rows of 3 features on scales 1e-2 to 1e2, the label column
+        # among them and the classes first seen in the order c, b, a
+        run("csv-normalized", algorithm="fedagm",
+            model={"kind": "softmax_classifier", "input_dim": 3, "output_dim": 3,
+                   "hidden_dims": [], "l2_weight_decay": 0.001},
+            data={"kind": "csv", "path": "three_classes.csv", "label_column": "kind",
+                  "normalize": True, "test_fraction": 0.25}),
         Case("targets", "compare", tuple(
             (rule, _config(algorithm=rule, rounds=9, targets=[0.4, 0.8, 0.99]))
             for rule in ("fedavg", "fedagm"))),
@@ -136,6 +146,16 @@ def versions() -> dict:
             "blas_version": blas.get("version")}
 
 
+@contextlib.contextmanager
+def _working_dir(path: Path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def record(case: Case) -> dict:
     """Run ``case`` in a fresh directory; returns its exit status, stderr
     lines and the digest of every file it wrote but the manifests."""
@@ -148,7 +168,8 @@ def record(case: Case) -> dict:
             argv += ["--config", str(path)]
         out = root / "out"
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              _working_dir(HERE)):
             status = main([*argv, *case.argv, "--out", str(out)])
         files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                  for p in sorted(out.rglob("*"))

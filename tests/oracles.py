@@ -99,8 +99,10 @@ def partition_dirichlet_by_deal(dataset, N: int, concentration: float, seed: int
 
 
 def take_per_class_by_scan(dataset, count_per_class: int) -> tuple:
-    """The index lists :func:`fedsim.data.take_per_class` splits a dataset
-    by, from one scan over the labels that counts each class as it goes."""
+    """The index lists of the first ``count_per_class`` examples of every
+    class and of the rest, from one scan over the labels that counts each
+    class as it goes: how :func:`fedsim.data.synthetic_split` cuts the one
+    set that :func:`fedsim.data.generate_synthetic` draws."""
     first, second = [], []
     taken = np.zeros(dataset.class_count, dtype=np.int64)
     for i, c in enumerate(dataset.labels):

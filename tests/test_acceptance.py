@@ -17,7 +17,7 @@ import pytest
 from fedsim.cli import main
 from fedsim.algorithms import aggregate_fedagm, momentum_residual, momentum_residual_bound
 from fedsim.client import LocalConfig
-from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, take_per_class
+from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, synthetic_split
 from fedsim.engine import RunConfig, prepare, run
 from fedsim.metrics import Saturated, ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
@@ -370,9 +370,8 @@ def test_c8_fedagm_reaches_loss_target_faster():
     for algo in ("fedagm", "fedavg"):
         hits = []
         for seed in range(5):
-            full = generate_synthetic(seed=seed, clusters=10, per_class=550,
-                                      input_dim=20, spread=1.0)
-            train, test = take_per_class(full, 500)
+            train, test = synthetic_split(seed=seed, clusters=10, train_per_class=500,
+                                          test_per_class=50, input_dim=20, spread=1.0)
             cfg = RunConfig(algorithm=algo, model=spec, n_clients=100,
                             rounds=ROUND_BUDGET, participation=0.05, seed=seed,
                             partition_kind="dirichlet", concentration=0.3,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -434,6 +435,13 @@ def test_feddyn_state_refresh():
                                [0.9, -1.1], atol=1e-15)
     same = feddyn_updated_state(h, final, init, 0.0)
     assert same is h
+
+
+def test_feddyn_state_refresh_that_overflows_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = feddyn_updated_state(np.zeros(1), np.array([1e308]), np.array([-1e308]), 1.0)
+    assert h.tolist() == [-math.inf]
 
 
 def test_numeric_abort_carries_context():

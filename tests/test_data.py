@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsim.data import (Dataset, generate_synthetic, load_csv, partition_dirichlet,
-                         partition_iid, split_stratified, take_per_class)
+                         partition_iid, split_stratified, synthetic_split)
 from fedsim.errors import ConfigError, StructuralError
 from fedsim.models import ModelSpec, accuracy, gradient, param_dim
 from oracles import partition_dirichlet_by_deal, take_per_class_by_scan
@@ -213,20 +213,22 @@ def test_partition_dirichlet_at_scale_equals_the_dealing_loop():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_take_per_class_equals_the_label_scan():
+def test_synthetic_split_equals_the_label_scan_of_one_draw():
+    # the split is the one-set draw of train + test examples per class, cut
+    # by class rank, bit for bit
     rng = np.random.default_rng(12)
     for _ in range(200):
-        ds = _shuffled_labels(rng, int(rng.integers(2, 300)), int(rng.integers(1, 12)))
-        count = int(rng.integers(0, ds.n // 2 + 2))
-        first, second = take_per_class_by_scan(ds, count)
-        if not second:
-            with pytest.raises(StructuralError):
-                take_per_class(ds, count)
-            continue
-        got_first, got_second = take_per_class(ds, count)
-        assert got_first.features[:, 0].tolist() == first
-        assert got_second.features[:, 0].tolist() == second
-        assert np.array_equal(got_first.labels, ds.labels[first])
+        seed, clusters, dim = (int(rng.integers(0, 1 << 31)), int(rng.integers(1, 12)),
+                               int(rng.integers(1, 6)))
+        n_train, n_test = int(rng.integers(1, 30)), int(rng.integers(0, 30))
+        spread = float(rng.uniform(0.0, 3.0))
+        full = generate_synthetic(seed, clusters, n_train + n_test, dim, spread)
+        train, test = synthetic_split(seed, clusters, n_train, n_test, dim, spread)
+        for got, want in zip((train, test), take_per_class_by_scan(full, n_train)):
+            assert got.features.tobytes() == full.features[want].tobytes()
+            assert got.features.shape == (len(want), dim)
+            assert np.array_equal(got.labels, full.labels[want])
+            assert got.labels.dtype == np.int64 and got.class_count == clusters
 
 
 def test_heterogeneity_monotone_in_concentration():
@@ -266,13 +268,3 @@ def test_split_stratified_rejects_bad_fraction():
         with pytest.raises(StructuralError):
             split_stratified(ds, frac, seed=0)
 
-
-def test_take_per_class():
-    ds = generate_synthetic(seed=0, clusters=3, per_class=10, input_dim=2, spread=1.0)
-    train, test = take_per_class(ds, 7)
-    assert train.n == 21 and test.n == 9
-    np.testing.assert_array_equal(np.bincount(train.labels), [7, 7, 7])
-    np.testing.assert_array_equal(np.bincount(test.labels), [3, 3, 3])
-    # disjoint and covering: features concatenate back to the original multiset
-    joined = np.vstack([train.features, test.features])
-    assert joined.shape == ds.features.shape

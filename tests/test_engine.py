@@ -11,7 +11,7 @@ from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, Algorithm
 from fedsim.cli import main
 from fedsim.client import LocalConfig, local_update, shard_group
-from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, take_per_class
+from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, synthetic_split
 from fedsim.engine import RunConfig, RoundRecord, prepare, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params, param_dim
@@ -20,8 +20,8 @@ from fedsim.streams import client_states
 
 
 def small_data(seed=0):
-    ds = generate_synthetic(seed=seed, clusters=3, per_class=40, input_dim=4, spread=1.0)
-    return take_per_class(ds, 30)  # 90 train / 30 test
+    return synthetic_split(seed=seed, clusters=3, train_per_class=30, test_per_class=10,
+                           input_dim=4, spread=1.0)  # 90 train / 30 test
 
 
 SPEC = ModelSpec("softmax_classifier", input_dim=4, output_dim=3, l2_weight_decay=0.001)
@@ -363,8 +363,8 @@ def test_a_round_holds_less_than_one_matrix_of_its_client_models(name):
     # and a round that stacks its client models 7.5, 7.9 and 12.6 MiB.
     spec = ModelSpec("mlp", input_dim=64, output_dim=10, hidden_dims=(96,),
                      l2_weight_decay=0.001)
-    full = generate_synthetic(seed=11, clusters=10, per_class=250, input_dim=64, spread=1.0)
-    train, test = take_per_class(full, 200)
+    train, test = synthetic_split(seed=11, clusters=10, train_per_class=200,
+                                  test_per_class=50, input_dim=64, spread=1.0)
     cfg = RunConfig(algorithm=name, model=spec, n_clients=100, rounds=2, seed=11,
                     partition_kind="dirichlet", local=LocalConfig(k=2, epochs=1, lr0=0.1),
                     server=ServerHyper(tau=1.0, lam=0.85))

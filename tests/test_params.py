@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,14 @@ def test_mean_symmetry():
 def test_mean_empty_list():
     with pytest.raises(StructuralError):
         mean(np.empty((0, 2)))
+
+
+def test_mean_that_overflows_raises_and_warns_nothing():
+    # two finite rows whose deviation from the first overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="mean produced non-finite entries"):
+            mean(np.array([[1e308], [-1e308]]))
 
 
 def test_mean_dimension_mismatch():

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +119,14 @@ def test_momentum_residual_random_rounds():
         worst = max(worst, res)
         st = nxt
     assert worst <= 1e-12 * (1 + np.max(np.abs(st.buffers["delta"])))
+
+
+def test_momentum_residual_of_overflowing_models_raises_and_warns_nothing():
+    st = state_with(vec(0.0), hyper=ServerHyper(lam=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="mean produced non-finite entries"):
+            momentum_residual(st, np.array([[1e308], [-1e308]]), st)
 
 
 def test_unused_buffers_stay_zero():
@@ -277,6 +287,17 @@ def test_server_model_overflow_names_its_round(algorithm, hyper):
     with pytest.raises(NumericError, match="server model is not finite") as ei:
         server_round(st, np.array([vec(0.25, 0.0), vec(0.5, -0.5)]), algorithm)
     assert ei.value.round == 1
+
+
+def test_a_mean_that_overflows_ends_the_round_with_its_number():
+    # finite client models whose mean is not: the mean's own check raises
+    # inside the rule's step, and finish re-raises it with the round
+    st = replace(state_with(vec(0.0), algorithm="fedavg"), round=6)
+    rnd = Round(st, REGISTRY["fedavg"], [0, 1])
+    rnd.add([0, 1], np.array([[1e308], [-1e308]]))
+    with pytest.raises(NumericError, match="mean produced non-finite entries") as ei:
+        rnd.finish()
+    assert ei.value.round == 6
 
 
 # entries of client models and server states: signed zeros, often

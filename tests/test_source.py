@@ -63,7 +63,7 @@ UNCHECKED = {
         "client.shard_groups", "client.derive_batch_size", "server.init_state",
         "metrics.rounds_to_target", "data.Dataset.n", "data.Dataset.subset",
         "data.Dataset.to_batch", "data.partition_iid", "data.split_stratified",
-        "data.take_per_class", "engine.sample_clients"},
+        "engine.sample_clients"},
     "set-up on bounded values: seeded draws, partitions and checks": {
         "models.init_params", "data.partition_dirichlet", "engine.prepare"},
     "Python float arithmetic, which numpy's error state does not govern": {
@@ -73,11 +73,10 @@ UNCHECKED = {
     "runs inside a decorated caller: Round, example_losses or engine.run": {
         "params.Mean.add", "params.Mean.result", "models.class_sum",
         "algorithms.Algorithm.terms", "algorithms.momentum_residual_bound"},
-    "its float arithmetic is all in decorated calls (axpy, Round)": {
-        "algorithms.lookahead", "server.aggregate", "algorithms.aggregate_fedagm"},
-    "test, hook and selftest wrapper on bounded inputs, no run calls it": {
-        "params.mean", "models.fd_gradient", "algorithms.momentum_residual",
-        "algorithms.feddyn_updated_state"},
+    "its float arithmetic is all in decorated calls (axpy, Round, synthetic_split)": {
+        "algorithms.lookahead", "server.aggregate", "algorithms.aggregate_fedagm",
+        "data.generate_synthetic"},
+    "test and selftest oracle on bounded inputs, no run calls it": {"models.fd_gradient"},
 }
 
 
