@@ -49,7 +49,7 @@ from .client import LocalConfig
 from .data import load_csv, split_stratified, synthetic_split
 from .engine import RunConfig, Task, prepare, run
 from .errors import ConfigError, NumericError, OutputError, StructuralError
-from .metrics import Saturated, rounds_to_target
+from .metrics import rounds_to_target
 from .models import ModelSpec
 from .schema import DEFAULT_CONFIG, LEAVES, check_config, coerce
 from .selftest import run_selftest
@@ -192,8 +192,6 @@ def build_dataset(cfg: dict):
 
 
 def build_run_config(cfg: dict) -> RunConfig:
-    if cfg["model"]["kind"] == "linear_regression" and cfg["model"]["output_dim"] != 1:
-        raise ConfigError("model.output_dim must be 1 when model.kind is linear_regression")
     try:
         model = ModelSpec(**cfg["model"])
     except StructuralError as exc:  # a check across the model's keys
@@ -219,10 +217,9 @@ def _targets_report(records, targets, total_rounds: int) -> dict:
     rendered as an int, or "<rounds>+" when never reached (recomputable by
     scanning the ema_accuracy column of rounds.csv)."""
     report = {}
-    smoothed = [r.ema_accuracy for r in records]
     for t in targets:
-        hit = rounds_to_target(smoothed, t, total_rounds)
-        report[str(t)] = str(hit) if isinstance(hit, Saturated) else records[hit - 1].round
+        hit = rounds_to_target(records, t)
+        report[str(t)] = f"{total_rounds}+" if hit is None else hit
     return report
 
 

@@ -176,8 +176,8 @@ TASK_FIELDS = ("model", "n_clients", "partition_kind", "concentration", "seed")
 
 
 def prepare(config: RunConfig, train: Dataset, test: Dataset) -> Task:
-    """Partition ``train`` among ``config.n_clients`` clients, check it
-    against the model, and stack the shards into groups; the groups copy
+    """Partition ``train`` among ``config.n_clients`` clients, check it and
+    ``test`` against the model, and stack the shards into groups; the groups copy
     the training features, so the caller may drop ``train`` once this
     returns. Every run whose config agrees with ``config`` on
     :data:`TASK_FIELDS` can then share the task."""
@@ -191,6 +191,8 @@ def prepare(config: RunConfig, train: Dataset, test: Dataset) -> Task:
     theta0 = init_params(spec, np.random.default_rng([config.seed, 0]))
     theta0.flags.writeable = False
     check_inputs(spec, theta0, train.features, train.labels)
+    if test_batch is not None:
+        check_inputs(spec, theta0, test_batch.features, test_batch.labels)
     return Task(**{name: getattr(config, name) for name in TASK_FIELDS}, theta0=theta0,
                 groups=tuple(shard_groups(train, assignments)), test_batch=test_batch)
 
@@ -248,6 +250,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
                     continue
                 if failure is None:
                     rnd.add(chunk, models)
+                del models  # a round holds one chunk of client models at a time
         if failure is not None:
             raise failure
 
@@ -256,7 +259,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
             max_residual = max(max_residual, algo.check(before, rnd.sums, state))
         acc_down += len(ids) * 8 * sum(p.size for p in payload)
         acc_up += len(ids) * 8 * theta0.size
-        del rnd, before, models  # no client model of round t lives into round t+1
+        del rnd, before  # no client model of round t lives into round t+1
 
         if (t + 1) % config.eval_every == 0 or t + 1 == config.rounds:
             try:

@@ -5,7 +5,6 @@ from the run's client shard groups."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +30,12 @@ def ema_update(prev: float | None, value: float) -> float:
     return EMA_DECAY * prev + (1.0 - EMA_DECAY) * value
 
 
-@dataclass(frozen=True)
-class Saturated:
-    """Marker for a target never reached within the round limit."""
-
-    limit: int
-
-    def __str__(self) -> str:
-        return f"{self.limit}+"
-
-
-def rounds_to_target(smoothed, target: float, limit: int):
-    """1-based index of the first smoothed value >= target, scanning at
-    most ``limit`` entries; Saturated(limit) when never reached."""
+def rounds_to_target(records, target: float) -> int | None:
+    """The ``round`` of the first record whose ``ema_accuracy`` is at least
+    ``target``, or None when no record reaches it."""
     if not 0 < target < 1:
         raise StructuralError("target must lie in (0, 1)")
-    for i, v in enumerate(smoothed):
-        if i >= limit:
-            break
-        if v >= target:
-            return i + 1
-    return Saturated(limit)
+    return next((r.round for r in records if r.ema_accuracy >= target), None)
 
 
 @finite_checked

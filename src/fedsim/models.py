@@ -52,6 +52,8 @@ class ModelSpec:
 
     def __post_init__(self):
         check_fields("model", self)
+        if self.kind == "linear_regression" and self.output_dim != 1:
+            raise StructuralError("model.output_dim must be 1 when model.kind is linear_regression")
         if self.kind == "mlp" and not self.hidden_dims:
             raise StructuralError("model.kind mlp needs a layer in model.hidden_dims")
         if self.kind != "mlp" and self.hidden_dims:

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from fedsim.cli import main
+from fedsim.cli import _targets_report, main
 from fedsim.algorithms import aggregate_fedagm, momentum_residual, momentum_residual_bound
 from fedsim.client import LocalConfig
 from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, synthetic_split
-from fedsim.engine import RunConfig, prepare, run
-from fedsim.metrics import Saturated, ema_update, rounds_to_target
+from fedsim.engine import RoundRecord, RunConfig, prepare, run
+from fedsim.metrics import ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from fedsim.server import ServerHyper, ServerState, init_state
 from oracles import local_gradient_fedagm
@@ -314,8 +314,16 @@ def test_c6_downlink_byte_accounting():
 
 # ------------------------------------------------------------ criterion 7
 # Metric oracles: the EMA recurrence matches a direct evaluation on 100
-# random series to 1e-12; rounds_to_target matches a brute-force scan;
-# saturation renders as "1000+".
+# random series to 1e-12; rounds_to_target matches a brute-force scan of
+# records logged every 1 to 4 rounds; the report renders a target never
+# reached as "1000+".
+
+
+def _records(smoothed, every):
+    """Records whose ema_accuracy is ``smoothed``, logged every ``every`` rounds."""
+    return [RoundRecord(round=every * (i + 1), sampled_clients=(), train_loss=0.0,
+                        test_accuracy=v, ema_accuracy=v, bytes_down=0, bytes_up=0)
+            for i, v in enumerate(smoothed)]
 
 
 def test_c7_metric_oracles():
@@ -330,17 +338,15 @@ def test_c7_metric_oracles():
         for got, want in zip(smoothed, direct):
             assert abs(got - want) <= 1e-12
 
+        every = int(rng.integers(1, 5))
+        records = _records(smoothed, every)
         target = float(rng.uniform(0.05, 0.95))
-        limit = int(rng.integers(1, 60))
-        got = rounds_to_target(smoothed, target, limit)
-        want = next((i + 1 for i, v in enumerate(smoothed[:limit])
-                     if v >= target), None)
-        if want is None:
-            assert isinstance(got, Saturated) and got.limit == limit
-        else:
-            assert got == want
+        want = next((every * (i + 1) for i, v in enumerate(smoothed) if v >= target), None)
+        assert rounds_to_target(records, target) == want
+        assert _targets_report(records, (target,), 1000) == {
+            str(target): "1000+" if want is None else want}
 
-    assert str(Saturated(1000)) == "1000+"
+    assert _targets_report(_records([0.3] * 50, 3), (0.84,), 1000) == {"0.84": "1000+"}
     print("[criterion 7] EMA, rounds-to-target, and saturation rendering all "
           "match their oracles")
 

@@ -238,11 +238,14 @@ def test_run_writes_all_outputs(tmp_path):
                                              "manifest.json"}
 
 
-def test_summary_targets_recompute_from_csv(tmp_path):
+@pytest.mark.parametrize("eval_every", [1, 3])
+def test_summary_targets_recompute_from_csv(tmp_path, eval_every):
     """rounds_to_target in summary.json must agree with a scan of the
-    ema_accuracy column in rounds.csv."""
+    ema_accuracy column in rounds.csv, also when the logged rounds are not
+    1, 2, 3, ... (at eval_every 3, 0.5 is first reached at round 3)."""
     out = tmp_path / "out"
-    main(["run", "--config", write_config(tmp_path), "--out", str(out)])
+    main(["run", "--config", write_config(tmp_path, {**SMALL, "eval_every": eval_every}),
+          "--out", str(out)])
     rows = read_rows(out)
     summary = json.loads((out / "summary.json").read_text())
     for key, reported in summary["rounds_to_target"].items():

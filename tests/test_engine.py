@@ -351,13 +351,33 @@ def test_round_returns_die_before_the_next_round(monkeypatch):
         assert not any(alive), name
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_a_round_holds_one_chunk_of_client_models(monkeypatch, name):
+    # two clients a chunk, five chunks a round on one shard group, folded in
+    # id order as they come: no chunk's models are still referenced when the
+    # next local_update starts
+    monkeypatch.setattr(engine, "STACK_BYTES", 2 * 8 * param_dim(SPEC))
+    refs, alive = [], []
+
+    def spy_local_update(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        models = local_update(*args, **kwargs)
+        refs.append(weakref.ref(models))
+        return models
+
+    monkeypatch.setattr(engine, "local_update", spy_local_update)
+    cfg = config(name, rounds=2, participation=1.0)
+    run(cfg, prepare(cfg, *small_data()))
+    assert len(alive) == 10 and not any(alive)
+
+
 @pytest.mark.parametrize("name", ["fedavg", "feddyn", "fedagm"])
 def test_a_round_holds_less_than_one_matrix_of_its_client_models(name):
     # the cross_silo benchmark task over 2 rounds: an mlp of d = 7,210 on
     # 100 Dirichlet(0.3) shards at full participation, K = 2. Beyond the
     # buffers its rule declares, a run's traced peak stays below one (S, d)
     # float64 matrix of its client models (5.5 MiB), and below 3 MiB.
-    # Measured with numpy 2.4: 2.5 (fedavg), 2.7 (feddyn) and 2.7 MiB
+    # Measured with numpy 2.4: 2.45 (fedavg), 2.48 (feddyn) and 2.43 MiB
     # (fedagm); an evaluation that holds each layer's (rows, width) output
     # and a step that makes (S, d) temporaries read 3.2 MiB for each rule,
     # and a round that stacks its client models 7.5, 7.9 and 12.6 MiB.
@@ -378,6 +398,27 @@ def test_a_round_holds_less_than_one_matrix_of_its_client_models(name):
         tracemalloc.stop()
     assert peak - buffers < 100 * d * 8
     assert peak - buffers < 3.0 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad", ["columns", "labels"])
+def test_prepare_checks_the_test_set_against_the_model(monkeypatch, bad):
+    # a test set the model cannot read fails in prepare, before any round runs
+    train, test = small_data()
+    if bad == "columns":
+        test = Dataset(test.features[:, :3], test.labels, 3)
+    else:
+        test = Dataset(test.features, np.where(test.labels == 2, 3, test.labels), 4)
+    calls = []
+
+    def spy_local_update(*args, **kwargs):
+        calls.append(args[5])
+        return local_update(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "local_update", spy_local_update)
+    cfg = config("fedavg")
+    with pytest.raises(StructuralError):
+        run(cfg, prepare(cfg, train, test))
+    assert calls == []
 
 
 def test_numeric_abort_names_the_same_client_as_one_at_a_time(monkeypatch):

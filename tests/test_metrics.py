@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from fedsim.client import shard_groups
 from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, partition_iid
 from fedsim.errors import NumericError, StructuralError
-from fedsim.metrics import Saturated, ema_update, global_loss, rounds_to_target
+from fedsim.engine import RoundRecord
+from fedsim.metrics import ema_update, global_loss, rounds_to_target
 from fedsim.models import (EVAL_BLOCK_ROWS, ModelSpec, _forward, decay_term, layer_views,
                            loss, param_dim)
 
@@ -75,27 +76,29 @@ def test_ema_rejects_nonfinite():
         ema_update(0.5, math.inf)
 
 
+def records_of(smoothed, every=3):
+    """Records whose ``ema_accuracy`` is ``smoothed``, logged at rounds
+    ``every``, 2 * ``every``, ..., so a record index never equals its round."""
+    return [RoundRecord(round=every * (i + 1), sampled_clients=(), train_loss=0.0,
+                        test_accuracy=v, ema_accuracy=v, bytes_down=0, bytes_up=0)
+            for i, v in enumerate(smoothed)]
+
+
 def test_rounds_to_target_first_crossing():
-    assert rounds_to_target([0.3, 0.5, 0.9], 0.84, 1000) == 3
+    assert rounds_to_target(records_of([0.3, 0.5, 0.9]), 0.84) == 9
 
 
 def test_rounds_to_target_saturates():
-    out = rounds_to_target([0.3] * 50, 0.84, 1000)
-    assert out == Saturated(1000)
-    assert str(out) == "1000+"
+    assert rounds_to_target(records_of([0.3] * 50), 0.84) is None
 
 
 def test_rounds_to_target_immediate():
-    assert rounds_to_target([0.9, 0.1], 0.5, 1000) == 1
-
-
-def test_rounds_to_target_respects_limit():
-    assert rounds_to_target([0.1, 0.1, 0.9], 0.5, 2) == Saturated(2)
+    assert rounds_to_target(records_of([0.9, 0.1]), 0.5) == 3
 
 
 def test_rounds_to_target_validates_target():
     with pytest.raises(StructuralError):
-        rounds_to_target([0.5], 0.0, 10)
+        rounds_to_target(records_of([0.5]), 0.0)
 
 
 @given(values=st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
@@ -104,10 +107,11 @@ def test_rounds_to_target_validates_target():
        t2=st.floats(min_value=0.01, max_value=0.99))
 def test_rounds_to_target_monotone_in_target(values, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
-    r_lo = rounds_to_target(values, lo, 1000)
-    r_hi = rounds_to_target(values, hi, 1000)
-    if isinstance(r_hi, int):
-        assert isinstance(r_lo, int) and r_lo <= r_hi
+    records = records_of(values)
+    r_lo = rounds_to_target(records, lo)
+    r_hi = rounds_to_target(records, hi)
+    if r_hi is not None:
+        assert r_lo is not None and r_lo <= r_hi
 
 
 def _task(seed=0):

@@ -40,6 +40,12 @@ def test_spec_validation():
         ModelSpec("perceptron", input_dim=2)
 
 
+def test_spec_rejects_a_linear_regression_with_more_than_one_output():
+    with pytest.raises(StructuralError, match="^model.output_dim must be 1 when model.kind "
+                                              "is linear_regression$"):
+        ModelSpec("linear_regression", input_dim=3, output_dim=4)
+
+
 @pytest.mark.parametrize("hidden", [(1.5,), (True,), (3, 2.0), ("4",), (0,)])
 def test_spec_rejects_hidden_sizes_that_are_not_positive_ints(hidden):
     with pytest.raises(StructuralError, match=r"^model\.hidden_dims\[\d\] must "):
