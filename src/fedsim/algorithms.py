@@ -144,24 +144,24 @@ def _feddyn_fold(sums, st, ids, rows, sent, local):
     # the client correctors h (one row per client) are refreshed in place,
     # h_i - dyn_alpha*(theta_i - sent) as feddyn_updated_state takes it, so
     # a round holds one copy of them; the displacements from the server
-    # model are summed row by row. A chunk takes one scratch of its shape:
-    # with two such temporaries live at once, glibc gave both back to the
-    # system and faulted them in again on every chunk (a 100-client round
-    # of d = 7,210 in chunks of 4: 3,453 minor faults and 9.6 ms, against
-    # 30 and 2.3 ms with one)
+    # model, which is the model feddyn sends, are summed row by row. A
+    # chunk takes one scratch of its shape: with two such temporaries live
+    # at once, glibc gave both back to the system and faulted them in again
+    # on every chunk (a 100-client round of d = 7,210 in chunks of 4: 3,453
+    # minor faults and 9.6 ms, against 30 and 2.3 ms with one)
     alpha = local.dyn_alpha
     if alpha == 0.0:
         return
-    h = st.buffers["h"]
-    scratch = rows - sent
-    scratch *= alpha
-    for cid, step in zip(ids, scratch):
-        h[cid] -= step
     disp = sums.get("disp")
     if disp is None:
         disp = sums["disp"] = np.zeros_like(st.theta)
-    for row in np.subtract(rows, st.theta, out=scratch):
+    scratch = rows - sent
+    for row in scratch:
         disp += row
+    scratch *= alpha
+    h = st.buffers["h"]
+    for cid, step in zip(ids, scratch):
+        h[cid] -= step
 
 
 def _feddyn_v(st, cfg, ids):

@@ -118,7 +118,8 @@ def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
 @finite_checked
 def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
                  cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
-                 a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0) -> Rows:
+                 a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0,
+                 ws: np.ndarray | None = None) -> Rows:
     """Run K local steps for the clients at ``rows`` of ``group``, all
     from the same received model ``init``, and return their models as an
     (S, d) array, one row per entry of ``rows`` in the order given.
@@ -132,18 +133,24 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     each step's batch is a slice of them. Every step writes its gradient
     into one (S, d) buffer, through layer views of it and of the models
     built once per call, and its decay and ``c`` terms into one (S, d)
-    scratch, so a step makes no (S, d) temporary. Each step goes along
-    :func:`combine` with ``a``, ``v`` ((d,) or one row per client) and
-    ``c``, and is clipped only when some row leaves the clip ball.
+    scratch, so a step makes no (S, d) temporary. The models, the
+    gradient and the scratch are the first S rows of the three (R, d)
+    buffers of the C-ordered float64 workspace ``ws`` (3, R, d), R >= S,
+    which a caller that steps many chunks builds once and passes to each;
+    without one, the call allocates its own. The returned rows are a view
+    of ``ws``, valid until the next call that steps in it. Each step goes
+    along :func:`combine` with ``a``, ``v`` ((d,) or one row per client)
+    and ``c``, and is clipped only when some row leaves the clip ball.
 
     The caller has validated ``group`` against ``spec`` (``prepare`` does,
-    once per task); here only ``init``'s shape is checked. Each step guards
-    only the squared gradient norm that clipping needs, and the returned
-    models are checked once. A client that fails keeps stepping with the
-    others; afterwards the failure of the first failing row is raised,
-    with the round, its client id from ``group.ids`` and the step. A row's
-    non-finite features rank before its step and model failures, as they
-    would stop that client before its first step.
+    once per task); here only ``init``'s shape and ``ws``'s shape, dtype
+    and layout are checked. Each step guards only the squared gradient
+    norm that clipping needs, and the returned models are checked once. A
+    client that fails keeps stepping with the others; afterwards the
+    failure of the first failing row is raised, with the round, its client
+    id from ``group.ids`` and the step. A row's non-finite features rank
+    before its step and model failures, as they would stop that client
+    before its first step.
     """
     rows = np.asarray(rows, dtype=np.intp)
     S = len(rows)
@@ -157,10 +164,21 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     eta = cfg.lr(round)
 
     ball = min(cfg.clip_norm, np.finfo(np.float64).max)  # an overflowed norm is outside
-    theta = np.tile(init, (S, 1))
-    g = np.empty_like(theta)  # every step's gradient, then its update, in place
+    # the models; every step's gradient, then its update, in place; the
+    # decay term, then c*(theta - init)
+    if ws is None:
+        # the returned rows keep no gradient or scratch alive
+        theta, (g, scratch) = np.empty((S, init.size)), np.empty((2, S, init.size))
+    elif ws.dtype != np.float64 or ws.ndim != 3 or ws.shape[0] != 3 or \
+            ws.shape[1] < S or ws.shape[2] != init.size or not ws.flags.c_contiguous:
+        # layer views of strided rows would be copies, stepped out of sight
+        raise StructuralError(f"a workspace of shape {ws.shape} and dtype {ws.dtype} "
+                              f"cannot step {S} float64 models of shape {init.shape}")
+    else:
+        theta, g, scratch = ws[:, :S]
+    theta[:] = init
     views = (layer_views(spec, theta), layer_views(spec, g))
-    scratch = np.empty_like(theta)  # the decay term, then c*(theta - init)
+    sq = np.empty((S, 1, 1))  # each step's squared row norms
     first_bad_step = np.full(S, -1)
     shard_rows, order = np.arange(n), np.empty((S, n), dtype=np.intp)  # each epoch's shuffle
     pos = n  # the first step shuffles
@@ -177,7 +195,7 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
         combine(gradient_unchecked(spec, theta, X[:, batch], y[:, batch], g, views, scratch),
                 theta, init, a, v, c, scratch)
         pos += bs
-        norm = np.sqrt(sq_norms(g))
+        norm = np.sqrt(sq_norms(g, out=sq))
         if not (norm <= ball).all():
             # some row is outside the ball or its norm is not finite
             # (under an infinite clip_norm too); rows inside the ball

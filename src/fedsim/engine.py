@@ -3,12 +3,14 @@ aggregate, meter communication, and log per-round metrics.
 
 One loop serves every rule; what differs comes from the rule's entry in
 :data:`fedsim.algorithms.REGISTRY`. A round never holds all of its
-client models: each chunk that the local updates return is folded into
-the server's :class:`fedsim.server.Round` at once, in ascending client
-id order, so a round's memory is one chunk (and the rows that wait in
-the round's reorder map), not S·d. Nothing of round t, neither a client
-model nor the state before it, lives into round t+1. The downlink is
-metered from the payload, the uplink as one model per sampled client.
+client models: every chunk of a round steps in one workspace, built for
+the round, and the models it returns are folded into the server's
+:class:`fedsim.server.Round` at once, in ascending client id order, so a
+round's memory is the workspace's three chunk-sized buffers (and copies
+of the rows that wait in the round's reorder map), not S·d. Nothing of
+round t, neither a client model nor the state before it, lives into
+round t+1. The downlink is metered from the payload, the uplink as one
+model per sampled client.
 
 The client data is built once per invocation, by :func:`prepare`, into
 a :class:`Task` that every run over the same partition reads: the
@@ -68,13 +70,17 @@ from .algorithms import (aggregate_fedagm, feddyn_updated_state,  # noqa: F401
 from .server import aggregate as aggregate_baseline  # noqa: F401
 
 # Byte cap on the (S, d) parameter stack of one local_update call; it sets
-# how many clients step together. Larger chunks cut per-step dispatch but
-# grow every (S, d) and (S, bs, width) temporary of the step with them.
-# The value comes from a perfbench sweep on cross_silo (d = 7,210; 2 vCPU,
-# one BLAS thread): 128, 256 and 512 KiB read run_s 0.71, 0.64 and 0.63 s
-# and peak RSS 51.5, 52.4 and 54.3 MB, against 51.6 MB before the shard
-# groups. 512 KiB is faster still but breaks the benchmark's 5% RSS bound.
-STACK_BYTES = 256 * 1024
+# how many clients step together. Larger chunks cut per-call and per-step
+# dispatch but grow the round's workspace and every (S, bs, width)
+# temporary of the step with them. The value comes from a perfbench sweep
+# of cross_silo (d = 7,210, so 4, 6, 9 and 13 clients a chunk; seed 11,
+# 5 alternating runs each; 2-vCPU Xeon, one BLAS thread): 256, 384, 512
+# and 768 KiB read run_s medians 0.667, 0.649, 0.685 and 0.680 s and peak
+# RSS 45.9, 46.2, 47.0 and 48.0 MB. The traced peak of a two-round run
+# beyond the rule's buffers (tests/test_engine.py, bound 3 MiB) read
+# 2.43-2.48, 2.55-2.92, 3.12-3.66 and 3.89-4.65 MiB over fedavg, feddyn,
+# fedagm and fedcm, so larger chunks buy no time and break that bound.
+STACK_BYTES = 384 * 1024
 
 # Client-rounds whose streams one client_states pass seeds (at least one
 # round's worth). Per row a pass costs 45 µs at 10 rows, 5.7 µs at 100,
@@ -231,6 +237,8 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
         sampled = np.zeros(config.n_clients, dtype=bool)
         sampled[ids] = True
         rnd, failure = Round(state, algo, ids, payload[0], cfg), None
+        # the workspace every chunk of the round steps in
+        ws = np.empty((3, min(rows_per_chunk, len(ids)), theta0.size))
         for group in groups:
             members = np.flatnonzero(sampled[group.ids])
             for lo in range(0, len(members), rows_per_chunk):
@@ -242,8 +250,8 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
                 for rng, j in zip(pool, pos.tolist()):
                     rng.bit_generator.state = states[j]
                 try:
-                    models = local_update(spec, payload[0], group, rows, cfg, t,
-                                          pool[:len(chunk)], **algo.terms(state, cfg, chunk))
+                    models = local_update(spec, payload[0], group, rows, cfg, t, pool[:len(chunk)],
+                                          **algo.terms(state, cfg, chunk), ws=ws)
                 except NumericError as exc:
                     if failure is None or exc.client < failure.client:
                         failure = exc
@@ -251,6 +259,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
                 if failure is None:
                     rnd.add(chunk, models)
                 del models  # a round holds one chunk of client models at a time
+        del ws
         if failure is not None:
             raise failure
 

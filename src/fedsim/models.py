@@ -159,14 +159,23 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray):
     X of shape (S, n, input_dim)."""
     acts = [X]
     for W, b in layers[:-1]:
-        acts.append(np.tanh(acts[-1] @ W + b))
+        A = np.matmul(acts[-1], W)
+        A += b
+        acts.append(np.tanh(A, out=A))
     W, b = layers[-1]
-    return acts, acts[-1] @ W + b
+    logits = np.matmul(acts[-1], W)
+    logits += b
+    return acts, logits
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """``exp(log_softmax(logits))`` over the last axis, computed in place in
+    ``logits``, which is returned: the shift by the row max, the log of the
+    row sum of the shifted exponentials, then the exponential."""
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    lse = np.add.reduce(np.exp(logits), axis=-1, keepdims=True)
+    logits -= np.log(lse, out=lse)
+    return np.exp(logits, out=logits)
 
 
 def _residuals(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -238,7 +247,7 @@ def class_sum(E: np.ndarray) -> np.ndarray:
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``-_log_softmax`` at the labels ``y`` (rows,) of class-major logits
+    """The negated log-softmax at the labels ``y`` (rows,) of class-major logits
     (C, rows), which it overwrites; equal bit for bit to the row-major
     computation. The row max takes the classes in order, as a running
     maximum would, and a max rounds nothing. The loss is
@@ -313,16 +322,19 @@ def gradient_unchecked(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
     else:
         layers, grads = views or (layer_views(spec, params), layer_views(spec, out))
         acts, logits = _forward(layers, X)
-        upstream = np.exp(_log_softmax(logits))
+        upstream = _softmax(logits)
         upstream -= y
         upstream /= n
         for li in range(len(layers) - 1, -1, -1):
             gW, gb = grads[li]
             np.matmul(acts[li].transpose(0, 2, 1), upstream, out=gW)
-            upstream.sum(axis=1, keepdims=True, out=gb)
+            np.add.reduce(upstream, axis=1, keepdims=True, out=gb)
             if li > 0:
+                # the tanh slope 1 - a**2, in place in the activation a
                 W, _ = layers[li]
-                upstream = (upstream @ W.transpose(0, 2, 1)) * (1.0 - acts[li] ** 2)
+                slope = np.subtract(1.0, np.square(acts[li], out=acts[li]), out=acts[li])
+                upstream = np.matmul(upstream, W.transpose(0, 2, 1))
+                upstream *= slope
     if spec.l2_weight_decay:
         out += np.multiply(params, spec.l2_weight_decay, out=scratch)
     return out

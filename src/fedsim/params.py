@@ -56,13 +56,14 @@ def l2_norm_sq(x: np.ndarray) -> float:
     return float(np.dot(x, x))
 
 
-def sq_norms(stack: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of an (S, d) stack, unchecked.
+def sq_norms(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean norm of each row of an (S, d) stack, unchecked,
+    written into ``out`` (S, 1, 1) if given.
 
     Each row goes through the same BLAS ``ddot`` as ``np.dot(row, row)``,
     so a row's value does not depend on the rows stacked with it.
     """
-    return np.matmul(stack[:, None, :], stack[:, :, None])[:, 0, 0]
+    return np.matmul(stack[:, None, :], stack[:, :, None], out=out)[:, 0, 0]
 
 
 class Mean:

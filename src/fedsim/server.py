@@ -12,6 +12,7 @@ one (S, d) matrix.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,12 +54,14 @@ class Round:
     clients ``ids`` (ascending), who started from the model ``sent``.
 
     :meth:`add` takes the models of any of the clients, a block of rows at
-    a time, in any order of blocks. A row is folded once every lower id
-    has been; until then it waits in the reorder map, which never holds
-    more rows than the round has clients. Each run of rows that is next in
-    id order is folded as one block: into the mean, then through
-    ``rule.fold(sums, state, ids, rows, sent, local)`` into the rule's
-    running ``sums``. :meth:`finish` gives the new state.
+    a time, in any order of blocks; each client is added once. A row is
+    folded once every lower id has been; until then it waits in the
+    reorder map, as a copy, since the caller may reuse its rows; the map
+    never holds more rows than the round has clients. Each run of rows
+    that is next in id order is folded as one block: into the mean, then
+    through ``rule.fold(sums, state, ids, rows, sent, local)`` into the
+    rule's running ``sums``. :meth:`finish` gives the new state once every
+    client has been added.
     """
 
     def __init__(self, state: ServerState, rule, ids, sent=None, local=None):
@@ -79,8 +82,15 @@ class Round:
         if rows.shape[1:] != self.state.theta.shape or len(rows) != len(ids):
             raise StructuralError(f"client returns of shape {rows.shape} are not a stack "
                                   f"of {len(ids)} models of shape {self.state.theta.shape}")
+        positions = [self._position.get(cid) for cid in ids]
+        if None in positions:
+            raise StructuralError(f"client {ids[positions.index(None)]} is not in this round")
+        if any(p >= q for p, q in zip(positions, positions[1:])):
+            raise StructuralError(f"client ids {list(ids)} are not ascending and distinct")
         waiting = self._waiting
-        waiting.update((self._position[cid], (rows, i)) for i, cid in enumerate(ids))
+        if any(p < self._folded or p in waiting for p in positions):
+            raise StructuralError(f"a client of {list(ids)} was already added")
+        waiting.update((p, (rows, i)) for i, p in enumerate(positions))
         while self._folded in waiting:
             at = self._folded
             block, lo = waiting.pop(at)
@@ -93,6 +103,12 @@ class Round:
             self.rule.fold(self.sums, self.state, self.ids[at:at + n], run,
                            self.sent, self.local)
             self._folded = at + n
+        # the rows that still wait are the ones after the last folded one;
+        # one copy of them keeps each of their runs a slice
+        first = bisect.bisect(positions, self._folded)
+        if first < len(positions):
+            rest = rows[first:].copy()
+            waiting.update((p, (rest, i)) for i, p in enumerate(positions[first:]))
 
     @finite_checked
     def finish(self) -> ServerState:
@@ -100,6 +116,8 @@ class Round:
         local)`` gives the new model and the buffers it changed. A model
         that is not finite, or whose squared norm overflows, ends the run
         with its round."""
+        if self._folded < len(self.ids):
+            raise StructuralError(f"client {self.ids[self._folded]} was never added")
         state = self.state
         try:
             theta, changed = self.rule.step(state, self._mean.result(), self.sums, self.local)

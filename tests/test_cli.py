@@ -1296,15 +1296,27 @@ def test_threads_default_to_1_and_must_be_positive(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_blas_thread_count_never_changes_output(tmp_path):
-    # the training loss is evaluated over one shard group of 8 clients of
-    # 300 rows, so each matrix product of the mlp makes two full 1,024-row
-    # gemm blocks and a partial one
-    payload = {"algorithm": "fedagm", "rounds": 3, "clients": 8, "seed": 5,
+# The training loss is evaluated over one shard group of 8 clients of 300
+# rows, so each matrix product of the mlp makes two full 1,024-row gemm
+# blocks and a partial one.
+EVAL_BLOCKS = {"algorithm": "fedagm", "rounds": 3, "clients": 8, "seed": 5,
                "model": {"kind": "mlp", "input_dim": 16, "output_dim": 4, "hidden_dims": [32]},
                "data": {"classes": 4, "train_per_class": 600, "test_per_class": 50,
                         "input_dim": 16},
                "local": {"k": 5}}
+# The benchmark's cross_silo task over two rounds: 100 clients of d = 7,210
+# at full participation step in chunks of six rows.
+SILO_CHUNKS = {"algorithm": "feddyn", "rounds": 2, "clients": 100, "seed": 11,
+               "model": {"kind": "mlp", "input_dim": 64, "output_dim": 10,
+                         "hidden_dims": [96], "l2_weight_decay": 0.001},
+               "data": {"classes": 10, "train_per_class": 200, "test_per_class": 50,
+                        "input_dim": 64},
+               "partition": {"kind": "dirichlet", "concentration": 0.3},
+               "local": {"k": 2, "epochs": 1, "lr0": 0.1}}
+
+
+@pytest.mark.parametrize("payload", [EVAL_BLOCKS, SILO_CHUNKS], ids=["eval-blocks", "silo-chunks"])
+def test_blas_thread_count_never_changes_output(tmp_path, payload):
     cfg = write_config(tmp_path, payload)
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = []

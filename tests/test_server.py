@@ -12,7 +12,7 @@ from fedsim.algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
 from fedsim.client import LocalConfig
 from fedsim.errors import NumericError, StructuralError
 from fedsim.server import Round, ServerHyper, aggregate, init_state
-from oracles import momentum_residual_by_rows, server_round_by_rows
+from oracles import mean_by_rows, momentum_residual_by_rows, server_round_by_rows
 
 
 def vec(*xs):
@@ -298,6 +298,50 @@ def test_a_mean_that_overflows_ends_the_round_with_its_number():
     with pytest.raises(NumericError, match="mean produced non-finite entries") as ei:
         rnd.finish()
     assert ei.value.round == 6
+
+
+def fedavg_round(ids=(0, 1), d=1):
+    return Round(state_with(np.zeros(d), algorithm="fedavg"), REGISTRY["fedavg"], ids)
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([1, 0], "not ascending"), ([0, 0], "not ascending"), ([5], "client 5 is not in")])
+def test_a_round_rejects_a_block_it_cannot_fold_in_order(ids, message):
+    # a descending block would fold one row where two belong, a repeated
+    # id would count twice, an id from outside the round has no position
+    rnd = fedavg_round()
+    with pytest.raises(StructuralError, match=message):
+        rnd.add(ids, np.array([[10.0], [20.0]])[:len(ids)])
+
+
+def test_a_round_rejects_a_client_added_twice():
+    for first in ([0], [1]):
+        rnd = fedavg_round()
+        rnd.add(first, np.array([[1.0]]))
+        with pytest.raises(StructuralError, match="already added"):
+            rnd.add(first, np.array([[2.0]]))
+
+
+def test_a_round_finishes_only_once_every_client_is_added():
+    rnd = fedavg_round()
+    rnd.add([0], np.array([[1.0]]))
+    with pytest.raises(StructuralError, match="client 1 was never added"):
+        rnd.finish()
+    rnd.add([1], np.array([[2.0]]))
+    assert rnd.finish().theta.tolist() == [1.5]
+
+
+def test_rows_that_wait_for_a_lower_id_are_kept_as_they_arrived():
+    # the caller may reuse its buffer once add returns, as the engine's
+    # workspace does: the rows of clients 1 and 3 wait for client 0 and 2
+    rnd = fedavg_round([0, 1, 2, 3], d=2)
+    block = np.array([[1.0, -2.0], [3.0, 5.0]])
+    rnd.add([1, 3], block)
+    kept = block.copy()
+    block[:] = 99.0
+    rnd.add([0, 2], np.array([[7.0, 0.5], [-4.0, 8.0]]))
+    expected = mean_by_rows(np.array([[7.0, 0.5], kept[0], [-4.0, 8.0], kept[1]]))
+    assert rnd.finish().theta.tobytes() == expected.tobytes()
 
 
 # entries of client models and server states: signed zeros, often
