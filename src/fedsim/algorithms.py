@@ -2,9 +2,10 @@
 
 Every rule runs the same round. The server sends its ``payload``, whose
 first array is the model ``init`` the clients start from; each sampled
-client takes K clipped SGD steps along ``g = a·∇f(θ) + v + c·(θ − init)``,
-evaluated in that order, with ``a`` and ``c`` taken from the local
-hyperparameters and ``v`` fixed for the round. The server folds the
+client takes K clipped SGD steps along ``g = a·∇f(θ) − v + c·(θ − init)``,
+evaluated in that order, with the scalars ``a`` and ``c`` and the drift
+correction ``v``, fixed for the round, given by the rule's ``terms``
+hook, which passes its buffers as they are stored. The server folds the
 returned models in as they arrive, in ascending client id order, into
 their mean and the rule's own running sums (its ``fold``; see
 :class:`fedsim.server.Round`), then applies the rule's ``step`` to the
@@ -29,7 +30,10 @@ from .server import aggregate
 @dataclass(frozen=True)
 class Algorithm:
     """One rule. ``buffers(theta0, n_clients)`` are the only buffers its
-    state holds. ``fold(sums, state, ids, rows, sent, local)`` folds each
+    state holds. ``terms(state, local, ids)`` gives the ``a``, ``v`` and
+    ``c`` of :func:`fedsim.client.combine` for the clients ``ids``, only
+    those the rule uses (the others stay 1, None and 0).
+    ``fold(sums, state, ids, rows, sent, local)`` folds each
     block of returned models, in ascending id order, into the round's
     running ``sums`` (a dict, empty when the round starts); then
     ``step(state, mean, sums, local)`` gives the new model and the buffers
@@ -40,18 +44,12 @@ class Algorithm:
 
     step: Callable = lambda st, m, *_: (m, {})
     fold: Callable = lambda *_: None
-    a: Callable = lambda cfg: 1.0
-    c: Callable = lambda cfg: 0.0
-    v: Callable = lambda st, cfg, ids: None
+    terms: Callable = lambda st, cfg, ids: {}
     payload: Callable = lambda st: (st.theta,)
     buffers: Callable = lambda theta0, n_clients: {}
     check: Callable | None = None
     global_lr: float = 1.0
     trivial: dict | None = field(default_factory=dict)
-
-    def terms(self, state, cfg, ids) -> dict:
-        """The ``a``, ``v`` and ``c`` of the clients ``ids``."""
-        return dict(a=self.a(cfg), v=self.v(state, cfg, ids), c=self.c(cfg))
 
 
 def _zeros(*names):
@@ -164,12 +162,6 @@ def _feddyn_fold(sums, st, ids, rows, sent, local):
         h[cid] -= step
 
 
-def _feddyn_v(st, cfg, ids):
-    # -h of the clients ids, negated in place in the copy the gather makes
-    v = st.buffers["h"][ids]
-    return np.negative(v, out=v)
-
-
 def _feddyn_step(st, m, sums, local):
     # the server corrector averages over all N clients, not only the
     # sampled ones
@@ -191,25 +183,27 @@ def _fedcm_step(st, m, sums, local):
 REGISTRY: dict[str, Algorithm] = RULES  # the schema admits its names
 REGISTRY.update({
     "fedavg": Algorithm(),
-    "fedprox": Algorithm(c=lambda cfg: cfg.prox_mu, trivial={"local": {"prox_mu": 0.0}}),
+    "fedprox": Algorithm(terms=lambda st, cfg, ids: {"c": cfg.prox_mu},
+                         trivial={"local": {"prox_mu": 0.0}}),
     "fedavgm": Algorithm(step=_fedavgm_step, buffers=_zeros("avgm_buf"),
                          trivial={"server": {"avgm_beta": 0.0, "global_lr": 1.0}}),
     # sign-like steps on the moment ratio: no setting reduces it to fedavg
     "fedadam": Algorithm(step=_fedadam_step, buffers=_zeros("adam_m", "adam_v"),
                          global_lr=0.01, trivial=None),
     "feddyn": Algorithm(
-        c=lambda cfg: cfg.dyn_alpha, v=_feddyn_v,
+        # the gather copies h's rows, which the fold then refreshes in place
+        terms=lambda st, cfg, ids: {"c": cfg.dyn_alpha, "v": st.buffers["h"][ids]},
         step=_feddyn_step, fold=_feddyn_fold, trivial={"local": {"dyn_alpha": 0.0}},
         buffers=lambda theta0, n: {"dyn_h": np.zeros_like(theta0),
                                    "h": np.zeros((n, theta0.size))}),
     "fedcm": Algorithm(
-        a=lambda cfg: cfg.cm_alpha, step=_fedcm_step, buffers=_zeros("cm_momentum"),
-        v=lambda st, cfg, ids: (None if cfg.cm_alpha == 1.0 else
-                                (1.0 - cfg.cm_alpha) * st.buffers["cm_momentum"]),
+        terms=lambda st, cfg, ids: {"a": cfg.cm_alpha, "v": (
+            None if cfg.cm_alpha == 1.0 else (cfg.cm_alpha - 1.0) * st.buffers["cm_momentum"])},
+        step=_fedcm_step, buffers=_zeros("cm_momentum"),
         payload=lambda st: (st.theta, st.buffers["cm_momentum"]),
         trivial={"local": {"cm_alpha": 1.0}}),
     "fedagm": Algorithm(
-        a=lambda cfg: cfg.alpha, c=lambda cfg: cfg.beta, step=_fedagm_step,
+        terms=lambda st, cfg, ids: {"a": cfg.alpha, "c": cfg.beta}, step=_fedagm_step,
         buffers=_zeros("delta"), payload=lambda st: (lookahead(st),),
         fold=_fedagm_fold, check=_fedagm_check,
         trivial={"local": {"alpha": 1.0, "beta": 0.0}, "server": {"lam": 0.0, "tau": 1.0}}),

@@ -3,8 +3,9 @@
 Every algorithm runs the same skeleton: exactly K mini-batch SGD steps
 from the received model ``init``, with per-round learning rate
 ``lr0 * lr_decay**round``, no local momentum, and global-norm clipping,
-along ``g = a·∇f(θ) + v + c·(θ − init)``. The rule only chooses ``a``,
-``v`` and ``c`` (see :mod:`fedsim.algorithms`); :func:`combine` skips a
+along ``g = a·∇f(θ) − v + c·(θ − init)``. The rule only chooses ``a``,
+``v`` and ``c``, through its ``terms`` hook (see
+:mod:`fedsim.algorithms`); :func:`combine` skips a
 zero term and a = 1 rather than multiplying, so the degenerate settings
 stay bit-identical to fedavg.
 """
@@ -101,7 +102,7 @@ def derive_batch_size(shard_size: int, epochs: int, k: int) -> int:
 
 def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
             v: np.ndarray | None, c: float, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The step direction a*grad + v + c*(theta - init), in that order,
+    """The step direction a*grad - v + c*(theta - init), in that order,
     built in place in ``grad``, which is returned; c*(theta - init) is
     built in ``scratch``, an array of ``grad``'s shape (a new one by
     default). A skipped term (a = 1, v None, c = 0) is not computed at
@@ -109,7 +110,7 @@ def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
     if a != 1.0:
         grad *= a
     if v is not None:
-        grad += v
+        grad -= v
     if c != 0.0:
         grad += np.multiply(c, np.subtract(theta, init, out=scratch), out=scratch)
     return grad
@@ -139,8 +140,9 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     which a caller that steps many chunks builds once and passes to each;
     without one, the call allocates its own. The returned rows are a view
     of ``ws``, valid until the next call that steps in it. Each step goes
-    along :func:`combine` with ``a``, ``v`` ((d,) or one row per client)
-    and ``c``, and is clipped only when some row leaves the clip ball.
+    along :func:`combine` with ``a``, ``v`` ((d,) or one row per client,
+    subtracted) and ``c``, as a rule's ``terms`` gives them, and is
+    clipped only when some row leaves the clip ball.
 
     The caller has validated ``group`` against ``spec`` (``prepare`` does,
     once per task); here only ``init``'s shape and ``ws``'s shape, dtype

@@ -24,8 +24,8 @@ def clip_by_norm(g: np.ndarray, clip_norm: float) -> np.ndarray:
 def local_gradient_fedagm(spec, params, batch, broadcast, cfg) -> np.ndarray:
     """fedagm's local gradient alpha*grad_f(params) + beta*(params - broadcast),
     with alpha and beta as ``REGISTRY["fedagm"]`` reads them from ``cfg``."""
-    agm = REGISTRY["fedagm"]
-    g = combine(gradient(spec, params, batch), params, broadcast, agm.a(cfg), None, agm.c(cfg))
+    terms = REGISTRY["fedagm"].terms(None, cfg, [])
+    g = combine(gradient(spec, params, batch), params, broadcast, terms["a"], None, terms["c"])
     if not np.all(np.isfinite(g)):
         raise NumericError("local gradient is not finite")
     return g

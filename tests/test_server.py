@@ -246,8 +246,8 @@ def test_feddyn_refreshes_the_sampled_correctors():
     nxt = server_round(st, np.array([vec(0.5), vec(3.0)]), "feddyn", ids=[1, 3],
                        local=LocalConfig(dyn_alpha=0.5))
     np.testing.assert_array_equal(nxt.buffers["h"][:, 0], [0.0, 0.25, 0.0, -1.0])
-    v = REGISTRY["feddyn"].v(nxt, LocalConfig(), [3, 1])
-    np.testing.assert_array_equal(v[:, 0], [1.0, -0.25])
+    v = REGISTRY["feddyn"].terms(nxt, LocalConfig(), [3, 1])["v"]
+    np.testing.assert_array_equal(v[:, 0], [-1.0, 0.25])
 
 
 def test_fedcm_refreshes_momentum():

@@ -72,7 +72,7 @@ UNCHECKED = {
         "params.sq_norms", "models.gradient_unchecked", "client.combine"},
     "runs inside a decorated caller: Round, example_losses or engine.run": {
         "params.Mean.add", "params.Mean.result", "models.class_sum",
-        "algorithms.Algorithm.terms", "algorithms.momentum_residual_bound"},
+        "algorithms.momentum_residual_bound"},
     "its float arithmetic is all in decorated calls (axpy, Round, synthetic_split)": {
         "algorithms.lookahead", "server.aggregate", "algorithms.aggregate_fedagm",
         "data.generate_synthetic"},
