@@ -146,7 +146,7 @@ def sample_clients(N: int, participation: float, round: int, seed: int) -> list[
 
 def _client_streams(config: RunConfig):
     """Yield ``(round, sampled ids, their stream states)`` for every round:
-    the ids of :func:`sample_clients` and, per id, the state of
+    the ids of :func:`sample_clients` and, keyed by id, the state of
     ``default_rng([seed, 2, round, id])``, sampled and seeded for about
     ``STREAM_BLOCK`` client-rounds at a time."""
     N, p, seed = config.n_clients, config.participation, config.seed
@@ -155,7 +155,9 @@ def _client_streams(config: RunConfig):
         ids = [sample_clients(N, p, t, seed)]
         stop = min(config.rounds, t + max(1, STREAM_BLOCK // len(ids[0])))
         ids += [sample_clients(N, p, u, seed) for u in range(t + 1, stop)]
-        yield from zip(range(t, stop), ids, client_states(seed, range(t, stop), ids))
+        for u, cids, states in zip(range(t, stop), ids,
+                                   client_states(seed, range(t, stop), ids)):
+            yield u, cids, dict(zip(cids, states))
         t = stop
 
 
@@ -244,11 +246,10 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
             for lo in range(0, len(members), rows_per_chunk):
                 rows = members[lo:lo + rows_per_chunk]
                 chunk = group.ids[rows].tolist()
-                pos = np.searchsorted(ids, chunk)
                 pool += [np.random.Generator(np.random.PCG64(0))
                          for _ in range(len(chunk) - len(pool))]
-                for rng, j in zip(pool, pos.tolist()):
-                    rng.bit_generator.state = states[j]
+                for rng, cid in zip(pool, chunk):
+                    rng.bit_generator.state = states[cid]
                 try:
                     models = local_update(spec, payload[0], group, rows, cfg, t, pool[:len(chunk)],
                                           **algo.terms(state, cfg, chunk), ws=ws)
