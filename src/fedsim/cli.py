@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,7 +48,7 @@ from . import __version__
 from .algorithms import REGISTRY
 from .client import LocalConfig
 from .data import load_csv, split_stratified, synthetic_split
-from .engine import RunConfig, Task, prepare, run
+from .engine import RoundRecord, RunConfig, Task, prepare, run
 from .errors import ConfigError, NumericError, OutputError, StructuralError
 from .metrics import rounds_to_target
 from .models import ModelSpec
@@ -55,8 +56,8 @@ from .schema import DEFAULT_CONFIG, LEAVES, check_config, coerce
 from .selftest import run_selftest
 from .server import ServerHyper
 
-# The RoundRecord fields that make rounds.csv's header and rows, in order
-COLUMNS = ("round", "train_loss", "test_accuracy", "ema_accuracy", "bytes_down", "bytes_up")
+# rounds.csv's header and the fields of each row, in order
+COLUMNS = tuple(f.name for f in dataclasses.fields(RoundRecord))
 
 # The most float64 values a synthetic data set may hold (512 MiB); the
 # train/test split and the engine's shard groups copy it again. A larger

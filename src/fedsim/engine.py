@@ -120,8 +120,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One evaluated round, one row of ``rounds.csv`` in field order."""
+
     round: int
-    sampled_clients: tuple
     train_loss: float
     test_accuracy: float
     ema_accuracy: float
@@ -282,7 +283,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
             else:
                 acc = ema = math.nan
             record = RoundRecord(
-                round=t + 1, sampled_clients=tuple(ids), train_loss=train_loss,
+                round=t + 1, train_loss=train_loss,
                 test_accuracy=acc, ema_accuracy=ema,
                 bytes_down=acc_down, bytes_up=acc_up)
             acc_down = acc_up = 0

@@ -86,7 +86,6 @@ def _records_identical(a, b, down: int) -> bool:
         return False
     for ra, rb in zip(a, b):
         same = (ra.round == rb.round
-                and ra.sampled_clients == rb.sampled_clients
                 and _bits(ra.train_loss) == _bits(rb.train_loss)
                 and _bits(ra.test_accuracy) == _bits(rb.test_accuracy)
                 and _bits(ra.ema_accuracy) == _bits(rb.ema_accuracy)

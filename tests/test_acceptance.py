@@ -18,7 +18,7 @@ from fedsim.cli import _targets_report, main
 from fedsim.algorithms import aggregate_fedagm, momentum_residual, momentum_residual_bound
 from fedsim.client import LocalConfig
 from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, synthetic_split
-from fedsim.engine import RoundRecord, RunConfig, prepare, run
+from fedsim.engine import RoundRecord, RunConfig, prepare, run, sample_clients
 from fedsim.metrics import ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from fedsim.server import ServerHyper, ServerState, init_state
@@ -304,7 +304,8 @@ def test_c6_downlink_byte_accounting():
                         concentration=0.5, local=LocalConfig(k=3, epochs=1))
         task = task or prepare(cfg, ds, ds)
         result = run(cfg, task)
-        sampled = sum(len(r.sampled_clients) for r in result.records)
+        sampled = sum(len(sample_clients(cfg.n_clients, cfg.participation, t, cfg.seed))
+                      for t in range(cfg.rounds))
         expected = d * 8 * sampled * (2 if algo == "fedcm" else 1)
         got = sum(r.bytes_down for r in result.records)
         assert got == expected, f"{algo}: bytes_down {got} != {expected}"
@@ -321,7 +322,7 @@ def test_c6_downlink_byte_accounting():
 
 def _records(smoothed, every):
     """Records whose ema_accuracy is ``smoothed``, logged every ``every`` rounds."""
-    return [RoundRecord(round=every * (i + 1), sampled_clients=(), train_loss=0.0,
+    return [RoundRecord(round=every * (i + 1), train_loss=0.0,
                         test_accuracy=v, ema_accuracy=v, bytes_down=0, bytes_up=0)
             for i, v in enumerate(smoothed)]
 

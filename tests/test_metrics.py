@@ -79,7 +79,7 @@ def test_ema_rejects_nonfinite():
 def records_of(smoothed, every=3):
     """Records whose ``ema_accuracy`` is ``smoothed``, logged at rounds
     ``every``, 2 * ``every``, ..., so a record index never equals its round."""
-    return [RoundRecord(round=every * (i + 1), sampled_clients=(), train_loss=0.0,
+    return [RoundRecord(round=every * (i + 1), train_loss=0.0,
                         test_accuracy=v, ema_accuracy=v, bytes_down=0, bytes_up=0)
             for i, v in enumerate(smoothed)]
 
