@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, feddyn_updated_state
-from fedsim.client import (LocalConfig, derive_batch_size, local_update, shard_group,
+from fedsim.client import (LocalConfig, combine, derive_batch_size, local_update, shard_group,
                            shard_groups)
 from fedsim.data import Dataset, generate_synthetic, partition_dirichlet
 from fedsim.engine import RunConfig
@@ -119,6 +121,57 @@ def test_degenerations_are_bit_identical_to_fedavg(rule, cfg, aux):
     base = run("fedavg", cfg=LocalConfig(k=7))
     other = run(rule, cfg=cfg, aux=aux)
     assert base.tobytes() == other.tobytes()
+
+
+# signed zeros, the smallest subnormals, the smallest normal and ordinary values
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -2.25, 1e-300]
+
+
+@pytest.mark.parametrize("v_shape", ["row", "per client"])
+def test_combine_subtracts_v(v_shape):
+    # the step direction is a*g - v + c*(theta - init), evaluated left to
+    # right; adding v gives other bits wherever v is not zero, and -0.0 + 0.0
+    # is +0.0 where -0.0 - 0.0 is -0.0
+    rng = np.random.default_rng(29)
+    g, theta, init = (rng.choice(EDGES, size=(3, 8)) for _ in range(3))
+    v = rng.choice(EDGES, size=(8,) if v_shape == "row" else (3, 8))
+    expected = 0.7 * g - v + 0.3 * (theta - init)
+    grad = g.copy()
+    assert combine(grad, theta, init, 0.7, v, 0.3) is grad
+    assert grad.tobytes() == expected.tobytes()
+
+
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True),
+       m=hnp.arrays(np.float64, st.integers(1, 8),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_fedcm_drift_is_the_negated_momentum_share_bit_for_bit(alpha, m):
+    # fedcm's v = (cm_alpha - 1)*m, subtracted, steps exactly as the
+    # (1 - cm_alpha)*m that the paper adds; at cm_alpha = 1, where the
+    # signs of zero would differ, the rule passes no v
+    assert ((alpha - 1.0) * m).tobytes() == (-((1.0 - alpha) * m)).tobytes()
+
+
+# the client terms each rule uses; the others keep combine's skips
+USES = {"fedavg": "", "fedprox": "c", "fedavgm": "", "fedadam": "", "feddyn": "vc",
+        "fedcm": "av", "fedagm": "ac"}
+
+
+@pytest.mark.parametrize("rule", NAMES)
+def test_terms_give_only_the_used_terms_and_no_view_of_a_buffer(rule):
+    # a v that viewed a buffer would change under the fold's in-place
+    # refresh of it (feddyn's h), so v is a copy of what the rule stores
+    rng = np.random.default_rng(3)
+    algo, init = REGISTRY[rule], rng.normal(size=5)
+    buffers = {k: rng.normal(size=b.shape) for k, b in algo.buffers(init, 4).items()}
+    kept = {k: b.copy() for k, b in buffers.items()}
+    cfg = LocalConfig(alpha=0.9, beta=0.05, prox_mu=0.1, cm_alpha=0.3, dyn_alpha=0.05)
+    got = algo.terms(init_state(init, ServerHyper(), **buffers), cfg, [1, 3])
+    assert sorted(got) == sorted(USES[rule])
+    if rule == "feddyn":  # the correctors of clients 1 and 3, as stored
+        assert got["v"].tobytes() == kept["h"][[1, 3]].tobytes()
+    if "v" in got:
+        got["v"][...] = np.nan
+        assert all(buffers[k].tobytes() == kept[k].tobytes() for k in buffers)
 
 
 MLP3 = ModelSpec("mlp", input_dim=3, output_dim=3, hidden_dims=(4,), l2_weight_decay=0.01)
