@@ -3,9 +3,12 @@
 recorded in ``tests/golden/digests.json``. A change that moves a digest
 rewrites the file with ``python tests/golden/rewrite.py`` and says why."""
 
+import copy
+
 import pytest
 
 from golden.cases import CASES, differences, load, record, version_mismatch
+from golden.rewrite import moved
 
 
 def test_digests_were_made_with_this_numpy_and_blas():
@@ -18,3 +21,16 @@ def test_every_case_writes_its_recorded_bytes():
     expected = load()["cases"]
     diffs = differences(expected, {case.name: record(case) for case in CASES})
     assert not diffs, "golden outputs differ:\n" + "\n".join(diffs)
+
+
+def test_a_rewrite_names_each_record_that_moved():
+    old = load()
+    assert moved(old, copy.deepcopy(old)) == []
+    new = copy.deepcopy(old)
+    new["versions"]["blas_core"] = "another core"
+    new["cases"]["two-groups"]["files"]["rounds.csv"] = "0" * 64
+    del new["workloads"]["paper_c8-seed23"]
+    assert moved(old, new) == [
+        f"versions: blas_core {old['versions'].get('blas_core')!r} -> 'another core'",
+        "cases: two-groups: rounds.csv differs",
+        "workloads: paper_c8-seed23: not run"]
