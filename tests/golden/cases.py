@@ -4,8 +4,9 @@ Every case is one ``fedsim run`` or ``fedsim compare`` invocation, run in
 process through ``fedsim.cli.main``. A case's record is its exit status,
 its stderr lines and the sha256 of every file it writes except the
 manifests, which hold timestamps and the environment. ``digests.json``
-beside this file holds the records, and the numpy and BLAS versions they
-were made with, since the bytes depend on numpy's streams and kernels.
+beside this file holds the records, and the numpy and BLAS versions and
+the BLAS core they were made with, since the bytes depend on numpy's
+streams and kernels.
 
 ``CASES`` is the fast corpus: the 56-config matrix (7 rules × softmax or
 mlp × iid or Dirichlet × ``eval_every`` 1 or 3, as 8 compares of 7 rules)
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import hashlib
 import importlib.util
 import io
@@ -136,14 +138,30 @@ def workload_cases(seeds=(11, 23)) -> list[Case]:
             for w in workloads.WORKLOADS.values() for seed in seeds]
 
 
+def blas_core() -> str | None:
+    """The core type OpenBLAS runs on in this process, as the
+    ``scipy_openblas`` library that numpy wheels ship names it (SkylakeX,
+    Haswell, ...), or None when no such library can be read."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def versions() -> dict:
-    """The numpy and BLAS that made this process's digests."""
+    """The numpy and BLAS that made this process's digests, and the BLAS
+    core they ran on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # a numpy whose show_config has no mode
         blas = {}
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version")}
+            "blas_version": blas.get("version"), "blas_core": blas_core()}
 
 
 @contextlib.contextmanager
@@ -182,12 +200,20 @@ def load() -> dict:
 
 
 def version_mismatch(made_with: dict) -> str | None:
-    """What differs between the versions ``made_with`` and this process's,
-    or None."""
+    """What differs between the numpy and BLAS versions ``made_with`` and
+    this process's, or None. The BLAS core is left out: two cores can
+    share a kernel, so only bytes that differ fail (see :func:`core_note`)."""
     here = versions()
     diffs = [f"{key} {made_with.get(key)!r} (digests) vs {here[key]!r} (here)"
-             for key in here if made_with.get(key) != here[key]]
+             for key in here if key != "blas_core" and made_with.get(key) != here[key]]
     return "; ".join(diffs) or None
+
+
+def core_note(made_with: dict) -> str:
+    """The BLAS cores of the digests ``made_with`` and of this process,
+    the first suspect when the bytes differ."""
+    return (f"BLAS core {made_with.get('blas_core')!r} (digests) vs "
+            f"{versions()['blas_core']!r} (here)")
 
 
 def differences(expected: dict, got: dict) -> list[str]:

@@ -7,7 +7,8 @@ import copy
 
 import pytest
 
-from golden.cases import CASES, differences, load, record, version_mismatch
+from golden.cases import (CASES, core_note, differences, load, record, version_mismatch,
+                          versions)
 from golden.rewrite import moved
 
 
@@ -18,9 +19,21 @@ def test_digests_were_made_with_this_numpy_and_blas():
 
 
 def test_every_case_writes_its_recorded_bytes():
-    expected = load()["cases"]
-    diffs = differences(expected, {case.name: record(case) for case in CASES})
-    assert not diffs, "golden outputs differ:\n" + "\n".join(diffs)
+    digests = load()
+    diffs = differences(digests["cases"], {case.name: record(case) for case in CASES})
+    assert not diffs, (f"{core_note(digests['versions'])}; golden outputs differ:\n"
+                       + "\n".join(diffs))
+
+
+def test_a_blas_core_mismatch_alone_is_named_but_does_not_fail():
+    # two cores can share a kernel, so the core is recorded and named, and
+    # only bytes that differ fail
+    made_with = load()["versions"]
+    here = versions()
+    assert "blas_core" in made_with and "blas_core" in here
+    assert version_mismatch({**here, "blas_core": "another core"}) is None
+    assert core_note({**here, "blas_core": "another core"}) == (
+        f"BLAS core 'another core' (digests) vs {here['blas_core']!r} (here)")
 
 
 def test_a_rewrite_names_each_record_that_moved():

@@ -5,7 +5,8 @@ marked ``slow`` and left out of the default run; run them with
 
 import pytest
 
-from golden.cases import differences, load, record, version_mismatch, workload_cases
+from golden.cases import (core_note, differences, load, record, version_mismatch,
+                          workload_cases)
 
 pytestmark = pytest.mark.slow
 
@@ -17,4 +18,5 @@ def test_every_workload_writes_its_recorded_bytes():
         pytest.fail(f"golden digests were made with another numpy or BLAS: {mismatch}")
     got = {case.name: record(case) for case in workload_cases()}
     diffs = differences(digests["workloads"], got)
-    assert not diffs, "golden outputs differ:\n" + "\n".join(diffs)
+    assert not diffs, (f"{core_note(digests['versions'])}; golden outputs differ:\n"
+                       + "\n".join(diffs))
