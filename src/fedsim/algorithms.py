@@ -6,8 +6,8 @@ client takes K clipped SGD steps along ``g = a·∇f(θ) − v + c·(θ − init
 evaluated in that order, with the scalars ``a`` and ``c`` and the drift
 correction ``v``, fixed for the round, given by the rule's ``terms``
 hook, which passes its buffers as they are stored. The server folds the
-returned models in as they arrive, in ascending client id order, into
-their mean and the rule's own running sums (its ``fold``; see
+returned models in as they arrive, in the order the engine steps them,
+into their mean and the rule's own running sums (its ``fold``; see
 :class:`fedsim.server.Round`), then applies the rule's ``step`` to the
 mean. A zero term is skipped, not multiplied by zero (``0.0*x`` can be
 ``-0.0``), and a = 1 multiplies nothing, so each rule at its ``trivial``
@@ -34,7 +34,7 @@ class Algorithm:
     ``c`` of :func:`fedsim.client.combine` for the clients ``ids``, only
     those the rule uses (the others stay 1, None and 0).
     ``fold(sums, state, ids, rows, sent, local)`` folds each
-    block of returned models, in ascending id order, into the round's
+    block of returned models, in the order they arrive, into the round's
     running ``sums`` (a dict, empty when the round starts); then
     ``step(state, mean, sums, local)`` gives the new model and the buffers
     it changed. ``check(before, sums, after)``, if set, raises on a broken

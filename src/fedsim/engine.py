@@ -5,11 +5,9 @@ One loop serves every rule; what differs comes from the rule's entry in
 :data:`fedsim.algorithms.REGISTRY`. A round never holds all of its
 client models: every chunk of a round steps in one workspace, built for
 the round, and the models it returns are folded into the server's
-:class:`fedsim.server.Round` at once, in ascending client id order, so a
-round's memory is the workspace's three chunk-sized buffers (and copies
-of the rows that wait in the round's reorder map), not S·d. Nothing of
-round t, neither a client model nor the state before it, lives into
-round t+1. The downlink is metered from the payload, the uplink as one
+:class:`fedsim.server.Round` at once, so a round's memory is the
+workspace's three chunk-sized buffers, not S·d. Nothing of round t,
+neither a client model nor the state before it, lives into round t+1. The downlink is metered from the payload, the uplink as one
 model per sampled client.
 
 The client data is built once per invocation, by :func:`prepare`, into
@@ -38,12 +36,13 @@ numpy's seeding arithmetic over the whole block at once, and one pool of
 generators is re-seated with those states chunk by chunk, so each client
 draws exactly what its own ``default_rng`` would. Sampled clients of one
 shard group step together in chunks capped at ``STACK_BYTES`` of
-parameters, bit-identical to running them one at a time, and each chunk
-is folded in ascending id order whatever the order of the chunks, so
-outputs are byte-identical for a fixed config. A numeric failure stops
-the folding, but every chunk of its round still runs, and the failure is
-raised for the lowest failing client id at its first failing step, as
-one-at-a-time execution would report it.
+parameters, bit-identical to running them one at a time. The round
+folds their models group by group, in the order of ``Task.groups`` (the
+group of client 0 first), ascending within a group, whatever
+``STACK_BYTES`` is, so outputs are byte-identical for a fixed config. A
+numeric failure stops the folding, but every chunk of its round still
+runs, and the failure is raised for the lowest failing client id at its
+first failing step, as one-at-a-time execution would report it.
 """
 
 from __future__ import annotations

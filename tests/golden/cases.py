@@ -94,7 +94,7 @@ def _extras() -> list[Case]:
 
     return [
         # 60 examples over 7 clients: shards of 9 and of 8 whose ids
-        # interleave, so a round folds rows from two groups in id order
+        # interleave, so a round folds one group's rows, then the other's
         run("two-groups", algorithm="fedagm", clients=7, participation=1.0,
             partition__kind="dirichlet", partition__concentration=0.5),
         run("linear-regression", algorithm="fedcm",

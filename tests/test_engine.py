@@ -15,8 +15,9 @@ from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, synthe
 from fedsim.engine import RunConfig, RoundRecord, prepare, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params, param_dim
-from fedsim.server import Round, ServerHyper, aggregate, init_state
+from fedsim.server import Round, ServerHyper
 from fedsim.streams import client_states
+from oracles import mean_by_rows
 
 
 def small_data(seed=0):
@@ -261,21 +262,29 @@ def test_each_sampled_client_steps_on_its_own_shard():
     # one fedavg round at clients 0, 2, 3 and 4 of 7, whose Dirichlet shards
     # of 13 and 12 examples fall in both size groups (client 2 alone holds
     # 12, so the other group's rows are not its client ids): the new model
-    # is the mean of each sampled client stepped alone on its own shard
+    # is the mean of each sampled client stepped alone on its own shard,
+    # taken group by group, ascending within a group
     train, test = small_data()
     cfg = config("fedavg", rounds=1, n_clients=7, participation=4 / 7, seed=2,
                  partition_kind="dirichlet")
     ids = sample_clients(7, cfg.participation, 0, cfg.seed)
     assignments = partition_dirichlet(train, 7, cfg.concentration, cfg.seed)
     assert len(ids) == 4 and len({len(assignments[cid]) for cid in ids}) == 2
+    task = prepare(cfg, train, test)
+    order = [cid for group in task.groups for cid in group.ids.tolist() if cid in ids]
+    assert order == [0, 3, 4, 2]
     theta0 = init_params(SPEC, np.random.default_rng([cfg.seed, 0]))
-    alone = np.concatenate([
-        local_update(SPEC, theta0, shard_group(train, [assignments[cid]], [cid]), [0],
-                     cfg.local, 0, [np.random.default_rng([cfg.seed, 2, 0, cid])])
-        for cid in ids])
-    expected = aggregate(init_state(theta0, cfg.server), REGISTRY["fedavg"], alone)
-    out = run(cfg, prepare(cfg, train, test))
-    assert out.final_state.theta.tobytes() == expected.theta.tobytes()
+    alone = {cid: local_update(SPEC, theta0, shard_group(train, [assignments[cid]], [cid]),
+                               [0], cfg.local, 0, [np.random.default_rng([cfg.seed, 2, 0, cid])])
+             for cid in ids}
+
+    def mean_in(clients):
+        return mean_by_rows(np.concatenate([alone[cid] for cid in clients]))
+
+    out = run(cfg, task)
+    assert out.final_state.theta.tobytes() == mean_in(order).tobytes()
+    # the order shows: the same models folded in id order give other bytes
+    assert mean_in(ids).tobytes() != mean_in(order).tobytes()
     # a plain ndarray, not local_update's subclass, which would slow every
     # later step on the model by a third
     assert type(out.final_state.theta) is np.ndarray
@@ -316,8 +325,7 @@ def test_round_returns_die_before_the_next_round(monkeypatch):
     # neither a client model of round t nor the state it was folded into is
     # still referenced when round t+1 runs any local update, for any rule's
     # fold, step and check; both are released before round t evaluates its
-    # new model. With two shard groups, client 6's row waits in the reorder
-    # map until client 5's arrives.
+    # new model, with two shard groups a round.
     task = small_task(n_clients=7, partition_kind="dirichlet")
     global_loss = engine.global_loss
     refs, alive = [], []  # (round, weak reference); live references per call
@@ -352,8 +360,8 @@ def test_round_returns_die_before_the_next_round(monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_a_round_holds_one_chunk_of_client_models(monkeypatch, name):
-    # two clients a chunk, five chunks a round on one shard group, folded in
-    # id order as they come: no chunk's models are still referenced when the
+    # two clients a chunk, five chunks a round on one shard group, each
+    # folded as it comes: no chunk's models are still referenced when the
     # next local_update starts
     monkeypatch.setattr(engine, "STACK_BYTES", 2 * 8 * param_dim(SPEC))
     refs, alive = [], []

@@ -305,13 +305,15 @@ def fedavg_round(ids=(0, 1), d=1):
 
 
 @pytest.mark.parametrize("ids, message", [
-    ([1, 0], "not ascending"), ([0, 0], "not ascending"), ([5], "client 5 is not in")])
-def test_a_round_rejects_a_block_it_cannot_fold_in_order(ids, message):
-    # a descending block would fold one row where two belong, a repeated
-    # id would count twice, an id from outside the round has no position
+    ([0, 0], "client 0 was already added"), ([1, 5], "client 5 is not in this round")])
+def test_a_round_rejects_a_block_it_cannot_fold(ids, message):
+    # a repeated id would count its client twice, an id from outside the
+    # round was not sampled; the check comes before anything is folded
     rnd = fedavg_round()
     with pytest.raises(StructuralError, match=message):
         rnd.add(ids, np.array([[10.0], [20.0]])[:len(ids)])
+    rnd.add([1, 0], np.array([[3.0], [1.0]]))
+    assert rnd.finish().theta.tolist() == [2.0]
 
 
 def test_a_round_rejects_a_client_added_twice():
@@ -331,16 +333,16 @@ def test_a_round_finishes_only_once_every_client_is_added():
     assert rnd.finish().theta.tolist() == [1.5]
 
 
-def test_rows_that_wait_for_a_lower_id_are_kept_as_they_arrived():
-    # the caller may reuse its buffer once add returns, as the engine's
-    # workspace does: the rows of clients 1 and 3 wait for client 0 and 2
+def test_a_caller_may_reuse_its_rows_once_add_returns():
+    # as the engine's workspace does: the round folds the rows of clients
+    # 1 and 3 before the next block comes, and keeps none of them
     rnd = fedavg_round([0, 1, 2, 3], d=2)
     block = np.array([[1.0, -2.0], [3.0, 5.0]])
     rnd.add([1, 3], block)
     kept = block.copy()
     block[:] = 99.0
     rnd.add([0, 2], np.array([[7.0, 0.5], [-4.0, 8.0]]))
-    expected = mean_by_rows(np.array([[7.0, 0.5], kept[0], [-4.0, 8.0], kept[1]]))
+    expected = mean_by_rows(np.array([kept[0], kept[1], [7.0, 0.5], [-4.0, 8.0]]))
     assert rnd.finish().theta.tobytes() == expected.tobytes()
 
 
@@ -351,23 +353,19 @@ values = hs.sampled_from([0.0, -0.0]) | hs.floats(-4.0, 4.0, allow_nan=False)
 @hs.composite
 def arrivals(draw):
     """A round's client count N, its sampled ids, their models (S, d), and
-    the blocks of positions in which the models arrive: the ids split into
-    two shard groups, each cut into ascending chunks, the first group's
-    chunks first, as the engine runs them."""
+    the blocks of positions in which the models arrive: the positions in
+    any order, cut into blocks anywhere."""
     S, d = draw(hs.integers(1, 8)), draw(hs.integers(1, 5))
     N = S + draw(hs.integers(0, 4))
     ids = sorted(draw(hs.lists(hs.integers(0, N - 1), min_size=S, max_size=S, unique=True)))
     returns = draw(hnp.arrays(np.float64, (S, d), elements=values))
-    second = draw(hs.lists(hs.booleans(), min_size=S, max_size=S))
-    blocks = []
-    for group in ([p for p in range(S) if not second[p]], [p for p in range(S) if second[p]]):
-        cuts = draw(hs.lists(hs.booleans(), min_size=len(group), max_size=len(group)))
-        chunk = []
-        for p, cut in zip(group, cuts):
-            chunk.append(p)
-            if cut or p == group[-1]:
-                blocks.append(chunk)
-                chunk = []
+    order = draw(hs.permutations(range(S)))
+    cuts = draw(hs.lists(hs.booleans(), min_size=S - 1, max_size=S - 1))
+    blocks = [[order[0]]]
+    for p, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append([])
+        blocks[-1].append(p)
     return N, ids, returns, blocks
 
 
@@ -375,9 +373,11 @@ def arrivals(draw):
 @given(arrived=arrivals(), data=hs.data())
 def test_the_fold_equals_the_matrix_code_bit_for_bit(arrived, data):
     # every rule's new model, buffers and check residual, folded block by
-    # block (through the reorder map when the groups' ids interleave), are
-    # the bits of the round computed over the whole (S, d) matrix
+    # block, are the bits of the round computed over the whole (S, d)
+    # matrix with its rows in the order they arrived
     N, ids, returns, blocks = arrived
+    order = [p for block in blocks for p in block]
+    in_order = returns[order]
     theta = data.draw(hnp.arrays(np.float64, returns.shape[1], elements=values))
     hyper = ServerHyper(**{key: data.draw(hs.sampled_from(choices)) for key, choices in (
         ("tau", [1.0, 0.5]), ("lam", [0.0, 0.85]), ("avgm_beta", [0.0, 0.6]),
@@ -398,11 +398,12 @@ def test_the_fold_equals_the_matrix_code_bit_for_bit(arrived, data):
         for block in blocks:
             rnd.add([ids[p] for p in block], returns[block])
         after = rnd.finish()
-        expected = server_round_by_rows(fresh(), name, returns, ids, sent, local)
+        expected = server_round_by_rows(fresh(), name, in_order, [ids[p] for p in order],
+                                        sent, local)
         assert after.theta.tobytes() == expected.theta.tobytes(), name
         assert after.buffers.keys() == expected.buffers.keys()
         for key, b in after.buffers.items():
             assert b.tobytes() == expected.buffers[key].tobytes(), (name, key)
         if rule.check is not None:
-            residual = momentum_residual_by_rows(fresh(), returns, after)
+            residual = momentum_residual_by_rows(fresh(), in_order, after)
             assert rule.check(before, rnd.sums, after) == residual
