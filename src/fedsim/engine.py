@@ -7,8 +7,9 @@ client models: every chunk of a round steps in one workspace, built for
 the round, and the models it returns are folded into the server's
 :class:`fedsim.server.Round` at once, so a round's memory is the
 workspace's three chunk-sized buffers, not S·d. Nothing of round t,
-neither a client model nor the state before it, lives into round t+1. The downlink is metered from the payload, the uplink as one
-model per sampled client.
+neither a client model nor the state before it, lives into round t+1.
+The downlink is metered from the payload, the uplink as one model per
+sampled client.
 
 The client data is built once per invocation, by :func:`prepare`, into
 a :class:`Task` that every run over the same partition reads: the

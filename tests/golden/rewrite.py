@@ -4,10 +4,10 @@
 
 Runs every case of the corpus and of the benchmark workloads, and writes
 their records with this process's numpy and BLAS versions and BLAS
-core. Before it writes, it prints each record that moved against the file it replaces:
-a key of the versions block, or a file, exit status or stderr of a case
-or a workload run; or "no record moved". A change that moves any digest
-says which and why.
+core. Before it writes, it prints each record that moved against the
+file it replaces: a key of the versions block, or a file, exit status or
+stderr of a case or a workload run; or "no record moved". A change that
+moves any digest says which and why.
 """
 
 import json
