@@ -97,8 +97,12 @@ def momentum_residual(before, returns, after) -> float:
     return _residual(before, Mean().add(returns - lookahead(before)), after)
 
 
-def momentum_residual_bound(after, rel: float = 1e-12) -> float:
-    return rel * (1.0 + float(np.max(np.abs(after.buffers["delta"]))))
+# The momentum identity's residual bound, relative to 1 + max|delta'|
+RESIDUAL_REL = 1e-12
+
+
+def momentum_residual_bound(after) -> float:
+    return RESIDUAL_REL * (1.0 + float(np.max(np.abs(after.buffers["delta"]))))
 
 
 def _fedagm_check(before, sums, after) -> float:

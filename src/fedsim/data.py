@@ -71,13 +71,6 @@ def synthetic_split(seed: int, clusters: int, train_per_class: int, test_per_cla
                  for x in (train, test))
 
 
-def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
-                       spread: float) -> Dataset:
-    """The one set of :func:`synthetic_split` with ``per_class`` training
-    examples of each class and no test examples."""
-    return synthetic_split(seed, clusters, per_class, 0, input_dim, spread)[0]
-
-
 @finite_checked
 def load_csv(path: str, label_column: str, normalize: bool = True) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.

@@ -41,9 +41,9 @@ parameters, bit-identical to running them one at a time. The round
 folds their models group by group, in the order of ``Task.groups`` (the
 group of client 0 first), ascending within a group, whatever
 ``STACK_BYTES`` is, so outputs are byte-identical for a fixed config. A
-numeric failure stops the folding, but every chunk of its round still
-runs, and the failure is raised for the lowest failing client id at its
-first failing step, as one-at-a-time execution would report it.
+numeric failure aborts the round at once, naming the first failing
+client in fold order, at its first failing step, as one-at-a-time
+execution in that order would report it.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
 
         sampled = np.zeros(config.n_clients, dtype=bool)
         sampled[ids] = True
-        rnd, failure = Round(state, algo, ids, payload[0], cfg), None
+        rnd = Round(state, algo, ids, payload[0], cfg)
         # the workspace every chunk of the round steps in
         ws = np.empty((3, min(rows_per_chunk, len(ids)), theta0.size))
         for group in groups:
@@ -251,19 +251,11 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
                          for _ in range(len(chunk) - len(pool))]
                 for rng, cid in zip(pool, chunk):
                     rng.bit_generator.state = states[cid]
-                try:
-                    models = local_update(spec, payload[0], group, rows, cfg, t, pool[:len(chunk)],
-                                          **algo.terms(state, cfg, chunk), ws=ws)
-                except NumericError as exc:
-                    if failure is None or exc.client < failure.client:
-                        failure = exc
-                    continue
-                if failure is None:
-                    rnd.add(chunk, models)
-                del models  # a round holds one chunk of client models at a time
+                # a round holds one chunk of client models at a time
+                rnd.add(chunk, local_update(spec, payload[0], group, rows, cfg, t,
+                                            pool[:len(chunk)], **algo.terms(state, cfg, chunk),
+                                            ws=ws))
         del ws
-        if failure is not None:
-            raise failure
 
         before, state = state, rnd.finish()
         if algo.check is not None:

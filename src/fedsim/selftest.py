@@ -20,20 +20,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from .algorithms import (REGISTRY, aggregate_fedagm, momentum_residual,
-                         momentum_residual_bound)
+from .algorithms import REGISTRY, lookahead, momentum_residual_bound
 from .client import LocalConfig, local_update, shard_group
-from .data import Dataset, generate_synthetic, partition_dirichlet
+from .data import Dataset, partition_dirichlet, synthetic_split
 from .engine import RunConfig, prepare, run
+from .errors import NumericError
 from .models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
-from .server import ServerHyper, init_state
+from .server import Round, ServerHyper, init_state
 from .streams import client_states
 
 
 def _momentum_recurrence(perturb_lambda_sign: bool) -> bool:
-    """Aggregate random rounds and verify delta' = tau*gbar + lam*delta,
-    both through the library's own residual check and through an
-    independently coded prediction (the one the sign perturbation bends)."""
+    """Run random fedagm rounds through the fold and the check that
+    ``engine.run`` calls, and verify delta' = tau*gbar + lam*delta both
+    through the rule's own check and through an independently coded
+    prediction (the one the sign perturbation bends)."""
+    rule = REGISTRY["fedagm"]
     rng = np.random.default_rng(20250811)
     sign = -1.0 if perturb_lambda_sign else 1.0
     for _ in range(200):
@@ -44,14 +46,18 @@ def _momentum_recurrence(perturb_lambda_sign: bool) -> bool:
         state = init_state(theta, hyper, delta=delta)
         returns = np.array([state.theta + 0.1 * rng.standard_normal(d)
                             for _ in range(int(rng.integers(1, 9)))])
-        after = aggregate_fedagm(state, returns)
-        bound = momentum_residual_bound(after)
-        if momentum_residual(state, returns, after) > bound:
+        rnd = Round(state, rule, range(len(returns)), lookahead(state))
+        rnd.add(rnd.ids, returns)
+        after = rnd.finish()
+        try:
+            rule.check(state, rnd.sums, after)
+        except NumericError:
             return False
         bc = state.theta - hyper.lam * delta
         gbar = -(np.mean(returns, axis=0) - bc)
         predicted = hyper.tau * gbar + sign * hyper.lam * delta
-        if float(np.max(np.abs(after.buffers["delta"] - predicted))) > bound:
+        residual = float(np.max(np.abs(after.buffers["delta"] - predicted)))
+        if residual > momentum_residual_bound(after):
             return False
     return True
 
@@ -105,7 +111,8 @@ def _degenerations() -> bool:
     averaging exactly — first per local update, then over a full run."""
     spec = ModelSpec("softmax_classifier", input_dim=4, output_dim=3,
                      l2_weight_decay=0.001)
-    ds = generate_synthetic(seed=5, clusters=3, per_class=30, input_dim=4, spread=1.0)
+    ds = synthetic_split(seed=5, clusters=3, train_per_class=30, test_per_class=0,
+                         input_dim=4, spread=1.0)[0]
     shard = shard_group(ds, [np.arange(20)])
     train, test = ds.subset(range(60)), ds.subset(range(60, 90))
     init = np.random.default_rng(1).normal(size=param_dim(spec))
@@ -171,7 +178,8 @@ def _group_equals_one_at_a_time() -> bool:
 
 def _partition_invariants() -> bool:
     rng = np.random.default_rng(13)
-    ds = generate_synthetic(seed=2, clusters=6, per_class=40, input_dim=3, spread=1.0)
+    ds = synthetic_split(seed=2, clusters=6, train_per_class=40, test_per_class=0,
+                         input_dim=3, spread=1.0)[0]
     for _ in range(20):
         n_clients = int(rng.integers(2, 30))
         conc = float(rng.choice([0.05, 0.3, 1.0, 10.0]))
@@ -214,17 +222,17 @@ CHECKS = (
 )
 
 
-def run_selftest(perturb_lambda_sign: bool = False, out=print) -> int:
+def run_selftest(perturb_lambda_sign: bool = False) -> int:
     """Run every check, print one PASS/FAIL line per check, return the
     process exit status (0 iff all passed)."""
     failed = []
     for name, check in CHECKS:
         ok = check(perturb_lambda_sign)
-        out(f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
             failed.append(name)
     if failed:
-        out(f"selftest failed: {', '.join(failed)}")
+        print(f"selftest failed: {', '.join(failed)}")
         return 1
-    out("selftest passed")
+    print("selftest passed")
     return 0

@@ -8,6 +8,7 @@ import numpy as np
 
 from fedsim.algorithms import REGISTRY, feddyn_updated_state, lookahead
 from fedsim.client import combine
+from fedsim.data import synthetic_split
 from fedsim.errors import NumericError
 from fedsim.models import gradient
 from fedsim.params import axpy, l2_norm_sq
@@ -98,11 +99,18 @@ def partition_dirichlet_by_deal(dataset, N: int, concentration: float, seed: int
     return tuple(np.array(sorted(p), dtype=np.int64) for p in parts)
 
 
+def generate_synthetic(seed: int, clusters: int, per_class: int, input_dim: int,
+                       spread: float):
+    """The one set of :func:`fedsim.data.synthetic_split` with ``per_class``
+    training examples of each class and no test examples."""
+    return synthetic_split(seed, clusters, per_class, 0, input_dim, spread)[0]
+
+
 def take_per_class_by_scan(dataset, count_per_class: int) -> tuple:
     """The index lists of the first ``count_per_class`` examples of every
     class and of the rest, from one scan over the labels that counts each
     class as it goes: how :func:`fedsim.data.synthetic_split` cuts the one
-    set that :func:`fedsim.data.generate_synthetic` draws."""
+    set that :func:`generate_synthetic` draws."""
     first, second = [], []
     taken = np.zeros(dataset.class_count, dtype=np.int64)
     for i, c in enumerate(dataset.labels):

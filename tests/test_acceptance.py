@@ -17,12 +17,12 @@ import pytest
 from fedsim.cli import _targets_report, main
 from fedsim.algorithms import aggregate_fedagm, momentum_residual, momentum_residual_bound
 from fedsim.client import LocalConfig
-from fedsim.data import generate_synthetic, partition_dirichlet, partition_iid, synthetic_split
+from fedsim.data import partition_dirichlet, partition_iid, synthetic_split
 from fedsim.engine import RoundRecord, RunConfig, prepare, run, sample_clients
 from fedsim.metrics import ema_update, rounds_to_target
 from fedsim.models import ModelSpec, fd_gradient, gradient, make_batch, param_dim
 from fedsim.server import ServerHyper, ServerState, init_state
-from oracles import local_gradient_fedagm
+from oracles import generate_synthetic, local_gradient_fedagm
 
 
 def _write(tmp_path, name, payload):

@@ -346,6 +346,21 @@ def test_missing_config_exits_2_naming_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda path: path.mkdir(),
+     "cannot read config file: [Errno 21] Is a directory: 'cfg.json' [cfg.json]"),
+    (lambda path: path.write_text(json.dumps([SMALL])),
+     "top-level config must be a JSON object [cfg.json]"),
+], ids=["directory", "array"])
+def test_config_that_is_no_json_object_file_exits_2_naming_path(tmp_path, capsys, monkeypatch,
+                                                                make, error):
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "cfg.json")
+    assert main(["run", "--config", "cfg.json", "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_numeric_abort_exits_3_and_keeps_partial_csv(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--config", write_config(tmp_path),
@@ -441,6 +456,23 @@ def test_non_finite_csv_cell_exits_2_naming_the_cell(tmp_path, capsys, normalize
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "tiny.csv:6:1" in err[0] and "'nan'" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,error", [
+    ("a,b,species\n", "no data rows after the header [tiny.csv:1]"),
+    # the blank line 3 is no row, but the bad value after it names line 4
+    ("a,b,species\n1,2,x\n\n3,oops,y\n",
+     "non-numeric feature value 'oops' in column 'b' [tiny.csv:4]"),
+], ids=["header_only", "after_a_blank_line"])
+def test_csv_without_data_or_with_a_bad_value_exits_2_naming_its_line(
+        tmp_path, capsys, monkeypatch, text, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.csv").write_text(text)
+    payload = {"rounds": 2, "clients": 2, "model": {"input_dim": 2, "output_dim": 3},
+               "data": {"kind": "csv", "path": "tiny.csv", "label_column": "species"}}
+    assert main(["run", "--config", write_config(tmp_path, payload), "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("override,key", [

@@ -11,7 +11,7 @@ from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, feddyn_updated_state
 from fedsim.client import (LocalConfig, combine, derive_batch_size, local_update, shard_group,
                            shard_groups)
-from fedsim.data import Dataset, generate_synthetic, partition_dirichlet
+from fedsim.data import Dataset, partition_dirichlet
 from fedsim.engine import RunConfig
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, gradient, make_batch, param_dim

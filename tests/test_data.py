@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.data import (Dataset, generate_synthetic, load_csv, partition_dirichlet,
-                         partition_iid, split_stratified, synthetic_split)
+from fedsim.data import (Dataset, load_csv, partition_dirichlet, partition_iid,
+                         split_stratified, synthetic_split)
 from fedsim.errors import ConfigError, StructuralError
 from fedsim.models import ModelSpec, accuracy, gradient, param_dim
-from oracles import partition_dirichlet_by_deal, take_per_class_by_scan
+from oracles import generate_synthetic, partition_dirichlet_by_deal, take_per_class_by_scan
 
 
 def entropy(counts):
@@ -207,7 +207,12 @@ def test_partition_dirichlet_equals_the_dealing_loop():
 
 def test_partition_dirichlet_at_scale_equals_the_dealing_loop():
     ds = generate_synthetic(seed=3, clusters=10, per_class=500, input_dim=2, spread=1.0)
-    for N, conc, seed in [(1000, 0.3, 11), (100, 0.3, 23), (997, 0.05, 5), (5000, 1.0, 7)]:
+    # the last case draws no share of some class for either client, so that
+    # class is dealt evenly
+    ratios = np.random.default_rng(0).dirichlet(np.full(10, 0.001), size=2)
+    assert (ratios.sum(axis=0) == 0.0).any()
+    for N, conc, seed in [(1000, 0.3, 11), (100, 0.3, 23), (997, 0.05, 5), (5000, 1.0, 7),
+                          (2, 0.001, 0)]:
         got = partition_dirichlet(ds, N, conc, seed)
         want = partition_dirichlet_by_deal(ds, N, conc, seed)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -11,13 +11,13 @@ from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, Algorithm
 from fedsim.cli import main
 from fedsim.client import LocalConfig, local_update, shard_group
-from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, synthetic_split
+from fedsim.data import Dataset, partition_dirichlet, synthetic_split
 from fedsim.engine import RunConfig, RoundRecord, prepare, run, sample_clients
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, init_params, param_dim
 from fedsim.server import Round, ServerHyper
 from fedsim.streams import client_states
-from oracles import mean_by_rows
+from oracles import generate_synthetic, mean_by_rows
 
 
 def small_data(seed=0):
@@ -431,23 +431,35 @@ def test_prepare_checks_the_test_set_against_the_model(monkeypatch, bad):
 
 
 def test_numeric_abort_names_the_same_client_as_one_at_a_time(monkeypatch):
-    # Diverging regression on 7 Dirichlet shards of 4 and 5 examples. The
-    # size-4 chunk [0, 2, 4, 5, 6] runs first and loses clients 4 and 6 (at
-    # steps 33 and 28); one at a time, client 3 of the other chunk fails
-    # first, at step 37.
+    # Diverging regression on 7 Dirichlet shards of 4 and 5 examples, in the
+    # groups [0, 2, 4, 5, 6] and [1, 3]. The first group steps first and
+    # loses clients 4 and 6 (at steps 33 and 28); client 3 of the second
+    # group would fail too, at step 37. In fold order client 4 fails first,
+    # and no chunk steps after the failing one: the first group's single
+    # chunk, or clients 0, 2 and 4 one at a time.
     rng = np.random.default_rng(75)
     ds = Dataset(10 ** rng.uniform(-4, 1, size=(30, 1)), np.repeat(np.arange(3), 10), 3)
     cfg = RunConfig(algorithm="fedavg", model=ModelSpec("linear_regression", input_dim=1),
                     n_clients=7, rounds=1, seed=75, partition_kind="dirichlet",
                     local=LocalConfig(k=40, lr0=1e4, clip_norm=1e300, batch_size=2))
     task = prepare(cfg, ds, ds)
+    chunks = []
+
+    def spy(spec, init, group, rows, *args, **kwargs):
+        chunks.append(group.ids[rows].tolist())
+        return local_update(spec, init, group, rows, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "local_update", spy)
     with pytest.raises(NumericError) as stacked:
         run(cfg, task)
-    assert (stacked.value.round, stacked.value.client, stacked.value.step) == (0, 3, 37)
+    assert (stacked.value.round, stacked.value.client, stacked.value.step) == (0, 4, 33)
+    assert chunks == [[0, 2, 4, 5, 6]]
+    chunks.clear()
     monkeypatch.setattr(engine, "STACK_BYTES", 1)
     with pytest.raises(NumericError) as serial:
         run(cfg, task)
     assert str(stacked.value) == str(serial.value)
+    assert chunks == [[0], [2], [4]]
 
 
 @pytest.mark.parametrize("change", [

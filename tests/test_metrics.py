@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedsim.client import shard_groups
-from fedsim.data import Dataset, generate_synthetic, partition_dirichlet, partition_iid
+from fedsim.data import Dataset, partition_dirichlet, partition_iid
 from fedsim.errors import NumericError, StructuralError
 from fedsim.engine import RoundRecord
 from fedsim.metrics import ema_update, global_loss, rounds_to_target
 from fedsim.models import (EVAL_BLOCK_ROWS, ModelSpec, _forward, decay_term, layer_views,
                            loss, param_dim)
+from oracles import generate_synthetic
 
 
 def series_of(values):

@@ -73,9 +73,8 @@ UNCHECKED = {
     "runs inside a decorated caller: Round, example_losses or engine.run": {
         "params.Mean.add", "params.Mean.result", "models.class_sum",
         "algorithms.momentum_residual_bound"},
-    "its float arithmetic is all in decorated calls (axpy, Round, synthetic_split)": {
-        "algorithms.lookahead", "server.aggregate", "algorithms.aggregate_fedagm",
-        "data.generate_synthetic"},
+    "its float arithmetic is all in decorated calls (axpy, Round)": {
+        "algorithms.lookahead", "server.aggregate", "algorithms.aggregate_fedagm"},
     "test and selftest oracle on bounded inputs, no run calls it": {"models.fd_gradient"},
 }
 
