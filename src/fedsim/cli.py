@@ -200,8 +200,7 @@ def build_run_config(cfg: dict) -> RunConfig:
     return RunConfig(algorithm=cfg["algorithm"], model=model,
                      n_clients=cfg["clients"], rounds=cfg["rounds"],
                      participation=cfg["participation"], seed=cfg["seed"],
-                     eval_every=cfg["eval_every"], targets=tuple(cfg["targets"]),
-                     partition_kind=cfg["partition"]["kind"],
+                     eval_every=cfg["eval_every"], partition_kind=cfg["partition"]["kind"],
                      concentration=cfg["partition"]["concentration"],
                      local=LocalConfig(**cfg["local"]), server=ServerHyper(**cfg["server"]))
 
@@ -401,7 +400,7 @@ def _execute(cfg: dict, rc: RunConfig, task: Task, meta: dict, out_dir: Path, th
                 "bytes_down": sum(r.bytes_down for r in records),
                 "bytes_up": sum(r.bytes_up for r in records),
             },
-            "rounds_to_target": _targets_report(records, rc.targets, cfg["rounds"]),
+            "rounds_to_target": _targets_report(records, cfg["targets"], cfg["rounds"]),
         }
         if result.max_momentum_residual is not None:
             summary["max_momentum_residual"] = result.max_momentum_residual

@@ -60,19 +60,19 @@ class Rows(np.ndarray):
 @dataclass(frozen=True)
 class ShardGroup:
     """Equal-size client shards, stacked once: ``ids`` (G,), the client id
-    of each row, ascending; ``features`` (G, n, f); ``labels`` (G, n); and
-    ``finite`` (G,), whether each shard's features are all finite."""
+    of each row, ascending; ``features`` (G, n, f), all finite (see
+    :func:`shard_group`); and ``labels`` (G, n)."""
 
     ids: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    finite: np.ndarray
 
 
 def shard_group(dataset: Dataset, assignments, ids=None) -> ShardGroup:
     """Stack the shards ``assignments``, equal-length index arrays into
     ``dataset``, into one group whose rows belong to the clients ``ids``
-    (default 0, 1, ...); the features are copied once, here."""
+    (default 0, 1, ...); the features are copied and checked once, here:
+    a NaN or Inf feature raises, naming the client of the first such row."""
     if len({len(a) for a in assignments}) != 1:
         raise StructuralError("a client group needs equal-size shards")
     idx = np.stack(assignments)
@@ -80,7 +80,10 @@ def shard_group(dataset: Dataset, assignments, ids=None) -> ShardGroup:
         raise StructuralError("client shard is empty")
     X = np.asarray(dataset.features, dtype=np.float64)[idx]
     ids = np.arange(len(idx)) if ids is None else np.asarray(ids)
-    return ShardGroup(ids, X, dataset.labels[idx], np.isfinite(X).all(axis=(1, 2)))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))
+    if bad.size:
+        raise NumericError("client features contain NaN/Inf", client=int(ids[bad[0]]))
+    return ShardGroup(ids, X, dataset.labels[idx])
 
 
 def shard_groups(dataset: Dataset, assignments) -> list[ShardGroup]:
@@ -150,9 +153,7 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     norm that clipping needs, and the returned models are checked once. A
     client that fails keeps stepping with the others; afterwards the
     failure of the first failing row is raised, with the round, its client
-    id from ``group.ids`` and the step. A row's non-finite features rank
-    before its step and model failures, as they would stop that client
-    before its first step.
+    id from ``group.ids`` and the step.
     """
     rows = np.asarray(rows, dtype=np.intp)
     S = len(rows)
@@ -208,12 +209,8 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
         g *= -eta
         theta += g
     finite_rows = np.isfinite(theta).all(axis=1)
-    finite_features = group.finite[rows]
     ids = group.ids[rows].tolist()
     for row in range(S):
-        if not finite_features[row]:
-            raise NumericError("client features contain NaN/Inf", round=round,
-                               client=ids[row])
         if first_bad_step[row] >= 0:
             raise NumericError("local gradient norm is not finite", round=round,
                                client=ids[row], step=int(first_bad_step[row]))

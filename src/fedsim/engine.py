@@ -16,10 +16,10 @@ a :class:`Task` that every run over the same partition reads: the
 training set is partitioned and checked against the model, and the
 shards of each shard size (the partitioners allow at most two) are
 stacked into one :class:`fedsim.client.ShardGroup` with each row's
-client id and finiteness flag. These groups are the only record of which
-client owns which row, and the only copy of the training features that
-the clients and the evaluation read (the CLI drops the ungrouped set
-before round 0): a round's local
+client id; a NaN or Inf feature fails there, naming its client. These
+groups are the only record of which client owns which row, and the only
+copy of the training features that the clients and the evaluation read
+(the CLI drops the ungrouped set before round 0): a round's local
 updates take the rows of its sampled ids, and the training loss is
 evaluated from them, :data:`fedsim.models.EVAL_BLOCK_ROWS` rows at a time
 through every layer, so an evaluation holds one block of the model's
@@ -102,7 +102,6 @@ class RunConfig:
     participation: float = 1.0
     seed: int = 0
     eval_every: int = 1
-    targets: tuple = ()
     partition_kind: str = "iid"
     concentration: float = 0.3
     local: LocalConfig = field(default_factory=LocalConfig)
@@ -112,10 +111,9 @@ class RunConfig:
         for key, value in (("algorithm", self.algorithm), ("clients", self.n_clients),
                            ("rounds", self.rounds), ("participation", self.participation),
                            ("seed", self.seed), ("eval_every", self.eval_every),
-                           ("targets", self.targets), ("partition.kind", self.partition_kind),
+                           ("partition.kind", self.partition_kind),
                            ("partition.concentration", self.concentration)):
             check(key, value)
-        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 @dataclass(frozen=True)

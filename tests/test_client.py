@@ -11,7 +11,7 @@ from fedsim import engine
 from fedsim.algorithms import NAMES, REGISTRY, feddyn_updated_state
 from fedsim.client import (LocalConfig, combine, derive_batch_size, local_update, shard_group,
                            shard_groups)
-from fedsim.data import Dataset, partition_dirichlet
+from fedsim.data import Dataset, partition_dirichlet, partition_iid
 from fedsim.engine import RunConfig
 from fedsim.errors import NumericError, StructuralError
 from fedsim.models import ModelSpec, gradient, make_batch, param_dim
@@ -309,18 +309,15 @@ def test_group_failure_names_the_lowest_failing_client():
         update(QUAD, np.zeros(1), [quad_shard(1e120), quad_shard(1e200)], cfg, 0,
                [np.random.default_rng(0), np.random.default_rng(1)], ids=(2, 4))
     assert (ei.value.client, ei.value.step) == (2, None)
-    # non-finite features of a higher id do not outrank a lower id's step
-    # failure; alone, that client would fail before its first step
-    nan_shard = Dataset(np.full((1, 1), np.nan), np.ones(1), 1)
-    cfg = LocalConfig(k=2, batch_size=1, lr0=1e150, clip_norm=1e300)
-    with pytest.raises(NumericError, match="gradient norm") as ei:
-        update(QUAD, np.zeros(1), [quad_shard(1e100), nan_shard], cfg, 4,
-               [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
-    assert (ei.value.client, ei.value.step) == (5, 1)
-    with pytest.raises(NumericError, match="features") as ei:
-        update(QUAD, np.zeros(1), [nan_shard, quad_shard(1e100)], cfg, 4,
-               [np.random.default_rng(0), np.random.default_rng(1)], ids=(5, 8))
-    assert (ei.value.client, ei.value.step) == (5, None)
+    # a shard with a non-finite feature fails as the group is stacked,
+    # before any client steps, naming the client of the first such row
+    for value in (np.nan, np.inf, -np.inf):
+        bad = Dataset(np.full((1, 1), value), np.ones(1), 1)
+        for shards, client in (([quad_shard(1e100), bad], 8), ([bad, quad_shard(1e100)], 5),
+                               ([bad, bad], 5)):
+            with pytest.raises(NumericError, match="client features contain NaN/Inf") as ei:
+                stacked(shards, ids=(5, 8))
+            assert (ei.value.round, ei.value.client, ei.value.step) == (None, client, None)
 
 
 def test_mixed_chunk_rows_equal_groups_of_one():
@@ -386,6 +383,8 @@ def test_group_needs_equal_shards_and_one_rng_each():
     ds = classif_shard(n=23)
     with pytest.raises(StructuralError, match="equal-size"):
         shard_group(ds, [np.arange(12), np.arange(12, 23)])
+    with pytest.raises(StructuralError, match="client shard is empty"):
+        shard_group(ds, [np.arange(0), np.arange(0)])
     with pytest.raises(StructuralError, match="one rng"):
         local_update(SPEC3, np.zeros(param_dim(SPEC3)), shard_group(ds, [np.arange(12)]),
                      [0], LocalConfig(k=2), 0, [np.random.default_rng(0)] * 2)
@@ -411,9 +410,8 @@ def test_shard_groups_record_which_client_owns_each_row():
 
 
 def test_local_update_rejects_bad_inputs_on_entry(monkeypatch):
-    # the run checks the training set against the model once, before any
-    # client steps; local_update itself checks the shape of its init and
-    # flags a shard's non-finite features
+    # the run checks the training and test sets once, before any client
+    # steps; local_update itself checks only the shape of its init
     shard = classif_shard()
     with pytest.raises(StructuralError, match="params have shape"):
         alone(SPEC3, np.zeros(5), shard, LocalConfig(k=2), 0,
@@ -424,13 +422,19 @@ def test_local_update_rejects_bad_inputs_on_entry(monkeypatch):
     cfg = RunConfig(algorithm="fedavg", model=SPEC3, n_clients=2, rounds=1)
     with pytest.raises(StructuralError, match="labels"):
         engine.run(cfg, engine.prepare(cfg, bad_labels, bad_labels))
+    # a non-finite training feature names the client that owns its row,
+    # and one in the test set fails as the test batch is built
+    owner = next(i for i, a in enumerate(partition_iid(shard, 2, cfg.seed)) if 7 in a)
+    for value in (np.nan, np.inf, -np.inf):
+        features = shard.features.copy()
+        features[7, 1] = value
+        bad = Dataset(features, shard.labels, 3)
+        with pytest.raises(NumericError, match="client features contain NaN/Inf") as ei:
+            engine.run(cfg, engine.prepare(cfg, bad, shard))
+        assert (ei.value.round, ei.value.client, ei.value.step) == (None, owner, None)
+        with pytest.raises(NumericError, match="batch features contain NaN/Inf"):
+            engine.run(cfg, engine.prepare(cfg, shard, bad))
     assert not stepped
-    features = shard.features.copy()
-    features[7, 1] = np.nan
-    with pytest.raises(NumericError, match="features") as ei:
-        alone(SPEC3, np.zeros(param_dim(SPEC3)), Dataset(features, shard.labels, 3),
-              LocalConfig(k=2), 4, np.random.default_rng(0), "fedavg")
-    assert ei.value.round == 4
 
 
 def test_fedagm_gradient_at_init_equals_scaled_plain():

@@ -236,6 +236,14 @@ def test_synthetic_split_equals_the_label_scan_of_one_draw():
             assert got.labels.dtype == np.int64 and got.class_count == clusters
 
 
+@pytest.mark.parametrize("args", [(0, 5, 2, 3, 1.0), (3, 0, 2, 3, 1.0), (3, 5, -1, 3, 1.0),
+                                  (3, 5, 2, 0, 1.0), (3, 5, 2, 3, -1.0)],
+                         ids=["clusters", "train", "test", "dim", "spread"])
+def test_synthetic_split_rejects_bad_parameters(args):
+    with pytest.raises(StructuralError, match="synthetic generation parameters"):
+        synthetic_split(0, *args)
+
+
 def test_heterogeneity_monotone_in_concentration():
     ds = generate_synthetic(seed=0, clusters=10, per_class=100, input_dim=2, spread=1.0)
 

@@ -138,6 +138,15 @@ def test_loss_whose_mean_overflows_raises_and_warns_nothing():
             loss(QUAD, np.ones(1), batch)
 
 
+def test_gradient_that_overflows_raises_and_warns_nothing():
+    # the residual 1e308 * 1e308 overflows, and with it the gradient
+    batch = make_batch([[1e308]], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="gradient is not finite"):
+            gradient(QUAD, np.full(1, 1e308), batch)
+
+
 def test_zero_softmax_loss_is_log_k():
     batch = make_batch(np.random.default_rng(3).normal(size=(7, 4)), [0, 1, 2, 0, 1, 2, 0])
     assert loss(SOFTMAX_3, np.zeros(param_dim(SOFTMAX_3)), batch) == pytest.approx(
@@ -300,6 +309,11 @@ def test_input_validation():
         loss(SOFTMAX_3, np.zeros(param_dim(SOFTMAX_3)), make_batch([[1, 2, 3, 4]], [7]))
     with pytest.raises(StructuralError):
         make_batch(np.zeros((0, 2)), [])
+    with pytest.raises(StructuralError, match="labels shape"):
+        make_batch(np.zeros((3, 2)), [0, 1])
+    for h in (0.0, -1e-6):
+        with pytest.raises(StructuralError, match="step h must be positive"):
+            fd_gradient(QUAD, np.ones(1), quad_batch(1.0), h=h)
 
 
 def test_init_params_deterministic_and_shaped():
