@@ -60,8 +60,8 @@ class Rows(np.ndarray):
 @dataclass(frozen=True)
 class ShardGroup:
     """Equal-size client shards, stacked once: ``ids`` (G,), the client id
-    of each row, ascending; ``features`` (G, n, f), all finite (see
-    :func:`shard_group`); and ``labels`` (G, n)."""
+    of each row, ascending; ``features`` (G, n, f) and ``labels`` (G, n),
+    all finite (see :func:`shard_group`)."""
 
     ids: np.ndarray
     features: np.ndarray
@@ -71,19 +71,21 @@ class ShardGroup:
 def shard_group(dataset: Dataset, assignments, ids=None) -> ShardGroup:
     """Stack the shards ``assignments``, equal-length index arrays into
     ``dataset``, into one group whose rows belong to the clients ``ids``
-    (default 0, 1, ...); the features are copied and checked once, here:
-    a NaN or Inf feature raises, naming the client of the first such row."""
+    (default 0, 1, ...); the features are copied, and they and the labels
+    are checked once, here: a NaN or Inf feature, then a NaN or Inf label,
+    raises, naming the client of the first such row."""
     if len({len(a) for a in assignments}) != 1:
         raise StructuralError("a client group needs equal-size shards")
     idx = np.stack(assignments)
     if idx.shape[1] < 1:
         raise StructuralError("client shard is empty")
-    X = np.asarray(dataset.features, dtype=np.float64)[idx]
+    X, y = np.asarray(dataset.features, dtype=np.float64)[idx], dataset.labels[idx]
     ids = np.arange(len(idx)) if ids is None else np.asarray(ids)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))
-    if bad.size:
-        raise NumericError("client features contain NaN/Inf", client=int(ids[bad[0]]))
-    return ShardGroup(ids, X, dataset.labels[idx])
+    for what, values in (("features", X), ("labels", y)):
+        bad = np.flatnonzero(~np.isfinite(values.reshape(len(idx), -1)).all(axis=1))
+        if bad.size:
+            raise NumericError(f"client {what} contain NaN/Inf", client=int(ids[bad[0]]))
+    return ShardGroup(ids, X, y)
 
 
 def shard_groups(dataset: Dataset, assignments) -> list[ShardGroup]:
@@ -122,8 +124,7 @@ def combine(grad: np.ndarray, theta: np.ndarray, init: np.ndarray, a: float,
 @finite_checked
 def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
                  cfg: LocalConfig, round: int, rngs: list[np.random.Generator],
-                 a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0,
-                 ws: np.ndarray | None = None) -> Rows:
+                 a: float = 1.0, v: np.ndarray | None = None, c: float = 0.0) -> Rows:
     """Run K local steps for the clients at ``rows`` of ``group``, all
     from the same received model ``init``, and return their models as an
     (S, d) array, one row per entry of ``rows`` in the order given.
@@ -134,26 +135,21 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
     every local epoch in fixed iteration order (a short final slice of an
     epoch is a partial batch). Each epoch's shuffled shards, with their
     labels as one-hot :func:`fedsim.models.targets`, are gathered once and
-    each step's batch is a slice of them. Every step writes its gradient
-    into one (S, d) buffer, through layer views of it and of the models
-    built once per call, and its decay and ``c`` terms into one (S, d)
-    scratch, so a step makes no (S, d) temporary. The models, the
-    gradient and the scratch are the first S rows of the three (R, d)
-    buffers of the C-ordered float64 workspace ``ws`` (3, R, d), R >= S,
-    which a caller that steps many chunks builds once and passes to each;
-    without one, the call allocates its own. The returned rows are a view
-    of ``ws``, valid until the next call that steps in it. Each step goes
-    along :func:`combine` with ``a``, ``v`` ((d,) or one row per client,
+    each step's batch is a slice of them. The call allocates the models,
+    one (S, d) gradient buffer and one (S, d) scratch, and every step
+    writes its gradient into the buffer, through layer views of it and of
+    the models built once per call, and its decay and ``c`` terms into the
+    scratch, so a step makes no (S, d) temporary. Each step goes along
+    :func:`combine` with ``a``, ``v`` ((d,) or one row per client,
     subtracted) and ``c``, as a rule's ``terms`` gives them, and is
     clipped only when some row leaves the clip ball.
 
     The caller has validated ``group`` against ``spec`` (``prepare`` does,
-    once per task); here only ``init``'s shape and ``ws``'s shape, dtype
-    and layout are checked. Each step guards only the squared gradient
-    norm that clipping needs, and the returned models are checked once. A
-    client that fails keeps stepping with the others; afterwards the
-    failure of the first failing row is raised, with the round, its client
-    id from ``group.ids`` and the step.
+    once per task); here only ``init``'s shape is checked. Each step
+    guards only the squared gradient norm that clipping needs, and the
+    returned models are checked once. A client that fails keeps stepping
+    with the others; afterwards the failure of the first failing row is
+    raised, with the round, its client id from ``group.ids`` and the step.
     """
     rows = np.asarray(rows, dtype=np.intp)
     S = len(rows)
@@ -168,17 +164,9 @@ def local_update(spec: ModelSpec, init: np.ndarray, group: ShardGroup, rows,
 
     ball = min(cfg.clip_norm, np.finfo(np.float64).max)  # an overflowed norm is outside
     # the models; every step's gradient, then its update, in place; the
-    # decay term, then c*(theta - init)
-    if ws is None:
-        # the returned rows keep no gradient or scratch alive
-        theta, (g, scratch) = np.empty((S, init.size)), np.empty((2, S, init.size))
-    elif ws.dtype != np.float64 or ws.ndim != 3 or ws.shape[0] != 3 or \
-            ws.shape[1] < S or ws.shape[2] != init.size or not ws.flags.c_contiguous:
-        # layer views of strided rows would be copies, stepped out of sight
-        raise StructuralError(f"a workspace of shape {ws.shape} and dtype {ws.dtype} "
-                              f"cannot step {S} float64 models of shape {init.shape}")
-    else:
-        theta, g, scratch = ws[:, :S]
+    # decay term, then c*(theta - init). The returned rows keep no
+    # gradient or scratch alive.
+    theta, (g, scratch) = np.empty((S, init.size)), np.empty((2, S, init.size))
     theta[:] = init
     views = (layer_views(spec, theta), layer_views(spec, g))
     sq = np.empty((S, 1, 1))  # each step's squared row norms

@@ -3,11 +3,11 @@ aggregate, meter communication, and log per-round metrics.
 
 One loop serves every rule; what differs comes from the rule's entry in
 :data:`fedsim.algorithms.REGISTRY`. A round never holds all of its
-client models: every chunk of a round steps in one workspace, built for
-the round, and the models it returns are folded into the server's
-:class:`fedsim.server.Round` at once, so a round's memory is the
-workspace's three chunk-sized buffers, not S·d. Nothing of round t,
-neither a client model nor the state before it, lives into round t+1.
+client models: every chunk of a round steps in buffers of its own, and
+the models it returns are folded into the server's
+:class:`fedsim.server.Round` at once, so a round's memory is one chunk's
+three buffers, not S·d. Nothing of round t, neither a client model nor
+the state before it, lives into round t+1.
 The downlink is metered from the payload, the uplink as one model per
 sampled client.
 
@@ -16,15 +16,15 @@ a :class:`Task` that every run over the same partition reads: the
 training set is partitioned and checked against the model, and the
 shards of each shard size (the partitioners allow at most two) are
 stacked into one :class:`fedsim.client.ShardGroup` with each row's
-client id; a NaN or Inf feature fails there, naming its client. These
-groups are the only record of which client owns which row, and the only
-copy of the training features that the clients and the evaluation read
-(the CLI drops the ungrouped set before round 0): a round's local
-updates take the rows of its sampled ids, and the training loss is
-evaluated from them, :data:`fedsim.models.EVAL_BLOCK_ROWS` rows at a time
-through every layer, so an evaluation holds one block of the model's
-widest layers and the (C, rows) logits of its head, whatever the widths.
-The test accuracy stays one unblocked pass (see
+client id; a NaN or Inf feature or label fails there, naming its
+client. These groups are the only record of which client owns which
+row, and the only copy of the training features that the clients and
+the evaluation read (the CLI drops the ungrouped set before round 0):
+a round's local updates take the rows of its sampled ids, and the
+training loss is evaluated from them, :data:`fedsim.models.EVAL_BLOCK_ROWS`
+rows at a time through every layer, so an evaluation holds one block of
+the model's widest layers and the (C, rows) logits of its head, whatever
+the widths. The test accuracy stays one unblocked pass (see
 :func:`fedsim.models.accuracy`).
 
 Reproducibility contract: every random stream is derived from the run
@@ -71,15 +71,16 @@ from .server import aggregate as aggregate_baseline  # noqa: F401
 
 # Byte cap on the (S, d) parameter stack of one local_update call; it sets
 # how many clients step together. Larger chunks cut per-call and per-step
-# dispatch but grow the round's workspace and every (S, bs, width)
-# temporary of the step with them. The value comes from a perfbench sweep
-# of cross_silo (d = 7,210, so 4, 6, 9 and 13 clients a chunk; seed 11,
-# 5 alternating runs each; 2-vCPU Xeon, one BLAS thread): 256, 384, 512
-# and 768 KiB read run_s medians 0.667, 0.649, 0.685 and 0.680 s and peak
-# RSS 45.9, 46.2, 47.0 and 48.0 MB. The traced peak of a two-round run
-# beyond the rule's buffers (tests/test_engine.py, bound 3 MiB) read
-# 2.43-2.48, 2.55-2.92, 3.12-3.66 and 3.89-4.65 MiB over fedavg, feddyn,
-# fedagm and fedcm, so larger chunks buy no time and break that bound.
+# dispatch but grow the chunk's three (S, d) buffers and every
+# (S, bs, width) temporary of the step with them. The value comes from a
+# perfbench sweep of cross_silo (d = 7,210, so 4, 6, 9 and 13 clients a
+# chunk; seed 11, 5 alternating runs each; 2-vCPU Xeon, one BLAS thread):
+# 256, 384, 512 and 768 KiB read run_s medians 0.667, 0.649, 0.685 and
+# 0.680 s and peak RSS 45.9, 46.2, 47.0 and 48.0 MB. The traced peak of a
+# two-round run beyond the rule's buffers (tests/test_engine.py, bound
+# 3 MiB; numpy 2.4.6) read 2.43-2.48, 2.52-2.92, 3.10-3.66 and 3.87-4.65
+# MiB over fedavg, feddyn, fedagm and fedcm, so larger chunks buy no time
+# and break that bound.
 STACK_BYTES = 384 * 1024
 
 # Client-rounds whose streams one client_states pass seeds (at least one
@@ -238,8 +239,6 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
         sampled = np.zeros(config.n_clients, dtype=bool)
         sampled[ids] = True
         rnd = Round(state, algo, ids, payload[0], cfg)
-        # the workspace every chunk of the round steps in
-        ws = np.empty((3, min(rows_per_chunk, len(ids)), theta0.size))
         for group in groups:
             members = np.flatnonzero(sampled[group.ids])
             for lo in range(0, len(members), rows_per_chunk):
@@ -251,9 +250,7 @@ def run(config: RunConfig, task: Task, *, on_record=None) -> RunResult:
                     rng.bit_generator.state = states[cid]
                 # a round holds one chunk of client models at a time
                 rnd.add(chunk, local_update(spec, payload[0], group, rows, cfg, t,
-                                            pool[:len(chunk)], **algo.terms(state, cfg, chunk),
-                                            ws=ws))
-        del ws
+                                            pool[:len(chunk)], **algo.terms(state, cfg, chunk)))
 
         before, state = state, rnd.finish()
         if algo.check is not None:

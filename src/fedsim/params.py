@@ -40,8 +40,6 @@ def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     non-finite inputs), a structural error on dimension mismatch.
     """
     _check_pair(x, y)
-    if not np.isfinite(a):
-        raise NumericError(f"non-finite scale factor {a!r}")
     out = a * x + y
     if not np.all(np.isfinite(out)):
         raise NumericError("axpy produced non-finite entries")

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 
 from bounds import BOUNDED, edges
 from children import CAN_TIE, running, tied
-from fedsim import cli, engine
+from fedsim import cli, engine, selftest
 from fedsim.cli import (DEFAULT_CONFIG, apply_overrides, config_hash, load_config,
                         main, resolve_config)
 from fedsim.client import LocalConfig
@@ -97,6 +97,32 @@ def test_set_overrides_parse_json_with_string_fallback(tmp_path):
     for bad in ["nosuch=1", "local.nosuch=1", "local=3", "justakey"]:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, [bad])
+
+
+@pytest.mark.parametrize("item", ["rounds", "=5"])
+def test_set_without_a_key_or_an_equals_sign_exits_2(tmp_path, capsys, item):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", item,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --set expects KEY=VALUE, got {item!r}\n"
+    assert not out.exists()
+
+
+# every leaf whose default is null, with a value the null then replaces
+NULLABLE = {"server.global_lr": 0.5, "local.batch_size": 4, "data.path": "train.csv",
+            "data.label_column": "y"}
+
+
+@pytest.mark.parametrize("key", NULLABLE)
+def test_an_explicit_null_is_accepted_where_the_default_is_null(tmp_path, key):
+    assert sorted(NULLABLE) == sorted(k for k, leaf in LEAVES.items() if leaf.default is None)
+    section, name = key.split(".")
+    path = write_config(tmp_path, {**SMALL, section: {**SMALL.get(section, {}), name: None}})
+    assert load_config(path)[section][name] is None
+    cfg = load_config(write_config(tmp_path, SMALL, "plain.json"))
+    apply_overrides(cfg, [f"{key}={json.dumps(NULLABLE[key])}", f"{key}=null"])
+    assert cfg[section][name] is None
+    resolve_config(path, [f"{key}=null"], None)
 
 
 def test_config_hash_is_canonical(tmp_path):
@@ -532,6 +558,16 @@ def test_non_finite_hyperparameter_exits_2_naming_the_key(tmp_path, capsys, key,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key} must ")
     assert err[0].endswith(f", got {float(literal)!r}")
+    assert not out.exists()
+
+
+def test_a_spread_that_overflows_the_synthetic_features_exits_2(tmp_path, capsys):
+    # caught as the set is drawn, not later as a client shard that fails
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--set", "data.spread=1e308",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: data.spread 1e+308 overflows the synthetic features\n")
     assert not out.exists()
 
 
@@ -1379,6 +1415,105 @@ def test_selftest_fails_under_lambda_sign_mutation(capsys):
     assert main(["selftest", "--perturb-lambda-sign"]) == 1
     out = capsys.readouterr().out
     assert "FAIL momentum-recurrence" in out
+
+
+def _nudged(x):
+    """``x`` moved by one ulp toward +inf: other bits, same shape."""
+    return np.nextafter(x, np.inf)
+
+
+def _doubled(gradient):
+    return lambda *args, **kwargs: 2.0 * gradient(*args, **kwargs)
+
+
+def _fedprox_not_trivial(registry):
+    return {**registry, "fedprox": replace(registry["fedprox"],
+                                           trivial={"local": {"prox_mu": 0.1}})}
+
+
+def _trivial_terms_applied(local_update):
+    # a local step that does not skip a trivial term: its rows move
+    # whenever a rule passes one, as every rule's own terms do
+    return lambda *args, **terms: (_nudged(local_update(*args, **terms)) if terms
+                                   else local_update(*args))
+
+
+def _rules_runs(edit):
+    """``run`` whose result is edited for every rule but fedavg, the
+    reference the rules are compared with."""
+    return lambda run: (lambda config, task: run(config, task) if config.algorithm == "fedavg"
+                        else edit(run(config, task)))
+
+
+def _last_record_dropped(res):
+    return replace(res, records=res.records[:-1])
+
+
+def _last_record_changed(res):
+    last = res.records[-1]
+    return replace(res, records=[*res.records[:-1], replace(last, bytes_up=last.bytes_up + 1)])
+
+
+def _final_model_changed(res):
+    return replace(res, final_state=replace(res.final_state,
+                                            theta=_nudged(res.final_state.theta)))
+
+
+def _second_row_changed(local_update):
+    def update(*args, **kwargs):
+        rows = local_update(*args, **kwargs)
+        if len(rows) > 1:
+            rows[1] = _nudged(rows[1])
+        return rows
+    return update
+
+
+def _partitions(edit):
+    return lambda partition: lambda *args: edit([a.copy() for a in partition(*args)])
+
+
+def _index_repeated(part):
+    part[0][0] = part[1][0]  # still balanced, but one index twice and one lost
+    return part
+
+
+def _index_moved(part):
+    sizes = [len(a) for a in part]
+    small, large = sizes.index(min(sizes)), sizes.index(max(sizes))
+    part[large] = np.append(part[large], part[small][-1])  # still a cover
+    part[small] = part[small][:-1]
+    return part
+
+
+def _next_rounds_streams(client_states):
+    return lambda seed, rounds, ids: client_states(seed, [t + 1 for t in rounds], ids)
+
+
+@pytest.mark.parametrize("check,subject,broken", [
+    ("gradient-vs-finite-difference", "gradient", _doubled),
+    ("degeneration-equivalence", "REGISTRY", _fedprox_not_trivial),
+    ("degeneration-equivalence", "local_update", _trivial_terms_applied),
+    ("degeneration-equivalence", "run", _rules_runs(_last_record_dropped)),
+    ("degeneration-equivalence", "run", _rules_runs(_last_record_changed)),
+    ("degeneration-equivalence", "run", _rules_runs(_final_model_changed)),
+    ("partition-invariants", "partition_dirichlet", _partitions(_index_repeated)),
+    ("partition-invariants", "partition_dirichlet", _partitions(_index_moved)),
+    ("group-equals-one-at-a-time", "local_update", _second_row_changed),
+    ("client-streams", "client_states", _next_rounds_streams),
+], ids=["gradient-doubled", "fedprox-not-trivial", "trivial-terms-applied",
+        "last-record-dropped", "last-record-changed", "final-model-changed",
+        "index-repeated", "index-moved", "second-row-changed", "next-rounds-streams"])
+def test_selftest_fails_the_check_whose_subject_is_broken(monkeypatch, capsys, check,
+                                                          subject, broken):
+    # each case breaks what one check reads, through selftest's own name
+    # for it, and reaches one of that check's FAIL branches; the other
+    # checks, and every run they make, see nothing broken
+    monkeypatch.setattr(selftest, subject, broken(getattr(selftest, subject)))
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{'FAIL' if name == check else 'PASS'} {name}"
+                          for name, _ in selftest.CHECKS]
+    assert lines[-1] == f"selftest failed: {check}"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -66,10 +66,9 @@ def terms(rule, cfg, init, aux=None, S=1):
     return algo.terms(init_state(init, ServerHyper(), **buffers), cfg, list(range(S)))
 
 
-def group(spec, init, shards, cfg, round, rngs, rule, aux=None, **kw):
+def group(spec, init, shards, cfg, round, rngs, rule, aux=None):
     """local_update with the terms the registry gives ``rule``."""
-    return update(spec, init, shards, cfg, round, rngs,
-                  **terms(rule, cfg, init, aux, len(shards)), **kw)
+    return update(spec, init, shards, cfg, round, rngs, **terms(rule, cfg, init, aux, len(shards)))
 
 
 def alone(spec, init, shard, cfg, round, rng, rule, aux=None):
@@ -258,37 +257,6 @@ def test_group_rows_equal_groups_of_one(spec, rule):
         assert unclipped.tobytes() != final.tobytes()
 
 
-@pytest.mark.parametrize("spec", [SPEC3, MLP3, REG3], ids=lambda s: s.kind)
-@pytest.mark.parametrize("rule", ["fedagm", "feddyn"])
-def test_a_reused_workspace_changes_no_bit(spec, rule):
-    # the engine steps every chunk of a round in one (3, R, d) workspace;
-    # the call steps in its first S rows, whatever they held before, and
-    # returns a view of them
-    S, d = 3, param_dim(spec)
-    shards, init = group_case(spec, S)
-    aux = np.random.default_rng(8).normal(size=(S, d))
-    cfg = LocalConfig(k=9, batch_size=4, lr0=0.3, clip_norm=0.5, alpha=0.9, beta=0.05,
-                      dyn_alpha=0.05)
-    fresh = group(spec, init, shards, cfg, 1, [np.random.default_rng(10 + i) for i in range(S)],
-                  rule, aux=aux)
-    ws = np.full((3, S + 2, d), np.nan)
-    reused = group(spec, init, shards, cfg, 1, [np.random.default_rng(10 + i) for i in range(S)],
-                   rule, aux=aux, ws=ws)
-    assert reused.tobytes() == fresh.tobytes()
-    assert np.shares_memory(reused, ws[0])
-
-
-def test_local_update_rejects_a_workspace_it_cannot_step_in():
-    shards, init = group_case(SPEC3, 3)
-    d = init.size
-    for ws in (np.empty((3, 2, d)), np.empty((3, 3, d + 1)), np.empty((2, 3, d)),
-               np.empty((3, 3, d), dtype=np.float32), np.empty((9, d)),
-               np.empty((3, 3, d), order="F"), np.empty((3, 3, 2 * d))[..., ::2]):
-        with pytest.raises(StructuralError, match="workspace"):
-            update(SPEC3, init, shards, LocalConfig(k=2), 0,
-                   [np.random.default_rng(i) for i in range(3)], ws=ws)
-
-
 def test_group_failure_names_the_lowest_failing_client():
     # targets 1, 1e100, 1e200 with a huge step: client 3 survives both steps,
     # client 5 overflows its gradient norm at step 1 and client 8 at step 0;
@@ -435,6 +403,29 @@ def test_local_update_rejects_bad_inputs_on_entry(monkeypatch):
         with pytest.raises(NumericError, match="batch features contain NaN/Inf"):
             engine.run(cfg, engine.prepare(cfg, shard, bad))
     assert not stepped
+
+
+def test_prepare_rejects_a_non_finite_regression_label():
+    # an input fault, reported in prepare and naming the client that owns
+    # the row, not as a step failure of round 0
+    spec = ModelSpec("linear_regression", input_dim=2)
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+    cfg = RunConfig(algorithm="fedavg", model=spec, n_clients=4, rounds=1,
+                    local=LocalConfig(k=3))
+    owner = next(i for i, a in enumerate(partition_iid(Dataset(X, y, 1), 4, cfg.seed))
+                 if 5 in a)
+    for value in (np.nan, np.inf, -np.inf):
+        labels = y.copy()
+        labels[5] = value
+        with pytest.raises(NumericError, match="client labels contain NaN/Inf") as ei:
+            engine.prepare(cfg, Dataset(X, labels, 1), Dataset(X, y, 1))
+        assert (ei.value.round, ei.value.client, ei.value.step) == (None, owner, None)
+        # a row whose feature is bad too fails on the feature
+        features = X.copy()
+        features[5, 0] = value
+        with pytest.raises(NumericError, match="client features contain NaN/Inf"):
+            engine.prepare(cfg, Dataset(features, labels, 1), Dataset(X, y, 1))
 
 
 def test_fedagm_gradient_at_init_equals_scaled_plain():

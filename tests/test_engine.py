@@ -384,12 +384,12 @@ def test_a_round_holds_less_than_one_matrix_of_its_client_models(name):
     # 100 Dirichlet(0.3) shards at full participation, K = 2. Beyond the
     # buffers its rule declares, a run's traced peak stays below one (S, d)
     # float64 matrix of its client models (5.5 MiB), and below 3 MiB.
-    # Measured with numpy 2.4, in chunks of six clients: 2.55 (fedavg),
-    # 2.92 (feddyn) and 2.92 MiB (fedagm); without the in-place tanh slope,
-    # 2.64, 3.01 and 2.84 MiB. In chunks of four, before the workspace, an
-    # evaluation that holds each layer's (rows, width) output and a step
-    # that makes (S, d) temporaries read 3.2 MiB for each rule, and a round
-    # that stacks its client models 7.5, 7.9 and 12.6 MiB.
+    # Measured with numpy 2.4, in chunks of six clients: 2.52 (fedavg),
+    # 2.92 (feddyn) and 2.75 MiB (fedagm); without the in-place tanh slope,
+    # 2.64, 3.01 and 2.84 MiB. In chunks of four, an evaluation that holds
+    # each layer's (rows, width) output and a step that makes (S, d)
+    # temporaries read 3.2 MiB for each rule, and a round that stacks its
+    # client models 7.5, 7.9 and 12.6 MiB.
     spec = ModelSpec("mlp", input_dim=64, output_dim=10, hidden_dims=(96,),
                      l2_weight_decay=0.001)
     train, test = synthetic_split(seed=11, clusters=10, train_per_class=200,

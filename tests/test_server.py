@@ -334,8 +334,9 @@ def test_a_round_finishes_only_once_every_client_is_added():
 
 
 def test_a_caller_may_reuse_its_rows_once_add_returns():
-    # as the engine's workspace does: the round folds the rows of clients
-    # 1 and 3 before the next block comes, and keeps none of them
+    # as a caller that steps every block in one buffer would: the round
+    # folds the rows of clients 1 and 3 before the next block comes, and
+    # keeps none of them
     rnd = fedavg_round([0, 1, 2, 3], d=2)
     block = np.array([[1.0, -2.0], [3.0, 5.0]])
     rnd.add([1, 3], block)
